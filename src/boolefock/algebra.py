@@ -16,6 +16,7 @@ rounding residue from inflating supports.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple, Union
 
@@ -89,12 +90,15 @@ class FockVector:
     wave: Mapping[int, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        vac = complex(self.vacuum_amp)
         cleaned = {}
         for ix, amp in self.wave.items():
             z = complex(amp)
             if z != 0:
                 cleaned[check_site(ix)] = z
-        object.__setattr__(self, "vacuum_amp", complex(self.vacuum_amp))
+        if not all(cmath.isfinite(z) for z in (vac, *cleaned.values())):
+            raise ValueError("vector amplitudes must be finite")
+        object.__setattr__(self, "vacuum_amp", vac)
         object.__setattr__(self, "wave", cleaned)
 
     def amp(self, ix: Index) -> complex:

@@ -19,6 +19,7 @@ seed falls back to the ``BOOLEFOCK_SEED`` environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -55,8 +56,8 @@ class RunConfig:
     output_format: str
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.n_samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.n_samples!r}")
         if self.max_word_len < 1:

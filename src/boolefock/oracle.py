@@ -150,8 +150,8 @@ def dense_cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     vac = complex(full[pos[VACUUM], pos[VACUUM]])
     if phi.kind == "singular":
         return TailElement(vac, x.scalar)
-    corner = dense_compact(x, basis)
-    corner[pos[VACUUM], :] = 0
-    corner[:, pos[VACUUM]] = 0
-    s = dense_density(phi.density, basis)
-    return TailElement(vac, complex(np.trace(s @ corner)) + x.scalar)
+    q = np.eye(len(basis))
+    q[pos[VACUUM], pos[VACUUM]] = 0
+    corner = q @ dense_compact(x, basis) @ q
+    s = q @ dense_density(phi.density, basis) @ q
+    return TailElement(vac, complex(np.trace(s @ corner)) / np.trace(s).real + x.scalar)

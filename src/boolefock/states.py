@@ -9,6 +9,7 @@ to float rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -43,8 +44,8 @@ class TraceClassOperator:
         for item in self.eigenpairs:
             weight, vec = item
             w = float(weight)
-            if w <= 0:
-                raise ValueError("eigenvalue weights must be positive")
+            if not 0 < w < math.inf:
+                raise ValueError(f"eigenvalue weights must be positive and finite, got {w!r}")
             if not isinstance(vec, FockVector):
                 raise TypeError("eigenvectors must be FockVector values")
             pairs.append((w, vec))

@@ -8,10 +8,13 @@ coordinatewise product.  Every conditional expectation onto it has the form
     F_phi(X) = <X e_#, e_#> * P + phi(Q X Q) * (I - P)
 
 for a state ``phi`` on the bounded operators over the sites (``Q = I - P``).
-Two computable families of ``phi`` are provided: ``normal`` states given by a
-finite-rank density with no vacuum component, and the ``singular`` family
-that factors through the quotient by the compacts and therefore reads off
-the identity coefficient alone.
+Two computable families of ``phi`` are provided: ``normal`` states, the
+normalised site corner ``phi(Y) = Tr(Q S Q Y) / Tr(Q S Q)`` of a finite-rank
+density ``S`` with positive site weight ``Tr(Q S Q) = 1 - <S e_#, e_#>``, and
+the ``singular`` family that factors through the quotient by the compacts
+and therefore reads off the identity coefficient alone.  When the vacuum is
+an eigenvector of ``T`` the preserving ``phi`` is the site corner of ``T``
+itself.
 
 Whether some ``F_phi`` preserves the trace state of a density ``T`` is
 decidable: it happens exactly when the vacuum vector is an eigenvector of
@@ -22,14 +25,13 @@ out of ``F_phi(X)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
     DEFAULT_TOL,
     VACUUM,
     BooleanElement,
-    FockVector,
     vacuum_expectation,
     vacuum_vector,
 )
@@ -87,13 +89,16 @@ class TailElement:
 class PhiState:
     """A state on the bounded operators over the sites.
 
-    ``normal`` wraps a finite-rank density supported on the sites only;
-    ``singular`` vanishes on every compact and returns the identity
-    coefficient.
+    ``normal`` is the normalised site corner of a finite-rank density
+    ``S``, ``phi(Y) = Tr(Q S Q Y) / Tr(Q S Q)``; any density with positive
+    site weight ``Tr(Q S Q)`` qualifies, and a density supported on the
+    sites only has site weight one.  ``singular`` vanishes on every compact
+    and returns the identity coefficient.
     """
 
     kind: str
     density: Optional[TraceClassOperator] = None
+    site_weight: Optional[float] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in ("normal", "singular"):
@@ -104,9 +109,15 @@ class PhiState:
         else:
             if self.density is None:
                 raise ValueError("a normal phi requires a density")
-            for _, xi in self.density.eigenpairs:
-                if xi.vacuum_amp != 0:
-                    raise ValueError("a normal phi density must have no vacuum component")
+            # summed from the site amplitudes rather than as 1 - w, which
+            # cancels to zero for a density within rounding of the vacuum
+            site_weight = sum(
+                w * sum(abs(a) ** 2 for a in xi.wave.values())
+                for w, xi in self.density.eigenpairs
+            )
+            if site_weight <= 0:
+                raise ValueError("a normal phi density must have positive site weight")
+            object.__setattr__(self, "site_weight", site_weight)
 
     @classmethod
     def singular(cls) -> "PhiState":
@@ -124,11 +135,11 @@ class PhiState:
         """
         if self.kind == "singular":
             return complex(x.scalar)
-        total = complex(x.scalar)
+        total = 0j
         for (m, n), amp in x.compact.items():
             if m != VACUUM and n != VACUUM:
                 total += amp * self.density.entry(n, m)
-        return total
+        return total / self.site_weight + x.scalar
 
     def to_json(self) -> dict:
         if self.kind == "singular":
@@ -184,60 +195,16 @@ def preserving_phi(t: TraceClassOperator, tol: float = DEFAULT_TOL) -> PhiState:
 
     For vacuum weight 1 the state is the vacuum state and every
     conditional expectation preserves it; the singular phi is returned by
-    convention.  Otherwise the density is the site part of ``t`` rescaled
-    by one minus the vacuum weight.
+    convention.  Otherwise ``phi`` is the normalised site corner of ``t``.
     """
     if not is_expected(t, tol):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
         )
-    w = t.vacuum_weight()
-    if w >= 1.0 - tol:
+    if t.vacuum_weight() >= 1.0 - tol:
         return PhiState.singular()
-    pairs = []
-    for weight, xi in t.eigenpairs:
-        mag = abs(xi.vacuum_amp)
-        if mag >= 1.0 - tol:
-            continue  # the vacuum-aligned eigenvector
-        if mag > tol:
-            # a degenerate eigenvalue listed in a basis mixing the vacuum
-            # with the sites; re-diagonalize the site block instead
-            pairs = _site_block_eigenpairs(t)
-            break
-        site_part = FockVector(0j, dict(xi.wave))
-        pairs.append((weight, site_part))
-    total = sum(wt for wt, _ in pairs)
-    normalized = tuple(
-        (wt / total, (1.0 / xi.norm()) * xi) for wt, xi in pairs
-    )
-    return PhiState.normal(TraceClassOperator(normalized))
-
-
-def _site_block_eigenpairs(t: TraceClassOperator):
-    """Eigenpairs of the site corner of ``t``, phase-canonicalized."""
-    import numpy as np
-
-    sites = t.site_support()
-    dim = len(sites)
-    mat = np.empty((dim, dim), dtype=complex)
-    for r, m in enumerate(sites):
-        for c, n in enumerate(sites):
-            mat[r, c] = t.entry(m, n)
-    values, vectors = np.linalg.eigh(mat)
-    pairs = []
-    for k in range(dim):
-        lam = float(values[k])
-        if lam <= 1e-12:
-            continue
-        col = vectors[:, k]
-        pivot = max(range(dim), key=lambda i: abs(col[i]))
-        col = col / (col[pivot] / abs(col[pivot]))
-        wave = {
-            site: complex(col[i]) for i, site in enumerate(sites) if abs(col[i]) > 1e-13
-        }
-        pairs.append((lam, FockVector(0j, wave)))
-    return pairs
+    return PhiState.normal(t)
 
 
 @dataclass(frozen=True)

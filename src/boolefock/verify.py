@@ -39,7 +39,7 @@ from .fock import (
 )
 from .jsonutil import encode_complex
 from .sampling import SITE_POOL
-from .states import BooleanState, TraceClassOperator, evaluate, moment
+from .states import BooleanState, evaluate, moment
 from .tail import PhiState, cond_expect, counterexample_ratio, is_expected, preserving_phi
 
 #: Pass/fail tolerance for checkers; looser than the kernel tolerance to
@@ -404,7 +404,7 @@ def classify_definetti(
         # witness reproduces it under both implemented families.
         psi_x = engine.evaluate(BooleanState(1.0, state.density), found.element)
         dev = 0.0
-        for phi in (PhiState.singular(), _site_phi(state)):
+        for phi in (PhiState.singular(), PhiState.normal(state.density)):
             fx = engine.cond_expect(phi, found.element)
             lhs = engine.evaluate(BooleanState(1.0, state.density), fx.embed())
             dev = max(dev, abs(lhs - found.ratio * psi_x))
@@ -426,13 +426,6 @@ def classify_definetti(
     consistent = symmetric == iid
     max_dev = max(r.max_deviation for r in reports)
     return Classification(symmetric, expected, iid, consistent, reports, max_dev)
-
-
-def _site_phi(state: BooleanState) -> PhiState:
-    """Some valid normal phi for ratio cross-checks: a site projection."""
-    supp = state.density.site_support()
-    target = supp[0] if supp else 1
-    return PhiState.normal(TraceClassOperator(((1.0, site_vector(target)),)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from boolefock import jsonutil
 from boolefock.algebra import FockVector, site_vector, vacuum_vector
 from boolefock.cli import SWEEP_CSV_HEADER, main
@@ -87,6 +89,32 @@ def test_classify_invariant_violation(tmp_path, capsys):
     code, _, err = run(capsys, ["classify", "--state", str(path)])
     assert code == 2
     assert "sum to 1" in err
+
+
+NON_FINITE_STATES = (
+    '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": 1.0, "vector": {"#": [NaN, 0.0]}}]}}',
+    '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": NaN, "vector": {"3": [1.0, 0.0]}}]}}',
+)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("text", NON_FINITE_STATES)
+def test_classify_rejects_non_finite_state(tmp_path, capsys, text, output_format):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--state", str(path), "--format", output_format])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_rejects_non_finite_tolerance(capsys, tolerance):
+    code, _, err = run(capsys, ["relations", "--tolerance", tolerance])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "tolerance" in err
 
 
 def test_classify_missing_file(capsys):
@@ -184,6 +212,19 @@ def test_replay_reproduces_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, ["replay", "--witness", str(report_path)])
     assert code == 0
     assert "reproduced" in out
+    assert "NOT reproduced" not in out
+
+    # the same phi stored as a site-only density, as older reports did
+    payload = json.loads(report_path.read_text())
+    site_only = {"kind": "normal", "S": {"eigenpairs": [{"weight": 1.0, "vector": {"2": [1.0, 0.0]}}]}}
+    witnesses = [r["witness"] for r in payload["reports"] if r["witness"] and "phi" in r["witness"]]
+    assert witnesses
+    for witness in witnesses:
+        witness["phi"] = site_only
+    report_path.write_text(jsonutil.dumps(payload))
+    code, out, _ = run(capsys, ["replay", "--witness", str(report_path)])
+    assert code == 0
+    assert "identical_distribution [identical_distribution]" in out
     assert "NOT reproduced" not in out
 
 

@@ -73,3 +73,19 @@ def test_cond_expect_matches_dense():
         phi = rand_phi(rng)
         x = sampling.boolean_element(rng, sites=range(1, 9), max_entries=6)
         assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12
+
+
+def test_cond_expect_matches_dense_with_vacuum_weight():
+    # a normal phi from a density with a vacuum component: the site corner
+    # is renormalised by the site weight in both engines
+    rng = random.Random(46)
+    for trial in range(100):
+        rank = rng.randint(2, 4)
+        if trial % 2:
+            t = sampling.expected_density(rng, rank, range(1, 7), vacuum_weight=rng.uniform(0.1, 0.9))
+        else:
+            t = sampling.generic_density(rng, rank, range(1, 7))
+        assert t.vacuum_weight() > 0
+        phi = PhiState.normal(t)
+        x = sampling.boolean_element(rng, sites=range(1, 9), max_entries=6)
+        assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12

@@ -38,6 +38,15 @@ def normal_phi(*sites):
 BOTH_PHIS = (PhiState.singular(), normal_phi(1, 3))
 
 
+def assert_site_projection_phi(phi, k):
+    """``phi`` acts as the vector state of ``e_k`` on the site matrix units."""
+    reference = PhiState.normal(TraceClassOperator.rank_one(site_vector(k)))
+    for m in range(1, 4):
+        for n in range(1, 4):
+            x = matrix_unit(m, n)
+            assert cond_expect(phi, x).max_diff(cond_expect(reference, x)) <= 1e-12
+
+
 def test_tail_element_algebra():
     unit = TailElement.unit()
     assert unit.embed() == identity()
@@ -56,8 +65,12 @@ def test_phi_state_validation():
     with pytest.raises(ValueError):
         PhiState("normal")  # missing density
     with pytest.raises(ValueError):
-        PhiState.normal(TraceClassOperator.vacuum_projection())  # vacuum component
+        PhiState.normal(TraceClassOperator.vacuum_projection())  # no site weight
     assert PhiState.singular().density is None
+    # a site weight far below rounding of 1 - w is still positive
+    near_vacuum = PhiState.normal(TraceClassOperator.rank_one(FockVector(1.0, {1: 1e-9})))
+    assert near_vacuum.site_weight > 0
+    assert cond_expect(near_vacuum, matrix_unit(1, 1)) == TailElement(0, 1)
 
 
 def test_cond_expect_unital_and_vacuum_unit():
@@ -145,13 +158,26 @@ def test_preserving_phi_examples():
     t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
     phi = preserving_phi(t)
     assert phi.kind == "normal"
-    assert phi.density.eigenpairs == ((1.0, site_vector(2)),)
+    assert_site_projection_phi(phi, 2)
 
     assert preserving_phi(TraceClassOperator.vacuum_projection()).kind == "singular"
 
     s = 1 / math.sqrt(2)
     with pytest.raises(DecisionError):
         preserving_phi(TraceClassOperator.rank_one(FockVector(s, {1: s})))
+
+
+def test_saved_site_only_phi_matches_preserving_phi():
+    # the form in which reports stored preserving_phi(t) for this t
+    saved = PhiState.from_json(
+        {"kind": "normal", "S": {"eigenpairs": [{"weight": 1.0, "vector": {"2": [1.0, 0.0]}}]}}
+    )
+    t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
+    phi = preserving_phi(t)
+    rng = random.Random(61)
+    for _ in range(100):
+        x = sampling.boolean_element(rng)
+        assert cond_expect(saved, x).max_diff(cond_expect(phi, x)) <= 1e-12
 
 
 def test_preserving_phi_preservation_identity():
@@ -259,7 +285,7 @@ def test_preserving_phi_degenerate_mixed_representation():
     assert is_expected(t)
     phi = preserving_phi(t)
     assert phi.kind == "normal"
-    assert phi.density.eigenpairs == ((1.0, site_vector(1)),)
+    assert_site_projection_phi(phi, 1)
     with pytest.raises(DecisionError):
         counterexample_ratio(t)
 
