@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .algebra import BooleanElement, FockVector, vacuum_vector
-from .fock import TestAlgebraElement, embed
+from .algebra import BooleanElement, FockVector, check_site, vacuum_vector
+from .fock import TestAlgebraElement
 
 #: Tolerance for validating weights and eigenvector orthonormality.
 ORTHO_TOL = 1e-10
@@ -196,10 +196,39 @@ def evaluate(state: BooleanState, x: BooleanElement) -> complex:
 def moment(
     state: BooleanState, word: Sequence[Tuple[int, TestAlgebraElement]]
 ) -> complex:
-    """Evaluate the state on the ordered product of embedded elements."""
+    """Evaluate the state on the ordered product ``X`` of embedded elements.
+
+    The word is applied right to left to each eigenvector ``xi_k`` of
+    ``T``, without forming ``X``.  A factor at site ``j`` mixes the ``e_#``
+    and ``e_j`` coordinates by its 2x2 block and scales every other
+    coordinate by its ``beta``, so ``X xi_k`` equals ``c * xi_k`` outside
+    the vacuum and the word's sites, where ``c`` is the product of the
+    betas (the identity coefficient of ``X``).  Hence
+
+        Tr(T (X - c)) = sum_k w_k sum_{i touched} ((X xi_k)_i - c xi_k(i)) conj(xi_k(i))
+
+    at O(rank * len^2) cost, whatever the support of ``T``.  No term
+    relies on the weights summing to one, which holds only to within
+    ``ORTHO_TOL``.
+    """
     if not word:
         raise ValueError("moment requires a non-empty word")
-    prod = embed(*word[0])
-    for j, a in word[1:]:
-        prod = prod * embed(j, a)
-    return evaluate(state, prod)
+    scalar = word[0][1].beta
+    for _, a in word[1:]:
+        scalar *= a.beta
+    sites = list(dict.fromkeys(check_site(j) for j, _ in word))
+    if state.gamma == 0.0:
+        return scalar
+    slot = {j: p for p, j in enumerate(sites, 1)}
+    factors = [(slot[j], a) for j, a in reversed(word)]
+    total = 0j
+    for w, xi in state.density.eigenpairs:
+        start = [xi.vacuum_amp] + [xi.wave.get(j, 0j) for j in sites]
+        v = start
+        for p, a in factors:
+            v0, vp = v[0], v[p]
+            v = [a.beta * z for z in v]
+            v[0] = a.a * v0 + a.b * vp
+            v[p] = a.c * v0 + a.d * vp
+        total += w * sum((z - scalar * z0) * z0.conjugate() for z, z0 in zip(v, start))
+    return state.gamma * total + scalar

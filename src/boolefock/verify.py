@@ -13,6 +13,7 @@ identically distributed over the tail algebra.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import reduce
@@ -105,11 +106,23 @@ class _Recorder:
         self.samples = 0
 
     def record(self, deviation: float, witness_factory: Callable[[], dict]) -> None:
-        self.samples += 1
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
-        if self.witness is None and deviation > self.tol:
-            self.witness = witness_factory()
+        self.record_all([deviation], lambda _: witness_factory())
+
+    def record_all(
+        self, deviations: Sequence[float], witness_at: Callable[[int], dict]
+    ) -> None:
+        """Record deviations in order; ``witness_at(k)`` builds the k-th witness.
+
+        A NaN deviation fails: it makes ``max_deviation`` NaN and can
+        supply the witness, which a plain ``>`` comparison would skip.
+        """
+        self.samples += len(deviations)
+        worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
+        if worst > self.max_deviation or math.isnan(worst):
+            self.max_deviation = worst
+        if self.witness is None and not worst <= self.tol:
+            first = next(k for k, d in enumerate(deviations) if not d <= self.tol)
+            self.witness = witness_at(first)
 
     def report(self, name: str) -> CheckReport:
         return CheckReport(
@@ -152,31 +165,41 @@ def check_exchangeable(
 
     Runs deterministic length-one probes over every site pair first (these
     witness any non-symmetric state of the implemented family), then the
-    requested number of random words against random permutations.
+    requested number of random words against random permutations.  The
+    swap ``(i j)`` maps the probe word ``[(i, probe)]`` to ``[(j, probe)]``,
+    so each probe is evaluated once per site and the pairs compare those
+    values.
     """
     rng = random.Random(seed)
     pool = site_pool(state)
+    pairs = list(combinations(pool, 2))
     rec = _Recorder(tol)
 
-    def compare(word, perm):
-        lhs = engine.moment(state, word)
-        rhs = engine.moment(state, permute_word(perm, word))
-        rec.record(
-            abs(lhs - rhs),
-            lambda: {
-                "kind": "exchangeability",
-                "word": word_to_json(word),
-                "permutation": perm.to_json(),
-                "lhs": encode_complex(lhs),
-                "rhs": encode_complex(rhs),
-            },
-        )
+    def witness(word, perm, lhs, rhs):
+        return {
+            "kind": "exchangeability",
+            "word": word_to_json(word),
+            "permutation": perm.to_json(),
+            "lhs": encode_complex(lhs),
+            "rhs": encode_complex(rhs),
+        }
+
+    def probe_witness(probe, values, k):
+        i, j = pairs[k]
+        return witness([(i, probe)], FinitePermutation.swap(i, j), values[i], values[j])
 
     for probe in PROBE_ELEMENTS:
-        for i, j in combinations(pool, 2):
-            compare([(i, probe)], FinitePermutation.swap(i, j))
+        values = {i: engine.moment(state, [(i, probe)]) for i in pool}
+        rec.record_all(
+            [abs(values[i] - values[j]) for i, j in pairs],
+            lambda k: probe_witness(probe, values, k),
+        )
     for _ in range(n_words):
-        compare(sampling.word(rng, pool, max_len), sampling.permutation(rng, pool))
+        word = sampling.word(rng, pool, max_len)
+        perm = sampling.permutation(rng, pool)
+        lhs = engine.moment(state, word)
+        rhs = engine.moment(state, permute_word(perm, word))
+        rec.record(abs(lhs - rhs), lambda: witness(word, perm, lhs, rhs))
     return rec.report("exchangeability")
 
 
@@ -198,23 +221,27 @@ def check_identically_distributed(
         ]
     if index_pairs is None:
         index_pairs = list(combinations(pool, 2))
+    sites = list(dict.fromkeys(s for pair in index_pairs for s in pair))
     rec = _Recorder(tol)
+
+    def witness(a, marginals, n):
+        i, k = index_pairs[n]
+        return {
+            "kind": "identical_distribution",
+            "site_i": i,
+            "site_k": k,
+            "element": a.to_json(),
+            "phi": phi.to_json(),
+            "lhs": marginals[i].to_json(),
+            "rhs": marginals[k].to_json(),
+        }
+
     for a in sample_elements:
-        for i, k in index_pairs:
-            lhs = engine.cond_expect(phi, embed(i, a))
-            rhs = engine.cond_expect(phi, embed(k, a))
-            rec.record(
-                lhs.max_diff(rhs),
-                lambda: {
-                    "kind": "identical_distribution",
-                    "site_i": i,
-                    "site_k": k,
-                    "element": a.to_json(),
-                    "phi": phi.to_json(),
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                },
-            )
+        marginals = {s: engine.cond_expect(phi, embed(s, a)) for s in sites}
+        rec.record_all(
+            [marginals[i].max_diff(marginals[k]) for i, k in index_pairs],
+            lambda n: witness(a, marginals, n),
+        )
     return rec.report("identical_distribution")
 
 

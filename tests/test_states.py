@@ -20,7 +20,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock import sampling
+from boolefock import oracle, sampling
 
 
 def test_trace_class_validation():
@@ -118,6 +118,9 @@ def test_moment_examples():
 
     with pytest.raises(ValueError):
         moment(vacuum_state(), [])
+    for bad_site in (0, VACUUM):
+        with pytest.raises(ValueError):
+            moment(infinity_state(), [(bad_site, a)])
 
 
 def test_moment_word_against_manual_product():
@@ -128,6 +131,28 @@ def test_moment_word_against_manual_product():
     for j, a in word[1:]:
         prod = prod * embed(j, a)
     assert moment(state, word) == evaluate(state, prod)
+
+
+def test_moment_kernel_matches_product_and_dense():
+    # the word is applied to T's eigenvectors; the product of embeddings
+    # traced against T and the dense oracle are independent references
+    rng = random.Random(29)
+    for trial in range(300):
+        rank = rng.randint(1, 20)
+        n_sites = rng.randint(max(rank, 2), 36)
+        t = sampling.generic_density(rng, rank, range(1, n_sites + 1))
+        gamma = (0.0, 1.0, rng.random())[trial % 3]
+        state = BooleanState(gamma, t)
+        # a narrow site range forces repeated sites, a wide one reaches
+        # sites outside the support
+        sites = range(1, 3) if trial % 4 == 0 else range(1, n_sites + 6)
+        word = sampling.word(rng, sites, 5)
+        prod = embed(*word[0])
+        for j, a in word[1:]:
+            prod = prod * embed(j, a)
+        value = moment(state, word)
+        for ref in (evaluate(state, prod), oracle.dense_moment(state, word)):
+            assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_uniqueness_of_decomposition_at_data_level():

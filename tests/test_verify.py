@@ -1,8 +1,17 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 from boolefock.algebra import FockVector, site_vector, vacuum_vector
-from boolefock.fock import TestAlgebraElement
+from boolefock.fock import (
+    FinitePermutation,
+    TestAlgebraElement,
+    embed,
+    permute_word,
+    word_to_json,
+)
+from boolefock.jsonutil import encode_complex
 from boolefock.states import (
     BooleanState,
     TraceClassOperator,
@@ -12,10 +21,14 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import PhiState, cond_expect
+from boolefock.tail import PhiState, cond_expect, preserving_phi
 from boolefock.verify import (
+    CHECK_TOL,
     DENSE_ENGINE,
+    PROBE_ELEMENTS,
     SPARSE_ENGINE,
+    CheckReport,
+    Engine,
     check_boolean_relations,
     check_embedding_homomorphism,
     check_exchangeable,
@@ -25,6 +38,7 @@ from boolefock.verify import (
     check_pair_independence,
     classify_definetti,
     nfold_telescoping_lines,
+    site_pool,
 )
 from boolefock import sampling
 
@@ -236,3 +250,205 @@ def test_relation_suites_pass():
     dictionary = check_matrix_unit_dictionary(max_site=8)
     assert dictionary.passed and dictionary.max_deviation == 0
     assert check_embedding_homomorphism(n_samples=150, seed=24).passed
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the pairwise checkers, which evaluate both sides of
+# every site pair; the per-site checkers must reproduce them exactly.
+
+
+class PairwiseRecorder:
+    def __init__(self, tol):
+        self.tol = tol
+        self.max_deviation = 0.0
+        self.witness = None
+        self.samples = 0
+
+    def record(self, deviation, witness_factory):
+        self.samples += 1
+        if deviation > self.max_deviation:
+            self.max_deviation = deviation
+        if self.witness is None and deviation > self.tol:
+            self.witness = witness_factory()
+
+    def report(self, name):
+        return CheckReport(
+            name, self.max_deviation <= self.tol, self.max_deviation, self.witness, self.samples
+        )
+
+
+def pairwise_check_exchangeable(
+    state, n_words=200, max_len=5, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
+):
+    rng = random.Random(seed)
+    pool = site_pool(state)
+    rec = PairwiseRecorder(tol)
+
+    def compare(word, perm):
+        lhs = engine.moment(state, word)
+        rhs = engine.moment(state, permute_word(perm, word))
+        rec.record(
+            abs(lhs - rhs),
+            lambda: {
+                "kind": "exchangeability",
+                "word": word_to_json(word),
+                "permutation": perm.to_json(),
+                "lhs": encode_complex(lhs),
+                "rhs": encode_complex(rhs),
+            },
+        )
+
+    for probe in PROBE_ELEMENTS:
+        for i, j in combinations(pool, 2):
+            compare([(i, probe)], FinitePermutation.swap(i, j))
+    for _ in range(n_words):
+        compare(sampling.word(rng, pool, max_len), sampling.permutation(rng, pool))
+    return rec.report("exchangeability")
+
+
+def pairwise_check_identically_distributed(
+    state,
+    phi,
+    sample_elements=None,
+    index_pairs=None,
+    seed=0,
+    tol=CHECK_TOL,
+    engine=SPARSE_ENGINE,
+):
+    rng = random.Random(seed)
+    pool = site_pool(state)
+    if sample_elements is None:
+        sample_elements = list(PROBE_ELEMENTS) + [
+            sampling.test_element(rng) for _ in range(8)
+        ]
+    if index_pairs is None:
+        index_pairs = list(combinations(pool, 2))
+    rec = PairwiseRecorder(tol)
+    for a in sample_elements:
+        for i, k in index_pairs:
+            lhs = engine.cond_expect(phi, embed(i, a))
+            rhs = engine.cond_expect(phi, embed(k, a))
+            rec.record(
+                lhs.max_diff(rhs),
+                lambda: {
+                    "kind": "identical_distribution",
+                    "site_i": i,
+                    "site_k": k,
+                    "element": a.to_json(),
+                    "phi": phi.to_json(),
+                    "lhs": lhs.to_json(),
+                    "rhs": rhs.to_json(),
+                },
+            )
+    return rec.report("identical_distribution")
+
+
+def wide_state():
+    """Shaped like the classify-wide inputs: rank 3 over 20 sites above the
+    checkers' base pool, with a vacuum eigenvalue."""
+    t = sampling.expected_density(random.Random(30), 3, range(9, 29), vacuum_weight=0.3)
+    return BooleanState(0.7, t)
+
+
+def assert_same_report(new, ref):
+    assert new.max_deviation == ref.max_deviation
+    assert new.witness == ref.witness
+    assert new.samples_run == ref.samples_run
+    assert new.passed == ref.passed
+
+
+def test_per_site_checkers_match_pairwise_reference():
+    cases = [
+        (vacuum_state(), PhiState.singular()),
+        (symmetric_state(0.4), PhiState.singular()),
+        (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
+        (nonexpected(), PhiState.normal(nonexpected().density)),
+        (wide_state(), preserving_phi(wide_state().density)),
+    ]
+    for engine in (SPARSE_ENGINE, DENSE_ENGINE):
+        for n, (state, phi) in enumerate(cases):
+            assert_same_report(
+                check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
+                pairwise_check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
+            )
+            assert_same_report(
+                check_identically_distributed(state, phi, seed=41 + n, engine=engine),
+                pairwise_check_identically_distributed(state, phi, seed=41 + n, engine=engine),
+            )
+        # explicit pairs, repeated and reversed, with a failing pair late
+        state = expected_nonsymmetric()
+        phi = preserving_phi(state.density)
+        pairs = [(3, 3), (4, 1), (1, 4), (9, 2), (3, 3), (2, 5)]
+        assert_same_report(
+            check_identically_distributed(
+                state, phi, index_pairs=pairs, seed=51, engine=engine
+            ),
+            pairwise_check_identically_distributed(
+                state, phi, index_pairs=pairs, seed=51, engine=engine
+            ),
+        )
+
+
+def test_nan_deviation_fails():
+    report = check_identically_distributed(
+        vacuum_state(),
+        PhiState.singular(),
+        sample_elements=[TestAlgebraElement(math.nan, 0, 0, 0, 0)],
+    )
+    assert not report.passed
+    assert math.isnan(report.max_deviation)
+    assert report.witness is not None
+    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 2)
+
+    # a NaN after finite deviations, and finite ones after a NaN
+    state = expected_nonsymmetric()
+    elements = [PROBE_ELEMENTS[0], TestAlgebraElement(math.nan, 0, 0, 0, 0), PROBE_ELEMENTS[1]]
+    report = check_identically_distributed(
+        state, preserving_phi(state.density), sample_elements=elements, index_pairs=[(1, 3)]
+    )
+    assert not report.passed
+    assert math.isnan(report.max_deviation)
+    assert math.isnan(report.witness["element"]["a"][0])
+
+
+def counting_engine(base):
+    counts = Counter()
+
+    def counted(name):
+        op = getattr(base, name)
+
+        def call(*args):
+            counts[name] += 1
+            return op(*args)
+
+        return call
+
+    return Engine(*(counted(name) for name in Engine._fields)), counts
+
+
+def test_checkers_evaluate_each_site_once():
+    state = wide_state()
+    pool = site_pool(state)
+    engine, counts = counting_engine(SPARSE_ENGINE)
+    check_identically_distributed(state, preserving_phi(state.density), seed=61, engine=engine)
+    assert counts["cond_expect"] == 12 * len(pool)
+    counts.clear()
+    check_exchangeable(state, n_words=25, seed=62, engine=engine)
+    assert counts["moment"] == 4 * len(pool) + 2 * 25
+
+
+def test_classify_large_support_matches_closed_form():
+    # rank two with a vacuum eigenvalue: expected, but neither exchangeable
+    # nor conditionally i.i.d.
+    rng = random.Random(63)
+    for n_sites in (256, 1000):
+        xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
+        xi = (1.0 / xi.norm()) * xi
+        state = BooleanState(0.8, TraceClassOperator(((0.4, vacuum_vector()), (0.6, xi))))
+        result = classify_definetti(state, seed=64)
+        assert (result.symmetric, result.expected, result.iid, result.consistent) == (
+            False,
+            True,
+            False,
+            True,
+        )
