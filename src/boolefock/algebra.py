@@ -17,6 +17,7 @@ rounding residue from inflating supports.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple, Union
 
@@ -65,13 +66,16 @@ def index_from_json(obj) -> Index:
 
 
 def index_from_key(key: str) -> Index:
-    """Parse an index that was used as a JSON object key."""
+    """Parse an index that was used as a JSON object key.
+
+    Only the canonical spelling ``str(site)`` is accepted, so that no two
+    keys of one object can name the same site.
+    """
     if key == VACUUM:
         return VACUUM
-    try:
-        return check_site(int(key))
-    except (TypeError, ValueError):
-        raise ValueError(f"expected '#' or a site integer key, got {key!r}") from None
+    if isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key):
+        return int(key)
+    raise ValueError(f"expected '#' or a canonical site integer key, got {key!r}")
 
 
 def _chop_map(entries: Dict, chop: float = CHOP) -> Dict:

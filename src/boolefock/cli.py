@@ -188,9 +188,11 @@ def _reports_csv(reports: Sequence[CheckReport]) -> str:
 
 def cmd_relations(args, config: RunConfig) -> int:
     reports = [
-        check_boolean_relations(n_samples=config.n_samples, seed=config.seed),
+        check_boolean_relations(n_samples=config.n_samples, seed=config.seed, tol=config.tolerance),
         check_matrix_unit_dictionary(max_site=8),
-        check_embedding_homomorphism(n_samples=config.n_samples, seed=config.seed + 1),
+        check_embedding_homomorphism(
+            n_samples=config.n_samples, seed=config.seed + 1, tol=config.tolerance
+        ),
     ]
     if config.output_format == "json":
         text = jsonutil.dumps(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Tuple
 
-from .algebra import VACUUM, BooleanElement, FockVector, check_site
+from .algebra import VACUUM, BooleanElement, FockVector, check_site, index_from_key
 from .jsonutil import decode_complex, encode_complex
 
 
@@ -165,9 +165,9 @@ class FinitePermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinitePermutation":
-        if not isinstance(obj, dict) or "map" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("map"), dict):
             raise ValueError(f"expected a permutation object with a map, got {obj!r}")
-        return cls({int(k): int(v) for k, v in obj["map"].items()})
+        return cls({index_from_key(k): v for k, v in obj["map"].items()})
 
 
 def permute(g: FinitePermutation, x: BooleanElement) -> BooleanElement:
@@ -193,5 +193,5 @@ def word_from_json(obj) -> list:
     word = []
     for item in obj:
         j, a = item
-        word.append((check_site(int(j)), TestAlgebraElement.from_json(a)))
+        word.append((check_site(j), TestAlgebraElement.from_json(a)))
     return word

@@ -43,7 +43,18 @@ def dumps(obj: Any, indent: int = 2) -> str:
 
 
 def loads(text: str) -> Any:
-    return json.loads(text)
+    """Parse JSON, rejecting an object that repeats a key (which ``json``
+    would resolve silently in favour of the last value)."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _emit(obj: Any, buf: list, indent: int, level: int) -> None:

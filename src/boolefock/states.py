@@ -10,10 +10,10 @@ to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .algebra import BooleanElement, FockVector, check_site, vacuum_vector
+from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, vacuum_vector
 from .fock import TestAlgebraElement
 
 #: Tolerance for validating weights and eigenvector orthonormality.
@@ -35,9 +35,20 @@ def gram_schmidt(vectors: Sequence[FockVector], tol: float = 1e-12) -> List[Fock
 
 @dataclass(frozen=True)
 class TraceClassOperator:
-    """A finite-rank positive operator ``sum_k w_k |xi_k><xi_k|``, trace one."""
+    """A finite-rank positive operator ``sum_k w_k |xi_k><xi_k|``, trace one.
+
+    Entries are computed on first use and memoised per ``(row, col)`` pair,
+    so a memo grows only with the pairs a state is asked for.
+    """
 
     eigenpairs: Tuple[Tuple[float, FockVector], ...]
+    #: Memo of ``entry`` values keyed by ``(m, n)``.
+    _entries: Dict[Tuple[Index, Index], complex] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    #: Indices where T has a nonzero row: the support of the eigenvectors,
+    #: with the vacuum when some eigenvector has a vacuum amplitude.
+    _live: FrozenSet[Index] = field(init=False, repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         pairs = []
@@ -61,6 +72,10 @@ class TraceClassOperator:
                 if abs(u.inner(v) - expected) > ORTHO_TOL:
                     raise ValueError("eigenvectors must be orthonormal")
         object.__setattr__(self, "eigenpairs", tuple(pairs))
+        live = {ix for _, xi in pairs for ix in xi.wave}
+        if any(xi.vacuum_amp != 0 for _, xi in pairs):
+            live.add(VACUUM)
+        object.__setattr__(self, "_live", frozenset(live))
 
     @classmethod
     def vacuum_projection(cls) -> "TraceClassOperator":
@@ -101,7 +116,29 @@ class TraceClassOperator:
         return out
 
     def entry(self, m, n) -> complex:
-        """Matrix entry ``<T e_n, e_m>``."""
+        """Matrix entry ``<T e_n, e_m>``, summed over the eigenpairs once per
+        pair and then read from the memo."""
+        value = self._entries.get((m, n))
+        if value is None:
+            value = self._entries[(m, n)] = self._eigen_sum(m, n)
+        return value
+
+    def block(self, indices: Sequence[Index]) -> List[List[complex]]:
+        """The compression ``[[entry(m, n) for n in indices] for m in indices]``,
+        read through the same memo as ``entry``."""
+        memo = self._entries
+        rows = []
+        for m in indices:
+            row = []
+            for n in indices:
+                value = memo.get((m, n))
+                if value is None:
+                    value = memo[(m, n)] = self._eigen_sum(m, n)
+                row.append(value)
+            rows.append(row)
+        return rows
+
+    def _eigen_sum(self, m, n) -> complex:
         total = 0j
         for w, xi in self.eigenpairs:
             total += w * xi.amp(m) * xi.amp(n).conjugate()
@@ -111,10 +148,7 @@ class TraceClassOperator:
         return sum(w * abs(xi.vacuum_amp) ** 2 for w, xi in self.eigenpairs)
 
     def site_support(self) -> Tuple[int, ...]:
-        seen = set()
-        for _, xi in self.eigenpairs:
-            seen.update(xi.wave)
-        return tuple(sorted(seen))
+        return tuple(sorted(ix for ix in self._live if ix != VACUUM))
 
     def trace_against(self, x: BooleanElement) -> complex:
         """``Tr(T * compact(x))`` over the finite joint support."""
@@ -198,16 +232,20 @@ def moment(
 ) -> complex:
     """Evaluate the state on the ordered product ``X`` of embedded elements.
 
-    The word is applied right to left to each eigenvector ``xi_k`` of
-    ``T``, without forming ``X``.  A factor at site ``j`` mixes the ``e_#``
-    and ``e_j`` coordinates by its 2x2 block and scales every other
-    coordinate by its ``beta``, so ``X xi_k`` equals ``c * xi_k`` outside
-    the vacuum and the word's sites, where ``c`` is the product of the
-    betas (the identity coefficient of ``X``).  Hence
+    ``X`` is ``c * I`` plus a compact supported on ``U``, the vacuum and the
+    word's sites, where ``c`` is the product of the betas (the identity
+    coefficient of ``X``).  With ``t_u = T e_u`` restricted to ``U``,
 
-        Tr(T (X - c)) = sum_k w_k sum_{i touched} ((X xi_k)_i - c xi_k(i)) conj(xi_k(i))
+        Tr(T (X - c)) = sum_{u in U} ((X t_u)_u - c T_uu),
 
-    at O(rank * len^2) cost, whatever the support of ``T``.  No term
+    and only the ``u`` where ``T`` has a nonzero row contribute.  The word
+    is applied right to left to each such column without forming ``X``: a
+    factor at site ``j`` mixes the ``e_#`` and ``e_j`` coordinates by its
+    2x2 block and scales every other coordinate by its ``beta``, and a
+    per-word plan defers those scalings until a coordinate is next mixed.
+    One column costs O(len) and a moment O(len^2), whatever the rank and
+    support of ``T``; the compression of ``T`` is read through its entry
+    memo, so each of its entries costs O(rank) once per state.  No term
     relies on the weights summing to one, which holds only to within
     ``ORTHO_TOL``.
     """
@@ -220,15 +258,27 @@ def moment(
     if state.gamma == 0.0:
         return scalar
     slot = {j: p for p, j in enumerate(sites, 1)}
-    factors = [(slot[j], a) for j, a in reversed(word)]
+    # per factor, right to left: its slot, the betas its site's coordinate
+    # gathered since last mixed, and its element; the vacuum coordinate is
+    # mixed by every factor, so it never gathers any
+    pending = [1.0] * (len(sites) + 1)
+    plan = []
+    for j, a in reversed(word):
+        p = slot[j]
+        plan.append((p, pending[p], a))
+        pending = [z * a.beta for z in pending]
+        pending[0] = pending[p] = 1.0
+    live = [(p, ix) for p, ix in enumerate([VACUUM, *sites]) if ix in state.density._live]
+    block = state.density.block([ix for _, ix in live])
     total = 0j
-    for w, xi in state.density.eigenpairs:
-        start = [xi.vacuum_amp] + [xi.wave.get(j, 0j) for j in sites]
-        v = start
-        for p, a in factors:
-            v0, vp = v[0], v[p]
-            v = [a.beta * z for z in v]
+    for col, (q, _) in enumerate(live):
+        v = [0j] * len(pending)
+        for row, (p, _) in enumerate(live):
+            v[p] = block[row][col]
+        for p, scale, a in plan:
+            v0, vp = v[0], scale * v[p]
             v[0] = a.a * v0 + a.b * vp
             v[p] = a.c * v0 + a.d * vp
-        total += w * sum((z - scalar * z0) * z0.conjugate() for z, z0 in zip(v, start))
+        # pending[q] holds the betas gathered since coordinate q was last mixed
+        total += pending[q] * v[q] - scalar * block[col][col]
     return state.gamma * total + scalar

@@ -29,6 +29,21 @@ def test_relations_pass(capsys):
     assert all(r["passed"] for r in payload["reports"])
 
 
+def test_relations_honours_tolerance(capsys):
+    # the random relations deviate by rounding (about 1e-16), the matrix-unit
+    # dictionary holds exactly
+    code, out, _ = run(
+        capsys, ["relations", "--samples", "50", "--tolerance", "1e-300", "--format", "json"]
+    )
+    assert code == 1
+    passed = {r["name"]: r["passed"] for r in json.loads(out)["reports"]}
+    assert passed == {
+        "boolean_relations": False,
+        "matrix_unit_dictionary": True,
+        "embedding_homomorphism": False,
+    }
+
+
 def test_relations_rejects_zero_samples(capsys):
     code, _, err = run(capsys, ["relations", "--samples", "0"])
     assert code == 2
@@ -107,6 +122,22 @@ def test_classify_rejects_non_finite_state(tmp_path, capsys, text, output_format
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [(k, "canonical") for k in ("01", " 1", "+1", "1 ", "1.0", "\u0661")] + [("1", "duplicate")],
+)
+def test_classify_rejects_aliased_site_key(tmp_path, capsys, key, message):
+    # each key would otherwise name site 1 again and silently replace its amplitude
+    path = tmp_path / "alias.json"
+    vector = '{"1": [1.0, 0.0], %s: [0.0, 1.0]}' % json.dumps(key)
+    path.write_text('{"gamma": 1.0, "T": {"eigenpairs": [{"weight": 1.0, "vector": %s}]}}' % vector)
+    code, out, err = run(capsys, ["classify", "--state", str(path), "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf"])
@@ -226,6 +257,52 @@ def test_replay_reproduces_witnesses(tmp_path, capsys):
     assert code == 0
     assert "identical_distribution [identical_distribution]" in out
     assert "NOT reproduced" not in out
+
+
+def _fractional_word_site(witness):
+    witness["word"][0][0] += 0.9
+
+
+def _fractional_permutation_site(witness):
+    mapping = witness["permutation"]["map"]
+    mapping[next(iter(mapping))] += 0.9
+
+
+def _non_canonical_permutation_key(witness):
+    mapping = witness["permutation"]["map"]
+    witness["permutation"]["map"] = {"0" + k: v for k, v in mapping.items()}
+
+
+def _permutation_map_list(witness):
+    witness["permutation"]["map"] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # a fractional site would otherwise be truncated to a neighbouring site
+        (_fractional_word_site, "site"),
+        (_fractional_permutation_site, "site"),
+        (_non_canonical_permutation_key, "canonical"),
+        (_permutation_map_list, "permutation"),
+    ],
+)
+def test_replay_rejects_malformed_exchangeability_witness(tmp_path, capsys, corrupt, message):
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    report_path = tmp_path / "report.json"
+    argv = ["classify", "--state", write_state(tmp_path, state), "--seed", "3", "--samples", "40"]
+    code, _, _ = run(capsys, argv + ["--format", "json", "--out", str(report_path)])
+    assert code == 0
+    code, out, _ = run(capsys, ["replay", "--witness", str(report_path)])
+    assert code == 0 and "NOT reproduced" not in out
+    payload = json.loads(report_path.read_text())
+    corrupt(next(r["witness"] for r in payload["reports"] if r["name"] == "exchangeability"))
+    report_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert message in err
 
 
 def test_replay_rejects_garbage(tmp_path, capsys):

@@ -133,25 +133,96 @@ def test_moment_word_against_manual_product():
     assert moment(state, word) == evaluate(state, prod)
 
 
+def eigen_sum_entry(t, m, n):
+    # reference: the entry summed over the eigenpairs on every call
+    total = 0j
+    for w, xi in t.eigenpairs:
+        total += w * xi.amp(m) * xi.amp(n).conjugate()
+    return total
+
+
+def eigenvector_moment(state, word):
+    # reference: the word applied right to left to each eigenvector of T
+    scalar = word[0][1].beta
+    for _, a in word[1:]:
+        scalar *= a.beta
+    if state.gamma == 0.0:
+        return scalar
+    sites = list(dict.fromkeys(j for j, _ in word))
+    slot = {j: p for p, j in enumerate(sites, 1)}
+    total = 0j
+    for w, xi in state.density.eigenpairs:
+        start = [xi.vacuum_amp] + [xi.wave.get(j, 0j) for j in sites]
+        v = start
+        for j, a in reversed(word):
+            p = slot[j]
+            v0, vp = v[0], v[p]
+            v = [a.beta * z for z in v]
+            v[0] = a.a * v0 + a.b * vp
+            v[p] = a.c * v0 + a.d * vp
+        total += w * sum((z - scalar * z0) * z0.conjugate() for z, z0 in zip(v, start))
+    return state.gamma * total + scalar
+
+
+def random_density(rng, trial, rank, sites):
+    # every third density has the vacuum in its kernel (a zero vacuum column)
+    if trial % 3 == 2:
+        return sampling.expected_density(rng, rank, sites)
+    return sampling.generic_density(rng, rank, sites)
+
+
+def test_entry_memo_matches_eigen_sum():
+    rng = random.Random(30)
+    for trial in range(60):
+        rank = rng.randint(1, 20)
+        n_sites = rng.randint(rank, 36)
+        t = random_density(rng, trial, rank, range(1, n_sites + 1))
+        indices = [VACUUM, *range(1, n_sites + 4)]  # three sites off the support
+        pairs = [(rng.choice(indices), rng.choice(indices)) for _ in range(80)]
+        pairs += [(n, m) for m, n in reversed(pairs)]
+        for m, n in pairs + pairs:
+            assert t.entry(m, n) == eigen_sum_entry(t, m, n)
+        chosen = rng.sample(indices, rng.randint(1, 7))
+        expected = [[eigen_sum_entry(t, m, n) for n in chosen] for m in chosen]
+        assert t.block(chosen) == expected
+        fresh = TraceClassOperator.from_json(t.to_json())
+        assert fresh.block(chosen) == expected
+
+
+def test_entry_memo_is_invisible():
+    rng = random.Random(31)
+    t = sampling.generic_density(rng, 4, range(1, 9))
+    before = (repr(t), t.to_json())
+    for m in [VACUUM, *range(1, 12)]:
+        for n in [VACUUM, *range(1, 12)]:
+            t.entry(m, n)
+    moment(BooleanState(0.5, t), sampling.word(rng, range(1, 12), 5))
+    assert t._entries
+    assert (repr(t), t.to_json()) == before
+    twin = TraceClassOperator.from_json(t.to_json())
+    assert t == twin and BooleanState(0.5, t) == BooleanState(0.5, twin)
+
+
 def test_moment_kernel_matches_product_and_dense():
-    # the word is applied to T's eigenvectors; the product of embeddings
-    # traced against T and the dense oracle are independent references
+    # the compression kernel against the per-eigenvector kernel, the
+    # product of embeddings traced against T and the dense oracle
     rng = random.Random(29)
     for trial in range(300):
         rank = rng.randint(1, 20)
         n_sites = rng.randint(max(rank, 2), 36)
-        t = sampling.generic_density(rng, rank, range(1, n_sites + 1))
-        gamma = (0.0, 1.0, rng.random())[trial % 3]
+        t = random_density(rng, trial, rank, range(1, n_sites + 1))
+        gamma = (0.0, 1.0, rng.random())[trial // 3 % 3]
         state = BooleanState(gamma, t)
         # a narrow site range forces repeated sites, a wide one reaches
-        # sites outside the support
-        sites = range(1, 3) if trial % 4 == 0 else range(1, n_sites + 6)
+        # sites outside the support, and one past it lies entirely outside
+        sites = (range(1, 3), range(1, n_sites + 6), range(n_sites + 1, n_sites + 4))[trial % 4 % 3]
         word = sampling.word(rng, sites, 5)
         prod = embed(*word[0])
         for j, a in word[1:]:
             prod = prod * embed(j, a)
         value = moment(state, word)
-        for ref in (evaluate(state, prod), oracle.dense_moment(state, word)):
+        refs = (eigenvector_moment(state, word), evaluate(state, prod), oracle.dense_moment(state, word))
+        for ref in refs:
             assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
