@@ -9,7 +9,8 @@ Subcommands:
 * ``sweep``  classify a stratified batch of random states and tabulate the
   results; exit 0 iff every state is consistent.
 * ``replay --witness FILE``  recompute the witnesses stored in a previous
-  classify or sweep output; exit 0 iff they reproduce.
+  classify or sweep output with ``verify.replay_witness``; exit 0 iff they
+  reproduce.
 
 All numeric output is printed with 17 significant digits, so identical
 configurations (including the seed) produce byte-identical reports.  The
@@ -23,22 +24,19 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, List, Optional, Sequence
 
 from . import jsonutil, sampling
-from .algebra import BooleanElement
-from .fock import FinitePermutation, word_from_json
 from .jsonutil import format_float
-from .states import BooleanState, evaluate, moment
-from .tail import PhiState, cond_expect, counterexample_ratio
+from .states import BooleanState
 from .verify import (
     CheckReport,
     check_boolean_relations,
     check_embedding_homomorphism,
     check_matrix_unit_dictionary,
     classify_definetti,
-    nfold_telescoping_lines,
+    replay_witness,
 )
 
 SWEEP_CSV_HEADER = "gamma,rank,symmetric,expected,iid,consistent,max_deviation"
@@ -68,14 +66,7 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-            "max_word_len": self.max_word_len,
-            "max_rank": self.max_rank,
-            "output_format": self.output_format,
-        }
+        return asdict(self)
 
 
 def _resolve_seed(value: Optional[int]) -> int:
@@ -146,40 +137,81 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": cmd_sweep,
         "replay": cmd_replay,
     }
-    return handlers[args.command](args, config)
+    try:
+        return handlers[args.command](args, config)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:
     raise SystemExit(main())
 
 
+class CliError(Exception):
+    """An input the run cannot read or use, or an output it cannot write."""
+
+
+def _read_json(path: str, what: str, parse: Callable = lambda document: document):
+    """``parse`` of the JSON document in the ``what`` file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(jsonutil.loads(handle.read()))
+    except FileNotFoundError:
+        raise CliError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}") from None
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise CliError(f"cannot parse {what} file: {exc}") from None
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}") from None
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _table(header: Sequence[str], rows: Sequence[dict], sep: str = ",") -> List[str]:
+    """The header line, then one line per row with the header's columns."""
+    return [sep.join(header)] + [sep.join(_cell(row[key]) for key in header) for row in rows]
+
+
+def _write_report(
+    args, config: RunConfig, payload: dict, header: Sequence[str], rows: Sequence[dict],
+    human_lines: Callable[[], List[str]],
+) -> None:
+    """Render the report in the configured format, building only that one."""
+    if config.output_format == "json":
+        text = jsonutil.dumps(payload)
     else:
-        sys.stdout.write(text)
+        lines = _table(header, rows) if config.output_format == "csv" else human_lines()
+        text = "\n".join(lines) + "\n"
+    _write_output(text, args.out)
 
 
-def _report_lines(report: CheckReport) -> List[str]:
-    verdict = "PASS" if report.passed else "FAIL"
-    lines = [
-        f"{report.name}: {verdict} "
-        f"(max_deviation={format_float(report.max_deviation)}, samples={report.samples_run})"
-    ]
-    if report.witness is not None:
-        lines.append(f"  witness: {jsonutil.dumps(report.witness, indent=2).strip()}")
-    return lines
-
-
-def _reports_csv(reports: Sequence[CheckReport]) -> str:
-    rows = ["name,passed,max_deviation,samples_run"]
-    for r in reports:
-        rows.append(
-            f"{r.name},{'true' if r.passed else 'false'},"
-            f"{format_float(r.max_deviation)},{r.samples_run}"
+def _report_lines(reports: Sequence[CheckReport]) -> List[str]:
+    lines = []
+    for report in reports:
+        lines.append(
+            f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
+            f"(max_deviation={format_float(report.max_deviation)}, samples={report.samples_run})"
         )
-    return "\n".join(rows) + "\n"
+        if report.witness is not None:
+            lines.append(f"  witness: {jsonutil.dumps(report.witness, indent=2).strip()}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +226,10 @@ def cmd_relations(args, config: RunConfig) -> int:
             n_samples=config.n_samples, seed=config.seed + 1, tol=config.tolerance
         ),
     ]
-    if config.output_format == "json":
-        text = jsonutil.dumps(
-            {"config": config.to_json(), "reports": [r.to_json() for r in reports]}
-        )
-    elif config.output_format == "csv":
-        text = _reports_csv(reports)
-    else:
-        lines = []
-        for report in reports:
-            lines.extend(_report_lines(report))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    rows = [r.to_json() for r in reports]
+    payload = {"config": config.to_json(), "reports": rows}
+    header = ("name", "passed", "max_deviation", "samples_run")
+    _write_report(args, config, payload, header, rows, lambda: _report_lines(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -214,20 +238,11 @@ def cmd_relations(args, config: RunConfig) -> int:
 
 
 def _load_state(path: str) -> BooleanState:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return BooleanState.from_json(jsonutil.loads(text))
+    return _read_json(path, "state", BooleanState.from_json)
 
 
 def cmd_classify(args, config: RunConfig) -> int:
-    try:
-        state = _load_state(args.state)
-    except FileNotFoundError:
-        print(f"error: state file not found: {args.state}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: cannot parse state file: {exc}", file=sys.stderr)
-        return 2
+    state = _load_state(args.state)
     result = classify_definetti(
         state,
         seed=config.seed,
@@ -236,35 +251,18 @@ def cmd_classify(args, config: RunConfig) -> int:
         max_len=config.max_word_len,
         tol=config.tolerance,
     )
+    verdict = result.to_json()
     payload = {
         "config": config.to_json(),
         "state": state.to_json(),
-        "classification": result.to_json(),
+        "classification": verdict,
         "reports": [r.to_json() for r in result.reports],
     }
-    if config.output_format == "json":
-        text = jsonutil.dumps(payload)
-    elif config.output_format == "csv":
-        text = (
-            "symmetric,expected,iid,consistent,max_deviation\n"
-            f"{'true' if result.symmetric else 'false'},"
-            f"{'true' if result.expected else 'false'},"
-            f"{'true' if result.iid else 'false'},"
-            f"{'true' if result.consistent else 'false'},"
-            f"{format_float(result.max_deviation)}\n"
-        )
-    else:
-        lines = [
-            f"symmetric:  {'true' if result.symmetric else 'false'}",
-            f"expected:   {'true' if result.expected else 'false'}",
-            f"iid:        {'true' if result.iid else 'false'}",
-            f"consistent: {'true' if result.consistent else 'false'}",
-            f"max_deviation: {format_float(result.max_deviation)}",
-        ]
-        for report in result.reports:
-            lines.extend(_report_lines(report))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    _write_report(
+        args, config, payload, list(verdict), [verdict],
+        lambda: [f"{key + ':':<11} {_cell(value)}" for key, value in verdict.items()]
+        + _report_lines(result.reports),
+    )
     return 0 if result.consistent else 1
 
 
@@ -288,16 +286,7 @@ def run_sweep(config: RunConfig) -> dict:
             tol=config.tolerance,
         )
         branch_counts[branch] = branch_counts.get(branch, 0) + 1
-        row = {
-            "gamma": state.gamma,
-            "rank": state.density.rank,
-            "branch": branch,
-            "symmetric": result.symmetric,
-            "expected": result.expected,
-            "iid": result.iid,
-            "consistent": result.consistent,
-            "max_deviation": result.max_deviation,
-        }
+        row = {"gamma": state.gamma, "rank": state.density.rank, "branch": branch, **result.to_json()}
         if not result.consistent:
             row["state"] = state.to_json()
             row["reports"] = [r.to_json() for r in result.reports]
@@ -310,41 +299,11 @@ def run_sweep(config: RunConfig) -> dict:
     }
 
 
-def _sweep_csv(table: dict) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for row in table["rows"]:
-        lines.append(
-            f"{format_float(row['gamma'])},{row['rank']},"
-            f"{'true' if row['symmetric'] else 'false'},"
-            f"{'true' if row['expected'] else 'false'},"
-            f"{'true' if row['iid'] else 'false'},"
-            f"{'true' if row['consistent'] else 'false'},"
-            f"{format_float(row['max_deviation'])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(args, config: RunConfig) -> int:
     table = run_sweep(config)
-    if config.output_format == "json":
-        text = jsonutil.dumps(table)
-    elif config.output_format == "csv":
-        text = _sweep_csv(table)
-    else:
-        lines = [SWEEP_CSV_HEADER.replace(",", "  ")]
-        for row in table["rows"]:
-            lines.append(
-                f"{format_float(row['gamma'])}  {row['rank']}  "
-                f"{str(row['symmetric']).lower()}  {str(row['expected']).lower()}  "
-                f"{str(row['iid']).lower()}  {str(row['consistent']).lower()}  "
-                f"{format_float(row['max_deviation'])}"
-            )
-        lines.append(
-            f"all consistent: {str(table['all_consistent']).lower()} "
-            f"({len(table['rows'])} states)"
-        )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    header, rows = SWEEP_CSV_HEADER.split(","), table["rows"]
+    summary = f"all consistent: {_cell(table['all_consistent'])} ({len(rows)} states)"
+    _write_report(args, config, table, header, rows, lambda: _table(header, rows, "  ") + [summary])
     return 0 if table["all_consistent"] else 1
 
 
@@ -352,75 +311,33 @@ def cmd_sweep(args, config: RunConfig) -> int:
 # replay
 
 
-def _replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
-    """Recompute a stored witness; returns (lhs, rhs, reproduced).
-
-    An equality-violation witness reproduces when the recomputed sides
-    still differ; a stored ratio reproduces when the recomputed ratio
-    matches it.
-    """
-    kind = witness.get("kind")
-    if kind == "exchangeability":
-        word = word_from_json(witness["word"])
-        perm = FinitePermutation.from_json(witness["permutation"])
-        lhs = moment(state, word)
-        rhs = moment(state, [(perm(j), a) for j, a in word])
-    elif kind == "identical_distribution":
-        from .fock import TestAlgebraElement, embed
-
-        phi = PhiState.from_json(witness["phi"])
-        element = TestAlgebraElement.from_json(witness["element"])
-        lhs_t = cond_expect(phi, embed(witness["site_i"], element))
-        rhs_t = cond_expect(phi, embed(witness["site_k"], element))
-        return lhs_t.x + lhs_t.y, rhs_t.x + rhs_t.y, lhs_t.max_diff(rhs_t) > tol
-    elif kind == "pair_independence":
-        phi = PhiState.from_json(witness["phi"])
-        x = BooleanElement.from_json(witness["x"])
-        y = BooleanElement.from_json(witness["y"])
-        lhs = evaluate(state, x * y)
-        rhs = evaluate(state, cond_expect(phi, x).embed() * cond_expect(phi, y).embed())
-    elif kind == "nfold_factorization":
-        phi = PhiState.from_json(witness["phi"])
-        factors = [BooleanElement.from_json(f) for f in witness["factors"]]
-        lines = dict(nfold_telescoping_lines(state, phi, factors))
-        label_a, label_b = (part.strip() for part in witness["step"].split("->"))
-        lhs, rhs = lines[label_a], lines[label_b]
-    elif kind == "expectation_ratio":
-        found = counterexample_ratio(state.density)
-        lhs, rhs = complex(found.ratio), complex(witness["ratio"])
-        return lhs, rhs, abs(lhs - rhs) <= tol
-    else:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    return lhs, rhs, abs(lhs - rhs) > tol
+def _objects(value, what: str) -> list:
+    """``value``, which must be a list of JSON objects."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise TypeError(f"{what} must be a list of objects")
+    return value
 
 
 def cmd_replay(args, config: RunConfig) -> int:
-    try:
-        with open(args.witness, "r", encoding="utf-8") as handle:
-            payload = jsonutil.loads(handle.read())
-    except FileNotFoundError:
-        print(f"error: witness file not found: {args.witness}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: cannot parse witness file: {exc}", file=sys.stderr)
-        return 2
-
-    if "rows" in payload:
-        records = [row for row in payload["rows"] if "reports" in row]
-    else:
-        records = [payload]
-    checked = 0
-    reproduced = True
+    payload = _read_json(args.witness, "witness")
     lines = []
+    reproduced = True
     try:
+        if not isinstance(payload, dict):
+            raise TypeError("the payload must be an object")
+        if "rows" in payload:
+            records = [row for row in _objects(payload["rows"], "rows") if "reports" in row]
+        else:
+            records = [payload]
         for record in records:
             state = BooleanState.from_json(record["state"])
-            for report in record.get("reports", []):
+            for report in _objects(record.get("reports", []), "reports"):
                 witness = report.get("witness")
                 if witness is None:
                     continue
-                checked += 1
-                lhs, rhs, ok = _replay_witness(state, witness, config.tolerance)
+                if not isinstance(witness, dict):
+                    raise TypeError("a witness must be an object or null")
+                lhs, rhs, ok = replay_witness(state, witness, config.tolerance)
                 reproduced = reproduced and ok
                 lines.append(
                     f"{report['name']} [{witness['kind']}]: "
@@ -428,12 +345,10 @@ def cmd_replay(args, config: RunConfig) -> int:
                     f"{'reproduced' if ok else 'NOT reproduced'}"
                 )
     except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed witness payload: {exc}", file=sys.stderr)
-        return 2
-    if checked == 0:
+        raise CliError(f"malformed witness payload: {exc}") from None
+    if not lines:
         lines.append("no witnesses stored in this report")
-    text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0 if reproduced else 1
 
 

@@ -8,7 +8,8 @@ kernel and compare verdicts.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
 state: exchangeable if and only if conditionally independent and
-identically distributed over the tail algebra.
+identically distributed over the tail algebra.  ``replay_witness``
+recomputes a stored witness through the same helpers its checker used.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .fock import (
     creator,
     embed,
     permute_word,
+    word_from_json,
     word_to_json,
 )
 from .jsonutil import encode_complex
@@ -153,6 +155,11 @@ PROBE_ELEMENTS = (
 )
 
 
+def _permuted_moments(state: BooleanState, word: Sequence, perm: FinitePermutation, engine: Engine):
+    """The moments of a word and of its image under a site permutation."""
+    return engine.moment(state, word), engine.moment(state, permute_word(perm, word))
+
+
 def check_exchangeable(
     state: BooleanState,
     n_words: int = 200,
@@ -197,8 +204,7 @@ def check_exchangeable(
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
         perm = sampling.permutation(rng, pool)
-        lhs = engine.moment(state, word)
-        rhs = engine.moment(state, permute_word(perm, word))
+        lhs, rhs = _permuted_moments(state, word, perm, engine)
         rec.record(abs(lhs - rhs), lambda: witness(word, perm, lhs, rhs))
     return rec.report("exchangeability")
 
@@ -245,6 +251,14 @@ def check_identically_distributed(
     return rec.report("identical_distribution")
 
 
+def _pair_moments(state: BooleanState, phi: PhiState, x, y, engine: Engine):
+    """The state on ``x y`` and on the product of their tail expectations."""
+    lhs = engine.evaluate(state, engine.mul(x, y))
+    fx = engine.cond_expect(phi, x)
+    fy = engine.cond_expect(phi, y)
+    return lhs, engine.evaluate(state, engine.mul(fx.embed(), fy.embed()))
+
+
 def check_pair_independence(
     state: BooleanState,
     phi: PhiState,
@@ -266,10 +280,7 @@ def check_pair_independence(
         block_x, block_y = sampling.disjoint_blocks(rng, pool, 2, max_block=3)
         x = sampling.block_element(rng, block_x)
         y = sampling.block_element(rng, block_y)
-        lhs = engine.evaluate(state, engine.mul(x, y))
-        fx = engine.cond_expect(phi, x)
-        fy = engine.cond_expect(phi, y)
-        rhs = engine.evaluate(state, engine.mul(fx.embed(), fy.embed()))
+        lhs, rhs = _pair_moments(state, phi, x, y, engine)
         rec.record(
             abs(lhs - rhs),
             lambda: {
@@ -453,6 +464,75 @@ def classify_definetti(
     consistent = symmetric == iid
     max_dev = max(r.max_deviation for r in reports)
     return Classification(symmetric, expected, iid, consistent, reports, max_dev)
+
+
+# ---------------------------------------------------------------------------
+# Witness replay: each kind recomputes ``(lhs, rhs, deviation)`` through the
+# helpers of the checker that stored it.
+
+
+def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
+    word = word_from_json(witness["word"])
+    perm = FinitePermutation.from_json(witness["permutation"])
+    lhs, rhs = _permuted_moments(state, word, perm, SPARSE_ENGINE)
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
+    phi = PhiState.from_json(witness["phi"])
+    element = TestAlgebraElement.from_json(witness["element"])
+    lhs = cond_expect(phi, embed(witness["site_i"], element))
+    rhs = cond_expect(phi, embed(witness["site_k"], element))
+    return lhs.x + lhs.y, rhs.x + rhs.y, lhs.max_diff(rhs)
+
+
+def _replay_pair_independence(state: BooleanState, witness: dict) -> tuple:
+    phi = PhiState.from_json(witness["phi"])
+    x = BooleanElement.from_json(witness["x"])
+    y = BooleanElement.from_json(witness["y"])
+    lhs, rhs = _pair_moments(state, phi, x, y, SPARSE_ENGINE)
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
+    phi = PhiState.from_json(witness["phi"])
+    factors = [BooleanElement.from_json(f) for f in witness["factors"]]
+    step = witness["step"]
+    if not isinstance(step, str):
+        raise TypeError(f"step must be a string, got {step!r}")
+    lines = dict(nfold_telescoping_lines(state, phi, factors))
+    lhs, rhs = (lines[label.strip()] for label in step.split("->"))
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
+    lhs, rhs = complex(counterexample_ratio(state.density).ratio), complex(witness["ratio"])
+    return lhs, rhs, abs(lhs - rhs)
+
+
+_REPLAYS = {
+    "exchangeability": _replay_exchangeability,
+    "identical_distribution": _replay_identical_distribution,
+    "pair_independence": _replay_pair_independence,
+    "nfold_factorization": _replay_nfold_factorization,
+    "expectation_ratio": _replay_expectation_ratio,
+}
+
+
+def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
+    """Recompute a stored witness against ``state``; returns ``(lhs, rhs, reproduced)``.
+
+    A violated identity reproduces while its sides still differ by more
+    than ``tol``; a stored expectation ratio reproduces when the
+    recomputed ratio matches it within ``tol``.
+    """
+    kind = witness.get("kind")
+    replay = _REPLAYS.get(kind) if isinstance(kind, str) else None
+    if replay is None:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    lhs, rhs, deviation = replay(state, witness)
+    reproduced = deviation <= tol if kind == "expectation_ratio" else deviation > tol
+    return lhs, rhs, reproduced
 
 
 # ---------------------------------------------------------------------------

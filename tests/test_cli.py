@@ -1,8 +1,11 @@
+import ast
 import json
 import math
+import pathlib
 
 import pytest
 
+import boolefock.cli
 from boolefock import jsonutil
 from boolefock.algebra import FockVector, site_vector, vacuum_vector
 from boolefock.cli import SWEEP_CSV_HEADER, main
@@ -19,6 +22,52 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_rejected(result, message):
+    """Exit 2 with one line on stderr naming ``message`` and nothing on stdout."""
+    code, out, err = result
+    assert (code, out, len(err.splitlines())) == (2, "", 1), result
+    assert message in err
+
+
+def saved_report(tmp_path, capsys, state):
+    """The path of the JSON classify report of ``state``."""
+    path = tmp_path / "report.json"
+    argv = ["classify", "--state", write_state(tmp_path, state), "--seed", "3", "--samples", "40"]
+    code, _, _ = run(capsys, argv + ["--format", "json", "--out", str(path)])
+    assert code == 0
+    return path
+
+
+def run_formats(capsys, argv):
+    """``{format: stdout}`` of one run per format; the exit codes agree."""
+    runs = {f: run(capsys, argv + ["--format", f]) for f in ("json", "csv", "human")}
+    assert len({code for code, _, _ in runs.values()}) == 1
+    return {f: out for f, (_, out, _) in runs.items()}
+
+
+def json_tokens(text):
+    """The JSON report with every number kept as its printed text."""
+    return json.loads(text, parse_float=str, parse_int=str)
+
+
+def cells(row, header):
+    return [{True: "true", False: "false"}.get(row[key], row[key]) for key in header]
+
+
+def report_lines(text):
+    """The human lines of each report in a JSON report, built from its tokens."""
+    lines = []
+    for report, parsed in zip(json_tokens(text)["reports"], json.loads(text)["reports"]):
+        verdict = "PASS" if report["passed"] else "FAIL"
+        lines.append(
+            f"{report['name']}: {verdict} "
+            f"(max_deviation={report['max_deviation']}, samples={report['samples_run']})"
+        )
+        if parsed["witness"] is not None:
+            lines.append("  witness: " + jsonutil.dumps(parsed["witness"]).strip())
+    return lines
 
 
 def test_relations_pass(capsys):
@@ -42,6 +91,15 @@ def test_relations_honours_tolerance(capsys):
         "matrix_unit_dictionary": True,
         "embedding_homomorphism": False,
     }
+
+
+@pytest.mark.parametrize("tolerance", ["1e-9", "1e-300"])
+def test_relations_formats_render_the_json_report(capsys, tolerance):
+    outs = run_formats(capsys, ["relations", "--seed", "7", "--samples", "30", "--tolerance", tolerance])
+    header = ["name", "passed", "max_deviation", "samples_run"]
+    rows = json_tokens(outs["json"])["reports"]
+    assert outs["csv"].splitlines() == [",".join(header)] + [",".join(cells(r, header)) for r in rows]
+    assert outs["human"] == "\n".join(report_lines(outs["json"])) + "\n"
 
 
 def test_relations_rejects_zero_samples(capsys):
@@ -84,6 +142,18 @@ def test_classify_nonexpected_prints_ratio(tmp_path, capsys):
     assert witness["kind"] == "expectation_ratio"
     assert witness["ratio"] < 1.0
     assert "element" in witness
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.4])
+def test_classify_formats_render_the_json_report(tmp_path, capsys, gamma):
+    state = BooleanState(gamma, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+    argv = ["classify", "--state", write_state(tmp_path, state), "--seed", "3", "--samples", "40"]
+    outs = run_formats(capsys, argv)
+    verdict = json_tokens(outs["json"])["classification"]
+    header = ["symmetric", "expected", "iid", "consistent", "max_deviation"]
+    assert outs["csv"].splitlines() == [",".join(header), ",".join(cells(verdict, header))]
+    human = [f"{key + ':':<11} {cell}" for key, cell in zip(header, cells(verdict, header))]
+    assert outs["human"] == "\n".join(human + report_lines(outs["json"])) + "\n"
 
 
 def test_classify_malformed_file(tmp_path, capsys):
@@ -154,6 +224,16 @@ def test_classify_missing_file(capsys):
     assert "not found" in err
 
 
+def test_classify_state_directory(tmp_path, capsys):
+    assert_rejected(run(capsys, ["classify", "--state", str(tmp_path)]), "cannot read state file")
+
+
+def test_unwritable_out(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    result = run(capsys, ["relations", "--samples", "5", "--out", str(missing)])
+    assert_rejected(result, "cannot write output file")
+
+
 def test_sweep_csv_header_and_exit(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(
@@ -164,6 +244,17 @@ def test_sweep_csv_header_and_exit(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 16
+
+
+@pytest.mark.parametrize("tolerance", ["1e-9", "1e-17"])
+def test_sweep_formats_render_the_json_table(capsys, tolerance):
+    outs = run_formats(capsys, ["sweep", "--seed", "3", "--samples", "12", "--tolerance", tolerance])
+    table = json_tokens(outs["json"])
+    header = SWEEP_CSV_HEADER.split(",")
+    csv = [SWEEP_CSV_HEADER] + [",".join(cells(row, header)) for row in table["rows"]]
+    assert outs["csv"].splitlines() == csv
+    summary = f"all consistent: {cells(table, ['all_consistent'])[0]} ({len(table['rows'])} states)"
+    assert outs["human"].splitlines() == [line.replace(",", "  ") for line in csv] + [summary]
 
 
 def test_sweep_json_consistency(capsys):
@@ -305,6 +396,56 @@ def test_replay_rejects_malformed_exchangeability_witness(tmp_path, capsys, corr
     assert message in err
 
 
+def test_replay_not_reproduced_on_another_state(tmp_path, capsys):
+    state = BooleanState(1.0, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+    report_path = saved_report(tmp_path, capsys, state)
+    payload = json.loads(report_path.read_text())
+    payload["state"] = vacuum_state().to_json()
+    report_path.write_text(jsonutil.dumps(payload))
+    code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
+    assert code == 1
+    assert err == ""
+    # the vacuum is exchangeable; the identical-distribution witness holds its own phi
+    assert "exchangeability [exchangeability]: lhs=0 rhs=0 NOT reproduced" in out.splitlines()
+    assert "identical_distribution [identical_distribution]" in out
+
+
+def _report_witness(payload, value):
+    payload["reports"][0]["witness"] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        (lambda payload: 5, "object"),
+        (lambda payload: [payload], "object"),
+        (lambda payload: {"rows": 5}, "rows"),
+        (lambda payload: {"rows": [5]}, "rows"),
+        (lambda payload: {"rows": [dict(payload, reports=3)]}, "reports"),
+        (lambda payload: dict(payload, reports=[3]), "reports"),
+        (lambda payload: dict(payload, reports="abc"), "reports"),
+        (lambda payload: _report_witness(payload, [1]), "witness"),
+        (lambda payload: _report_witness(payload, dict(payload["reports"][0]["witness"], kind=[1])), "kind"),
+    ],
+    ids=[
+        "payload-int", "payload-list", "rows-int", "row-int", "row-reports-int", "report-int",
+        "reports-str", "witness-list", "witness-kind-list",
+    ],
+)
+def test_replay_rejects_malformed_payload_shape(tmp_path, capsys, reshape, message):
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    report_path = saved_report(tmp_path, capsys, state)
+    report_path.write_text(json.dumps(reshape(json.loads(report_path.read_text()))))
+    result = run(capsys, ["replay", "--witness", str(report_path)])
+    assert_rejected(result, "malformed witness payload")
+    assert message in result[2]
+
+
+def test_replay_witness_directory(tmp_path, capsys):
+    assert_rejected(run(capsys, ["replay", "--witness", str(tmp_path)]), "cannot read witness file")
+
+
 def test_replay_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -313,5 +454,27 @@ def test_replay_rejects_garbage(tmp_path, capsys):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("command, flag", [("classify", "--state"), ("replay", "--witness")])
+def test_rejects_deeply_nested_json(tmp_path, capsys, command, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert_rejected(run(capsys, [command, flag, str(path)]), "cannot parse")
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_imports_no_checker_math():
+    # the CLI parses, dispatches and renders; identities live in verify
+    tree = ast.parse(pathlib.Path(boolefock.cli.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import starts in the package
+            base = ".".join(filter(None, ["boolefock" if node.level else "", node.module]))
+            modules += [f"{base}.{a.name}" for a in node.names] if base == "boolefock" else [base]
+    imported = {m.split(".")[1] for m in modules if m.startswith("boolefock.")}
+    assert imported <= {"jsonutil", "sampling", "states", "verify"}, imported

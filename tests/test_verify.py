@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from boolefock.algebra import FockVector, site_vector, vacuum_vector
 from boolefock.fock import (
     FinitePermutation,
@@ -11,7 +13,7 @@ from boolefock.fock import (
     permute_word,
     word_to_json,
 )
-from boolefock.jsonutil import encode_complex
+from boolefock.jsonutil import decode_complex, encode_complex
 from boolefock.states import (
     BooleanState,
     TraceClassOperator,
@@ -38,6 +40,7 @@ from boolefock.verify import (
     check_pair_independence,
     classify_definetti,
     nfold_telescoping_lines,
+    replay_witness,
     site_pool,
 )
 from boolefock import sampling
@@ -52,6 +55,13 @@ def expected_nonsymmetric():
 def nonexpected():
     s = 1 / math.sqrt(2)
     return BooleanState(1.0, TraceClassOperator.rank_one(FockVector(s, {1: s})))
+
+
+def expected_dependent():
+    """Expected and non-symmetric, and pair factorization fails as well."""
+    return BooleanState(
+        0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, site_vector(3))))
+    )
 
 
 def test_exchangeable_symmetric_states_pass():
@@ -452,3 +462,62 @@ def test_classify_large_support_matches_closed_form():
             False,
             True,
         )
+
+
+def stored_witnesses():
+    """``(state, witness)`` for every witness kind a checker stores."""
+    dependent = expected_dependent()
+    nfold = check_nfold_factorization(dependent, preserving_phi(dependent.density), n=3, seed=1)
+    found = [(dependent, nfold.witness)]
+    for state, seed in ((dependent, 14), (nonexpected(), 15)):
+        found += [(state, r.witness) for r in classify_definetti(state, seed=seed).reports]
+    return [(state, witness) for state, witness in found if witness is not None]
+
+
+def test_replay_witness_reproduces_every_kind():
+    found = stored_witnesses()
+    assert {w["kind"] for _, w in found} == {
+        "exchangeability",
+        "identical_distribution",
+        "pair_independence",
+        "nfold_factorization",
+        "expectation_ratio",
+    }
+    for state, witness in found:
+        lhs, rhs, reproduced = replay_witness(state, witness, CHECK_TOL)
+        assert reproduced, witness["kind"]
+        if witness["kind"] == "expectation_ratio":
+            assert lhs == rhs == witness["ratio"]
+        elif witness["kind"] == "identical_distribution":
+            stored = [witness[side] for side in ("lhs", "rhs")]
+            assert [lhs, rhs] == [decode_complex(t["x"]) + decode_complex(t["y"]) for t in stored]
+        else:
+            assert (lhs, rhs) == (decode_complex(witness["lhs"]), decode_complex(witness["rhs"]))
+
+
+def test_replay_witness_not_reproduced():
+    # the sides agree on the vacuum, and a stored ratio no longer matches
+    found = dict((w["kind"], (s, w)) for s, w in stored_witnesses())
+    for kind in ("exchangeability", "pair_independence", "nfold_factorization"):
+        _, witness = found[kind]
+        lhs, rhs, reproduced = replay_witness(vacuum_state(), witness, CHECK_TOL)
+        assert not reproduced and abs(lhs - rhs) <= CHECK_TOL, kind
+    state, witness = found["expectation_ratio"]
+    lhs, rhs, reproduced = replay_witness(state, dict(witness, ratio=witness["ratio"] + 1e-6), CHECK_TOL)
+    assert not reproduced and lhs == witness["ratio"]
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"kind": "bogus"}, ValueError),
+        ({"kind": ["exchangeability"]}, ValueError),
+        ({"kind": None}, ValueError),
+        ({"step": 5}, TypeError),
+        ({"step": "product -> nowhere"}, KeyError),
+    ],
+)
+def test_replay_witness_rejects_malformed_witness(change, error):
+    state, witness = next(sw for sw in stored_witnesses() if sw[1]["kind"] == "nfold_factorization")
+    with pytest.raises(error):
+        replay_witness(state, dict(witness, **change), CHECK_TOL)
