@@ -31,6 +31,7 @@ from . import jsonutil, sampling
 from .jsonutil import format_float
 from .states import BooleanState
 from .verify import (
+    CHECK_TOL,
     CheckReport,
     check_boolean_relations,
     check_embedding_homomorphism,
@@ -83,7 +84,7 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="PRNG seed (default: BOOLEFOCK_SEED or 0)")
-    sub.add_argument("--tolerance", type=float, default=1e-9, help="pass/fail tolerance")
+    sub.add_argument("--tolerance", type=float, default=CHECK_TOL, help="pass/fail tolerance")
     sub.add_argument("--samples", type=int, default=200, help="sample count")
     sub.add_argument("--max-word-len", type=int, default=5, help="longest sampled word")
     sub.add_argument("--max-rank", type=int, default=4, help="largest sampled density rank")
@@ -177,6 +178,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _cell(value) -> str:
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -320,8 +323,7 @@ def _objects(value, what: str) -> list:
 
 def cmd_replay(args, config: RunConfig) -> int:
     payload = _read_json(args.witness, "witness")
-    lines = []
-    reproduced = True
+    rows = []
     try:
         if not isinstance(payload, dict):
             raise TypeError("the payload must be an object")
@@ -338,17 +340,26 @@ def cmd_replay(args, config: RunConfig) -> int:
                 if not isinstance(witness, dict):
                     raise TypeError("a witness must be an object or null")
                 lhs, rhs, ok = replay_witness(state, witness, config.tolerance)
-                reproduced = reproduced and ok
-                lines.append(
-                    f"{report['name']} [{witness['kind']}]: "
-                    f"lhs={format_float(abs(lhs))} rhs={format_float(abs(rhs))} "
-                    f"{'reproduced' if ok else 'NOT reproduced'}"
-                )
+                # the magnitudes of the recomputed sides, None where the state cannot pose them
+                rows.append({
+                    "report": report["name"],
+                    "kind": witness["kind"],
+                    "lhs": None if lhs is None else abs(lhs),
+                    "rhs": None if rhs is None else abs(rhs),
+                    "reproduced": ok,
+                })
+        reproduced = all(row["reproduced"] for row in rows)
+        table = {"config": config.to_json(), "rows": rows, "all_reproduced": reproduced}
+        header = ("report", "kind", "lhs", "rhs", "reproduced")
+        human = lambda: [
+            f"{row['report']} [{row['kind']}]: lhs={_cell(row['lhs'])} rhs={_cell(row['rhs'])} "
+            f"{'reproduced' if row['reproduced'] else 'NOT reproduced'}"
+            for row in rows
+        ] or ["no witnesses stored in this report"]
+        # inside the try: a non-finite side from the payload fails to render
+        _write_report(args, config, table, header, rows, human)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"malformed witness payload: {exc}") from None
-    if not lines:
-        lines.append("no witnesses stored in this report")
-    _write_output("\n".join(lines) + "\n", args.out)
     return 0 if reproduced else 1
 
 

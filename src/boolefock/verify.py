@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,7 +42,7 @@ from .fock import (
 from .jsonutil import encode_complex
 from .sampling import SITE_POOL
 from .states import BooleanState, evaluate, moment
-from .tail import PhiState, cond_expect, counterexample_ratio, is_expected, preserving_phi
+from .tail import DecisionError, PhiState, cond_expect, counterexample_ratio, is_expected, preserving_phi
 
 #: Pass/fail tolerance for checkers; looser than the kernel tolerance to
 #: absorb accumulation over length-5 words.
@@ -251,14 +250,6 @@ def check_identically_distributed(
     return rec.report("identical_distribution")
 
 
-def _pair_moments(state: BooleanState, phi: PhiState, x, y, engine: Engine):
-    """The state on ``x y`` and on the product of their tail expectations."""
-    lhs = engine.evaluate(state, engine.mul(x, y))
-    fx = engine.cond_expect(phi, x)
-    fy = engine.cond_expect(phi, y)
-    return lhs, engine.evaluate(state, engine.mul(fx.embed(), fy.embed()))
-
-
 def check_pair_independence(
     state: BooleanState,
     phi: PhiState,
@@ -271,7 +262,8 @@ def check_pair_independence(
 
     Samples generic elements of the algebras of two disjoint site blocks
     joined with the tail and compares the state on their product with the
-    state on the product of their conditional expectations.
+    state on the product of their conditional expectations: the two-block
+    case of :func:`nfold_telescoping_lines`.
     """
     rng = random.Random(seed)
     pool = site_pool(state)
@@ -280,7 +272,7 @@ def check_pair_independence(
         block_x, block_y = sampling.disjoint_blocks(rng, pool, 2, max_block=3)
         x = sampling.block_element(rng, block_x)
         y = sampling.block_element(rng, block_y)
-        lhs, rhs = _pair_moments(state, phi, x, y, engine)
+        (_, lhs), (_, rhs) = nfold_telescoping_lines(state, phi, [x, y], engine)
         rec.record(
             abs(lhs - rhs),
             lambda: {
@@ -305,41 +297,39 @@ def nfold_telescoping_lines(
 ) -> List[Tuple[str, complex]]:
     """Every line of the telescoped n-fold factorization, in order.
 
-    Starting from the plain product moment, each stage applies pair
-    factorization against the remaining suffix, unfolds the accumulated
-    expectation through the bimodule property, and rewrites via state
-    preservation; the final line is the fully factored product of tail
-    expectations.  All lines are equal when the state is conditionally
-    independent over the tail algebra.
+    With ``F`` the conditional expectation, ``s_t = x_{t+1} ... x_n``,
+    ``h_1 = x_1`` and ``h_{t+1} = F(h_t) x_{t+1}``, the 3n - 4 lines are
+    ``product`` psi(x_1 ... x_n), then for t = 1 .. n-1
+    ``stage{t}_factorized`` psi(F(h_t) F(s_t)) (pair factorization),
+    ``stage{t}_bimodule`` psi(F(x_1) ... F(x_t) F(s_t)) for t >= 2, and
+    ``stage{t}_preserved`` psi(F(F(h_t) s_t)) for t <= n-2 (state
+    preservation).  The last line, psi(F(x_1) ... F(x_n)), is labelled
+    ``fully_factored``, so two factors give the pair identity.  All lines
+    are equal when the state is conditionally independent over the tail
+    algebra.  Each product and expectation is computed once.
     """
     ev = lambda el: engine.evaluate(state, el)
     ex = lambda el: engine.cond_expect(phi, el)
-    prod = lambda elems: reduce(engine.mul, elems)
     n = len(factors)
-    lines: List[Tuple[str, complex]] = [("product", ev(prod(factors)))]
-    head = factors[0]
-    for t in range(1, n):
-        suffix = prod(factors[t:])
-        head_exp = ex(head)
-        lines.append(
-            (
-                f"stage{t}_factorized",
-                ev(engine.mul(head_exp.embed(), ex(suffix).embed())),
-            )
-        )
-        unfolded = reduce(lambda u, v: u * v, [ex(f) for f in factors[:t]])
-        lines.append(
-            (
-                f"stage{t}_bimodule",
-                ev(engine.mul(unfolded.embed(), ex(suffix).embed())),
-            )
-        )
+    if n < 2:
+        raise ValueError("n-fold factorization needs at least two blocks")
+    # suffixes[t - 1] is s_t, built right to left
+    suffixes = [factors[-1]]
+    for factor in reversed(factors[1:-1]):
+        suffixes.insert(0, engine.mul(factor, suffixes[0]))
+    lines: List[Tuple[str, complex]] = [("product", ev(engine.mul(factors[0], suffixes[0])))]
+    head_exp = marginals = ex(factors[0])
+    for t, suffix in enumerate(suffixes, start=1):
+        suffix_exp = ex(suffix).embed()
+        lines.append((f"stage{t}_factorized", ev(engine.mul(head_exp.embed(), suffix_exp))))
+        if t > 1:
+            lines.append((f"stage{t}_bimodule", ev(engine.mul(marginals.embed(), suffix_exp))))
         if t < n - 1:
             absorbed = engine.mul(head_exp.embed(), suffix)
             lines.append((f"stage{t}_preserved", ev(ex(absorbed).embed())))
-            head = engine.mul(head_exp.embed(), factors[t])
-    fully = prod([ex(f).embed() for f in factors])
-    lines.append(("fully_factored", ev(fully)))
+            head_exp = ex(engine.mul(head_exp.embed(), factors[t]))
+            marginals = marginals * ex(factors[t])
+    lines[-1] = ("fully_factored", lines[-1][1])
     return lines
 
 
@@ -354,8 +344,6 @@ def check_nfold_factorization(
     engine: Engine = SPARSE_ENGINE,
 ) -> CheckReport:
     """Check the n-block factorization and each of its telescoping steps."""
-    if n < 2:
-        raise ValueError("n-fold factorization needs at least two blocks")
     rng = random.Random(seed)
     pool = site_pool(state)
     rec = _Recorder(tol)
@@ -400,6 +388,12 @@ class Classification:
         }
 
 
+def _state_phi(state: BooleanState) -> PhiState:
+    """The ``phi`` the tail checkers condition ``state`` on; raises
+    ``DecisionError`` when the state is not expected."""
+    return PhiState.singular() if state.gamma == 0.0 else preserving_phi(state.density)
+
+
 def classify_definetti(
     state: BooleanState,
     seed: int = 0,
@@ -424,7 +418,7 @@ def classify_definetti(
 
     expected = state.gamma == 0.0 or is_expected(state.density)
     if expected:
-        phi = PhiState.singular() if state.gamma == 0.0 else preserving_phi(state.density)
+        phi = _state_phi(state)
         reports.append(
             CheckReport("preserving_expectation_exists", True, 0.0, None, 1)
         )
@@ -468,7 +462,8 @@ def classify_definetti(
 
 # ---------------------------------------------------------------------------
 # Witness replay: each kind recomputes ``(lhs, rhs, deviation)`` through the
-# helpers of the checker that stored it.
+# helpers of the checker that stored it, with ``phi`` taken from the state.
+# Each reads its fields first, so a DecisionError never hides a bad field.
 
 
 def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
@@ -479,34 +474,33 @@ def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
 
 
 def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
-    phi = PhiState.from_json(witness["phi"])
     element = TestAlgebraElement.from_json(witness["element"])
+    phi = _state_phi(state)
     lhs = cond_expect(phi, embed(witness["site_i"], element))
     rhs = cond_expect(phi, embed(witness["site_k"], element))
     return lhs.x + lhs.y, rhs.x + rhs.y, lhs.max_diff(rhs)
 
 
 def _replay_pair_independence(state: BooleanState, witness: dict) -> tuple:
-    phi = PhiState.from_json(witness["phi"])
     x = BooleanElement.from_json(witness["x"])
     y = BooleanElement.from_json(witness["y"])
-    lhs, rhs = _pair_moments(state, phi, x, y, SPARSE_ENGINE)
+    (_, lhs), (_, rhs) = nfold_telescoping_lines(state, _state_phi(state), [x, y])
     return lhs, rhs, abs(lhs - rhs)
 
 
 def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
-    phi = PhiState.from_json(witness["phi"])
     factors = [BooleanElement.from_json(f) for f in witness["factors"]]
     step = witness["step"]
     if not isinstance(step, str):
         raise TypeError(f"step must be a string, got {step!r}")
-    lines = dict(nfold_telescoping_lines(state, phi, factors))
+    lines = dict(nfold_telescoping_lines(state, _state_phi(state), factors))
     lhs, rhs = (lines[label.strip()] for label in step.split("->"))
     return lhs, rhs, abs(lhs - rhs)
 
 
 def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
-    lhs, rhs = complex(counterexample_ratio(state.density).ratio), complex(witness["ratio"])
+    rhs = complex(witness["ratio"])
+    lhs = complex(counterexample_ratio(state.density).ratio)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -524,13 +518,19 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
 
     A violated identity reproduces while its sides still differ by more
     than ``tol``; a stored expectation ratio reproduces when the
-    recomputed ratio matches it within ``tol``.
+    recomputed ratio matches it within ``tol``.  A witness that ``state``
+    cannot pose (a tail identity on a state that is not expected, a
+    contraction ratio on one that is) does not reproduce; its sides are
+    ``None``.
     """
     kind = witness.get("kind")
     replay = _REPLAYS.get(kind) if isinstance(kind, str) else None
     if replay is None:
         raise ValueError(f"unknown witness kind {kind!r}")
-    lhs, rhs, deviation = replay(state, witness)
+    try:
+        lhs, rhs, deviation = replay(state, witness)
+    except DecisionError:
+        return None, None, False
     reproduced = deviation <= tol if kind == "expectation_ratio" else deviation > tol
     return lhs, rhs, reproduced
 

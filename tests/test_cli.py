@@ -53,7 +53,7 @@ def json_tokens(text):
 
 
 def cells(row, header):
-    return [{True: "true", False: "false"}.get(row[key], row[key]) for key in header]
+    return [{True: "true", False: "false", None: "null"}.get(row[key], row[key]) for key in header]
 
 
 def report_lines(text):
@@ -405,9 +405,56 @@ def test_replay_not_reproduced_on_another_state(tmp_path, capsys):
     code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
     assert code == 1
     assert err == ""
-    # the vacuum is exchangeable; the identical-distribution witness holds its own phi
+    # the vacuum is exchangeable, and identically distributed under its own phi
     assert "exchangeability [exchangeability]: lhs=0 rhs=0 NOT reproduced" in out.splitlines()
-    assert "identical_distribution [identical_distribution]" in out
+    ident = [line for line in out.splitlines() if line.startswith("identical_distribution")]
+    assert len(ident) == 1 and ident[0].endswith(" NOT reproduced")
+
+
+def rotated_nonexpected():
+    """Not expected: the vacuum is split across two orthogonal eigenvectors."""
+    u = FockVector(0.6, {2: 0.8})
+    v = FockVector(0.8, {2: -0.6})
+    return BooleanState(1.0, TraceClassOperator(((0.6, u), (0.4, v))))
+
+
+def expected_two_point():
+    return BooleanState(1.0, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+
+
+def test_replay_ratio_witness_on_an_expected_state(tmp_path, capsys):
+    # no contraction ratio exists on an expected state: the witness does not
+    # reproduce, and the payload is not malformed
+    report_path = saved_report(tmp_path, capsys, rotated_nonexpected())
+    payload = json.loads(report_path.read_text())
+    payload["state"] = expected_two_point().to_json()
+    report_path.write_text(jsonutil.dumps(payload))
+    code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
+    assert (code, err) == (1, "")
+    line = "preserving_expectation_exists [expectation_ratio]: lhs=null rhs=null NOT reproduced"
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("tolerance", ["1e-9", "1e-300"])
+def test_replay_formats_render_the_json_rows(tmp_path, capsys, tolerance):
+    # a genuine report, and a ratio witness replayed on an expected state
+    records = []
+    for state in (expected_two_point(), rotated_nonexpected()):
+        records.append(json.loads(saved_report(tmp_path, capsys, state).read_text()))
+    records[1]["state"] = expected_two_point().to_json()
+    path = tmp_path / "rows.json"
+    path.write_text(jsonutil.dumps({"rows": records}))
+    outs = run_formats(capsys, ["replay", "--witness", str(path), "--tolerance", tolerance])
+    table = json_tokens(outs["json"])
+    header = ["report", "kind", "lhs", "rhs", "reproduced"]
+    rows = [cells(row, header) for row in table["rows"]]
+    assert len(rows) == 4 and table["all_reproduced"] is False
+    assert outs["csv"].splitlines() == [",".join(header)] + [",".join(row) for row in rows]
+    verdict = {"true": "reproduced", "false": "NOT reproduced"}
+    human = [
+        f"{report} [{kind}]: lhs={lhs} rhs={rhs} {verdict[ok]}" for report, kind, lhs, rhs, ok in rows
+    ]
+    assert outs["human"].splitlines() == human
 
 
 def _report_witness(payload, value):

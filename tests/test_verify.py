@@ -145,18 +145,20 @@ def test_pair_independence_pure_tail_factor():
 
 
 def test_nfold_two_blocks_matches_pair_identity():
+    # two factors give exactly the pair identity, with no repeated lines
     rng = random.Random(10)
-    state = vacuum_state()
-    phi = PhiState.singular()
-    x = sampling.block_element(rng, [1, 2])
-    y = sampling.block_element(rng, [4])
-    lines = dict(nfold_telescoping_lines(state, phi, [x, y]))
-    lhs = evaluate(state, x * y)
-    fx, fy = cond_expect(phi, x), cond_expect(phi, y)
-    rhs = evaluate(state, fx.embed() * fy.embed())
-    assert abs(lines["product"] - lhs) <= 1e-12
-    assert abs(lines["stage1_factorized"] - rhs) <= 1e-12
-    assert abs(lines["fully_factored"] - rhs) <= 1e-12
+    dependent = expected_dependent()
+    for state, phi in (
+        (vacuum_state(), PhiState.singular()),
+        (dependent, preserving_phi(dependent.density)),
+    ):
+        x = sampling.block_element(rng, [1, 2])
+        y = sampling.block_element(rng, [3])
+        fx, fy = cond_expect(phi, x), cond_expect(phi, y)
+        assert nfold_telescoping_lines(state, phi, [x, y]) == [
+            ("product", evaluate(state, x * y)),
+            ("fully_factored", evaluate(state, fx.embed() * fy.embed())),
+        ]
 
 
 def test_nfold_factorization_vacuum_singleton_blocks():
@@ -399,6 +401,56 @@ def test_per_site_checkers_match_pairwise_reference():
         )
 
 
+def reference_check_pair_independence(
+    state, phi, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
+):
+    """The pair check with its two sides computed directly, not as the
+    two-block case of the telescoping chain."""
+    rng = random.Random(seed)
+    pool = site_pool(state)
+    rec = PairwiseRecorder(tol)
+    for _ in range(n_samples):
+        block_x, block_y = sampling.disjoint_blocks(rng, pool, 2, max_block=3)
+        x = sampling.block_element(rng, block_x)
+        y = sampling.block_element(rng, block_y)
+        lhs = engine.evaluate(state, engine.mul(x, y))
+        fx = engine.cond_expect(phi, x)
+        fy = engine.cond_expect(phi, y)
+        rhs = engine.evaluate(state, engine.mul(fx.embed(), fy.embed()))
+        rec.record(
+            abs(lhs - rhs),
+            lambda: {
+                "kind": "pair_independence",
+                "sites_x": list(block_x),
+                "sites_y": list(block_y),
+                "x": x.to_json(),
+                "y": y.to_json(),
+                "phi": phi.to_json(),
+                "lhs": encode_complex(lhs),
+                "rhs": encode_complex(rhs),
+            },
+        )
+    return rec.report("pair_independence")
+
+
+def test_pair_independence_matches_direct_reference():
+    dependent = expected_dependent()
+    cases = [
+        (vacuum_state(), PhiState.singular()),
+        (symmetric_state(0.4), PhiState.singular()),
+        (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
+        (nonexpected(), PhiState.normal(nonexpected().density)),
+        (wide_state(), preserving_phi(wide_state().density)),
+        (dependent, preserving_phi(dependent.density)),
+    ]
+    for engine in (SPARSE_ENGINE, DENSE_ENGINE):
+        for n, (state, phi) in enumerate(cases):
+            kwargs = {"n_samples": 24, "seed": 71 + n, "engine": engine}
+            ref = reference_check_pair_independence(state, phi, **kwargs)
+            assert_same_report(check_pair_independence(state, phi, **kwargs), ref)
+        assert ref.witness is not None
+
+
 def test_nan_deviation_fails():
     report = check_identically_distributed(
         vacuum_state(),
@@ -445,6 +497,43 @@ def test_checkers_evaluate_each_site_once():
     counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
     assert counts["moment"] == 4 * len(pool) + 2 * 25
+
+
+def chain_labels(n):
+    """The labels of the n-fold telescoping chain, in order."""
+    if n == 2:
+        return ["product", "fully_factored"]
+    steps = ("factorized", "bimodule", "preserved")
+    middle = [f"stage{t}_{step}" for t in range(2, n - 1) for step in steps]
+    return (
+        ["product", "stage1_factorized", "stage1_preserved"]
+        + middle
+        + [f"stage{n - 1}_factorized", "fully_factored"]
+    )
+
+
+def test_nfold_chain_computes_each_quantity_once():
+    state = expected_dependent()
+    phi = preserving_phi(state.density)
+    rng = random.Random(65)
+    engine, counts = counting_engine(SPARSE_ENGINE)
+    for n in range(2, 7):
+        blocks = sampling.disjoint_blocks(rng, site_pool(state), n, max_block=2)
+        factors = [sampling.block_element(rng, block) for block in blocks]
+        counts.clear()
+        lines = nfold_telescoping_lines(state, phi, factors, engine)
+        assert [label for label, _ in lines] == chain_labels(n)
+        assert len(set(chain_labels(n))) == 3 * n - 4
+        assert counts["evaluate"] == 3 * n - 4
+        assert counts["cond_expect"] <= 4 * n - 6
+        assert counts["mul"] <= max(2, 5 * n - 8)
+
+
+@pytest.mark.parametrize("n_factors", [0, 1])
+def test_nfold_chain_needs_two_factors(n_factors):
+    factors = [sampling.block_element(random.Random(66), [1])] * n_factors
+    with pytest.raises(ValueError, match="two blocks"):
+        nfold_telescoping_lines(vacuum_state(), PhiState.singular(), factors)
 
 
 def test_classify_large_support_matches_closed_form():
@@ -521,3 +610,24 @@ def test_replay_witness_rejects_malformed_witness(change, error):
     state, witness = next(sw for sw in stored_witnesses() if sw[1]["kind"] == "nfold_factorization")
     with pytest.raises(error):
         replay_witness(state, dict(witness, **change), CHECK_TOL)
+
+
+def rotated_nonexpected():
+    """Not expected: the vacuum is split across two orthogonal eigenvectors."""
+    u = FockVector(0.6, {2: 0.8})
+    v = FockVector(0.8, {2: -0.6})
+    return BooleanState(1.0, TraceClassOperator(((0.6, u), (0.4, v))))
+
+
+def test_replay_witness_not_posed_on_the_other_branch():
+    # tail identities on a state that is not expected, a contraction ratio
+    # on an expected one: the state raises DecisionError, and the witness
+    # does not reproduce
+    found = dict((w["kind"], w) for _, w in stored_witnesses())
+    tail_kinds = ("identical_distribution", "pair_independence", "nfold_factorization")
+    swapped = [(rotated_nonexpected(), found[kind]) for kind in tail_kinds]
+    ratio = classify_definetti(rotated_nonexpected(), seed=5).reports[-1].witness
+    swapped.append((expected_nonsymmetric(), ratio))
+    for state, witness in swapped:
+        replayed = replay_witness(state, witness, CHECK_TOL)
+        assert replayed == (None, None, False), witness["kind"]
