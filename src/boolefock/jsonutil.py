@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 
@@ -21,10 +22,15 @@ def decode_complex(obj: Any) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"expected a [re, im] pair, got {obj!r}")
     re, im = obj
-    for part in (re, im):
-        if isinstance(part, bool) or not isinstance(part, (int, float)):
-            raise ValueError(f"expected a [re, im] pair of numbers, got {obj!r}")
-    return complex(float(re), float(im))
+    return complex(decode_float(re), decode_float(im))
+
+
+def decode_float(obj: Any) -> float:
+    """A JSON number as a finite float: not a boolean, NaN or an infinity,
+    and not an integer too large for a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {obj!r}")
+    return float(obj)
 
 
 def format_float(x: float) -> str:
@@ -44,8 +50,9 @@ def dumps(obj: Any, indent: int = 2) -> str:
 
 def loads(text: str) -> Any:
     """Parse JSON, rejecting an object that repeats a key (which ``json``
-    would resolve silently in favour of the last value)."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    would keep the last of) and a non-finite number, overflow included."""
+    return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=decode_float,
+                      parse_float=lambda literal: decode_float(float(literal)))
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, vacuum_vector
 from .fock import TestAlgebraElement
+from .jsonutil import decode_float
 
 #: Tolerance for validating weights and eigenvector orthonormality.
 ORTHO_TOL = 1e-10
@@ -170,7 +171,7 @@ class TraceClassOperator:
             raise ValueError(f"expected an object with eigenpairs, got {obj!r}")
         pairs = []
         for item in obj["eigenpairs"]:
-            pairs.append((float(item["weight"]), FockVector.from_json(item["vector"])))
+            pairs.append((decode_float(item["weight"]), FockVector.from_json(item["vector"])))
         return cls(tuple(pairs))
 
 
@@ -198,10 +199,7 @@ class BooleanState:
     def from_json(cls, obj: dict) -> "BooleanState":
         if not isinstance(obj, dict) or "gamma" not in obj or "T" not in obj:
             raise ValueError(f"expected an object with gamma and T, got {obj!r}")
-        gamma = obj["gamma"]
-        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
-            raise ValueError(f"gamma must be a number, got {gamma!r}")
-        return cls(float(gamma), TraceClassOperator.from_json(obj["T"]))
+        return cls(decode_float(obj["gamma"]), TraceClassOperator.from_json(obj["T"]))
 
 
 def vacuum_state() -> BooleanState:

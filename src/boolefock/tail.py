@@ -141,21 +141,6 @@ class PhiState:
                 total += amp * self.density.entry(n, m)
         return total / self.site_weight + x.scalar
 
-    def to_json(self) -> dict:
-        if self.kind == "singular":
-            return {"kind": "singular"}
-        return {"kind": "normal", "S": self.density.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PhiState":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"expected a phi object with a kind, got {obj!r}")
-        if obj["kind"] == "singular":
-            return cls.singular()
-        if obj["kind"] == "normal":
-            return cls.normal(TraceClassOperator.from_json(obj["S"]))
-        raise ValueError(f"unknown phi kind {obj['kind']!r}")
-
 
 def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     """The conditional expectation ``F_phi`` applied to ``x``.

@@ -39,10 +39,10 @@ from .fock import (
     word_from_json,
     word_to_json,
 )
-from .jsonutil import encode_complex
+from .jsonutil import decode_float, encode_complex
 from .sampling import SITE_POOL
 from .states import BooleanState, evaluate, moment
-from .tail import DecisionError, PhiState, cond_expect, counterexample_ratio, is_expected, preserving_phi
+from .tail import DecisionError, PhiState, RatioWitness, cond_expect, counterexample_ratio, preserving_phi
 
 #: Pass/fail tolerance for checkers; looser than the kernel tolerance to
 #: absorb accumulation over length-5 words.
@@ -236,7 +236,6 @@ def check_identically_distributed(
             "site_i": i,
             "site_k": k,
             "element": a.to_json(),
-            "phi": phi.to_json(),
             "lhs": marginals[i].to_json(),
             "rhs": marginals[k].to_json(),
         }
@@ -281,7 +280,6 @@ def check_pair_independence(
                 "sites_y": list(block_y),
                 "x": x.to_json(),
                 "y": y.to_json(),
-                "phi": phi.to_json(),
                 "lhs": encode_complex(lhs),
                 "rhs": encode_complex(rhs),
             },
@@ -358,7 +356,6 @@ def check_nfold_factorization(
                     "kind": "nfold_factorization",
                     "blocks": [list(b) for b in blocks],
                     "factors": [f.to_json() for f in factors],
-                    "phi": phi.to_json(),
                     "step": f"{label_a} -> {label_b}",
                     "lhs": encode_complex(val_a),
                     "rhs": encode_complex(val_b),
@@ -394,6 +391,14 @@ def _state_phi(state: BooleanState) -> PhiState:
     return PhiState.singular() if state.gamma == 0.0 else preserving_phi(state.density)
 
 
+def _state_ratio(state: BooleanState) -> RatioWitness:
+    """The contraction ratio of ``state``; raises ``DecisionError`` when the
+    state is expected, as every state with gamma 0 is."""
+    if state.gamma == 0.0:
+        raise DecisionError("a state with gamma 0 is expected: it has no contraction ratio")
+    return counterexample_ratio(state.density)
+
+
 def classify_definetti(
     state: BooleanState,
     seed: int = 0,
@@ -416,9 +421,12 @@ def classify_definetti(
     reports.append(exch)
     symmetric = exch.passed
 
-    expected = state.gamma == 0.0 or is_expected(state.density)
-    if expected:
+    try:
         phi = _state_phi(state)
+    except DecisionError:
+        phi = None
+    expected = phi is not None
+    if expected:
         reports.append(
             CheckReport("preserving_expectation_exists", True, 0.0, None, 1)
         )
@@ -431,7 +439,7 @@ def classify_definetti(
         reports.extend([ident, pair])
         iid = ident.passed and pair.passed
     else:
-        found = counterexample_ratio(state.density)
+        found = _state_ratio(state)
         # The contraction identity is phi-free; record how well the
         # witness reproduces it under both implemented families.
         psi_x = engine.evaluate(BooleanState(1.0, state.density), found.element)
@@ -462,8 +470,9 @@ def classify_definetti(
 
 # ---------------------------------------------------------------------------
 # Witness replay: each kind recomputes ``(lhs, rhs, deviation)`` through the
-# helpers of the checker that stored it, with ``phi`` taken from the state.
-# Each reads its fields first, so a DecisionError never hides a bad field.
+# helpers of the checker that stored it, with ``phi`` or the contraction
+# ratio taken from the state, never from the witness.  Each reads its fields
+# first, so a DecisionError never hides a bad field.
 
 
 def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
@@ -499,8 +508,8 @@ def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
 
 
 def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
-    rhs = complex(witness["ratio"])
-    lhs = complex(counterexample_ratio(state.density).ratio)
+    rhs = decode_float(witness["ratio"])
+    lhs = _state_ratio(state).ratio
     return lhs, rhs, abs(lhs - rhs)
 
 

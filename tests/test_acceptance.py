@@ -155,8 +155,21 @@ def test_criterion_08_definetti_equivalence_sweep():
     )
     table = run_sweep(config)
     branches = table["branches"]
+    # each branch's closed-form (symmetric, expected, iid)
+    theory = {
+        "vacuum": (True, True, True),
+        "symmetric_mixed": (True, True, True),
+        "infinity": (True, True, True),
+        "expected_nonsymmetric": (False, True, False),
+        "nonexpected": (False, False, False),
+    }
+    mismatches = [
+        row for row in table["rows"]
+        if (row["symmetric"], row["expected"], row["iid"]) != theory[row["branch"]]
+    ]
     ok = (
         table["all_consistent"]
+        and not mismatches
         and branches.get("expected_nonsymmetric", 0) >= 50
         and branches.get("nonexpected", 0) >= 50
     )

@@ -336,18 +336,19 @@ def test_replay_reproduces_witnesses(tmp_path, capsys):
     assert "reproduced" in out
     assert "NOT reproduced" not in out
 
-    # the same phi stored as a site-only density, as older reports did
-    payload = json.loads(report_path.read_text())
-    site_only = {"kind": "normal", "S": {"eigenpairs": [{"weight": 1.0, "vector": {"2": [1.0, 0.0]}}]}}
-    witnesses = [r["witness"] for r in payload["reports"] if r["witness"] and "phi" in r["witness"]]
-    assert witnesses
-    for witness in witnesses:
-        witness["phi"] = site_only
-    report_path.write_text(jsonutil.dumps(payload))
-    code, out, _ = run(capsys, ["replay", "--witness", str(report_path)])
-    assert code == 0
+    # older reports stored phi in the tail witnesses, as the full density or
+    # as a site-only one; replay ignores it
     assert "identical_distribution [identical_distribution]" in out
-    assert "NOT reproduced" not in out
+    payload = json.loads(report_path.read_text())
+    tail_kinds = {"identical_distribution", "pair_independence", "nfold_factorization"}
+    witnesses = [r["witness"] for r in payload["reports"] if r["name"] in tail_kinds and r["witness"]]
+    assert witnesses
+    site_only = {"kind": "normal", "S": {"eigenpairs": [{"weight": 1.0, "vector": {"2": [1.0, 0.0]}}]}}
+    for phi in ({"kind": "normal", "S": payload["state"]["T"]}, site_only):
+        for witness in witnesses:
+            witness["phi"] = phi
+        report_path.write_text(jsonutil.dumps(payload))
+        assert run(capsys, ["replay", "--witness", str(report_path)]) == (0, out, "")
 
 
 def _fractional_word_site(witness):
@@ -433,6 +434,55 @@ def test_replay_ratio_witness_on_an_expected_state(tmp_path, capsys):
     assert (code, err) == (1, "")
     line = "preserving_expectation_exists [expectation_ratio]: lhs=null rhs=null NOT reproduced"
     assert line in out.splitlines()
+
+
+def test_replay_ratio_witness_on_a_state_with_gamma_zero(tmp_path, capsys):
+    # gamma = 0 makes the state expected whatever T is: no contraction ratio
+    s = 1 / math.sqrt(2)
+    density = TraceClassOperator.rank_one(FockVector(s, {1: s}))
+    report_path = saved_report(tmp_path, capsys, BooleanState(1.0, density))
+    payload = json.loads(report_path.read_text())
+    payload["state"] = BooleanState(0.0, density).to_json()
+    report_path.write_text(jsonutil.dumps(payload))
+    code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
+    assert (code, err) == (1, "")
+    line = "preserving_expectation_exists [expectation_ratio]: lhs=null rhs=null NOT reproduced"
+    assert line in out.splitlines()
+
+
+NON_FINITE_NUMBERS = pytest.mark.parametrize(
+    "number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "int-400-digits"],
+)
+
+
+@NON_FINITE_NUMBERS
+@pytest.mark.parametrize("field", ["gamma", "weight", "amplitude"])
+def test_classify_rejects_non_finite_number(tmp_path, capsys, field, number):
+    # an integer too large for a float counts as non-finite where a float is read
+    values = {"gamma": "1.0", "weight": "1.0", "amplitude": "1.0", field: number}
+    text = (
+        '{"gamma": %(gamma)s, "T": {"eigenpairs": '
+        '[{"weight": %(weight)s, "vector": {"#": [%(amplitude)s, 0.0]}}]}}'
+    )
+    path = tmp_path / "state.json"
+    path.write_text(text % values)
+    assert_rejected(run(capsys, ["classify", "--state", str(path)]), "finite")
+
+
+@NON_FINITE_NUMBERS
+@pytest.mark.parametrize("kind", ["exchangeability", "expectation_ratio"])
+def test_replay_rejects_non_finite_number(tmp_path, capsys, kind, number):
+    state = expected_two_point() if kind == "exchangeability" else rotated_nonexpected()
+    payload = json.loads(saved_report(tmp_path, capsys, state).read_text())
+    witness = {r["witness"]["kind"]: r["witness"] for r in payload["reports"] if r["witness"]}[kind]
+    if kind == "exchangeability":
+        witness["word"][0][1]["a"][0] = "NUMBER"
+    else:
+        witness["ratio"] = "NUMBER"
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(payload).replace('"NUMBER"', number))
+    assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "finite")
 
 
 @pytest.mark.parametrize("tolerance", ["1e-9", "1e-300"])

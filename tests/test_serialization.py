@@ -5,8 +5,7 @@ import pytest
 from boolefock import jsonutil, sampling
 from boolefock.algebra import VACUUM, BooleanElement, FockVector
 from boolefock.fock import FinitePermutation, TestAlgebraElement
-from boolefock.states import BooleanState, TraceClassOperator
-from boolefock.tail import PhiState
+from boolefock.states import BooleanState
 from boolefock.verify import check_boolean_relations
 
 
@@ -63,16 +62,6 @@ def test_state_roundtrip():
         assert roundtrip(state, BooleanState) == state
 
 
-def test_phi_roundtrip():
-    assert roundtrip(PhiState.singular(), PhiState) == PhiState.singular()
-    rng = random.Random(55)
-    frame = sampling.orthonormal_site_frame(rng, range(1, 7), 2)
-    phi = PhiState.normal(TraceClassOperator(((0.5, frame[0]), (0.5, frame[1]))))
-    assert roundtrip(phi, PhiState) == phi
-    with pytest.raises(ValueError):
-        PhiState.from_json({"kind": "mystery"})
-
-
 def test_check_report_schema_roundtrips_through_parser():
     report = check_boolean_relations(n_samples=20, seed=56)
     payload = jsonutil.loads(jsonutil.dumps(report.to_json()))
@@ -98,3 +87,16 @@ def test_float_formatting_is_roundtrip_exact():
     for _ in range(200):
         x = rng.uniform(-1, 1) * 10 ** rng.randint(-12, 3)
         assert float(jsonutil.format_float(x)) == x
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_loads_rejects_non_finite_numbers(literal):
+    # even where no reader would look at the value
+    with pytest.raises(ValueError, match="finite"):
+        jsonutil.loads('{"unread": [%s]}' % literal)
+
+
+def test_loads_keeps_integers():
+    big = 10**400
+    assert jsonutil.loads("[3, %d, 0.5]" % big) == [3, big, 0.5]
+    assert [type(x) for x in jsonutil.loads("[3, 1.0]")] == [int, float]

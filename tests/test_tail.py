@@ -168,10 +168,8 @@ def test_preserving_phi_examples():
 
 
 def test_saved_site_only_phi_matches_preserving_phi():
-    # the form in which reports stored preserving_phi(t) for this t
-    saved = PhiState.from_json(
-        {"kind": "normal", "S": {"eigenpairs": [{"weight": 1.0, "vector": {"2": [1.0, 0.0]}}]}}
-    )
+    # the site-only density in which older reports stored preserving_phi(t) for this t
+    saved = PhiState.normal(TraceClassOperator.rank_one(site_vector(2)))
     t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
     phi = preserving_phi(t)
     rng = random.Random(61)

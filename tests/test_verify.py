@@ -347,7 +347,6 @@ def pairwise_check_identically_distributed(
                     "site_i": i,
                     "site_k": k,
                     "element": a.to_json(),
-                    "phi": phi.to_json(),
                     "lhs": lhs.to_json(),
                     "rhs": rhs.to_json(),
                 },
@@ -425,7 +424,6 @@ def reference_check_pair_independence(
                 "sites_y": list(block_y),
                 "x": x.to_json(),
                 "y": y.to_json(),
-                "phi": phi.to_json(),
                 "lhs": encode_complex(lhs),
                 "rhs": encode_complex(rhs),
             },
@@ -631,3 +629,30 @@ def test_replay_witness_not_posed_on_the_other_branch():
     for state, witness in swapped:
         replayed = replay_witness(state, witness, CHECK_TOL)
         assert replayed == (None, None, False), witness["kind"]
+
+
+def test_witness_fields_of_every_kind():
+    # the fields each checker stores, in order; phi is read from the state
+    fields = {
+        "exchangeability": ["kind", "word", "permutation", "lhs", "rhs"],
+        "identical_distribution": ["kind", "site_i", "site_k", "element", "lhs", "rhs"],
+        "pair_independence": ["kind", "sites_x", "sites_y", "x", "y", "lhs", "rhs"],
+        "nfold_factorization": ["kind", "blocks", "factors", "step", "lhs", "rhs"],
+        "expectation_ratio": ["kind", "ratio", "element"],
+    }
+    found = stored_witnesses()
+    assert {w["kind"] for _, w in found} == set(fields)
+    for _, witness in found:
+        assert list(witness) == fields[witness["kind"]]
+
+
+def test_replay_ratio_witness_on_a_state_with_gamma_zero():
+    # gamma = 0 makes the state expected whatever T is, so the contraction
+    # ratio of the same T is not posed
+    state = nonexpected()
+    infinity = BooleanState(0.0, state.density)
+    assert classify_definetti(infinity, seed=5).expected
+    ratio = classify_definetti(state, seed=5).reports[-1].witness
+    assert ratio["kind"] == "expectation_ratio"
+    assert replay_witness(state, ratio, CHECK_TOL) == (ratio["ratio"], ratio["ratio"], True)
+    assert replay_witness(infinity, ratio, CHECK_TOL) == (None, None, False)
