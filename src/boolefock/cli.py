@@ -61,8 +61,8 @@ class RunConfig:
             raise ValueError(f"samples must be at least 1, got {self.n_samples!r}")
         if self.max_word_len < 1:
             raise ValueError(f"max word length must be at least 1, got {self.max_word_len!r}")
-        if self.max_rank < 1:
-            raise ValueError(f"max rank must be at least 1, got {self.max_rank!r}")
+        if not 1 <= self.max_rank <= len(sampling.SITE_POOL):
+            raise ValueError(f"max rank must be between 1 and {len(sampling.SITE_POOL)}, got {self.max_rank!r}")
         if self.output_format not in ("json", "csv", "human"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -348,18 +348,17 @@ def cmd_replay(args, config: RunConfig) -> int:
                     "rhs": None if rhs is None else abs(rhs),
                     "reproduced": ok,
                 })
-        reproduced = all(row["reproduced"] for row in rows)
-        table = {"config": config.to_json(), "rows": rows, "all_reproduced": reproduced}
-        header = ("report", "kind", "lhs", "rhs", "reproduced")
-        human = lambda: [
-            f"{row['report']} [{row['kind']}]: lhs={_cell(row['lhs'])} rhs={_cell(row['rhs'])} "
-            f"{'reproduced' if row['reproduced'] else 'NOT reproduced'}"
-            for row in rows
-        ] or ["no witnesses stored in this report"]
-        # inside the try: a non-finite side from the payload fails to render
-        _write_report(args, config, table, header, rows, human)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"malformed witness payload: {exc}") from None
+    reproduced = all(row["reproduced"] for row in rows)
+    table = {"config": config.to_json(), "rows": rows, "all_reproduced": reproduced}
+    header = ("report", "kind", "lhs", "rhs", "reproduced")
+    human = lambda: [
+        f"{row['report']} [{row['kind']}]: lhs={_cell(row['lhs'])} rhs={_cell(row['rhs'])} "
+        f"{'reproduced' if row['reproduced'] else 'NOT reproduced'}"
+        for row in rows
+    ] or ["no witnesses stored in this report"]
+    _write_report(args, config, table, header, rows, human)
     return 0 if reproduced else 1
 
 

@@ -27,9 +27,11 @@ def decode_complex(obj: Any) -> complex:
 
 def decode_float(obj: Any) -> float:
     """A JSON number as a finite float: not a boolean, NaN or an infinity,
-    and not an integer too large for a float."""
+    and not an integer too large for a float.  The message shows at most
+    40 characters of the rejected value."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {obj!r}")
+        text = repr(obj)
+        raise ValueError(f"expected a finite number, got {text if len(text) <= 40 else text[:37] + '...'}")
     return float(obj)
 
 

@@ -77,7 +77,8 @@ class TailElement:
         return BooleanElement(entries, self.y)
 
     def max_diff(self, other: "TailElement") -> float:
-        return max(abs(self.x - other.x), abs(self.y - other.y))
+        dx, dy = abs(self.x - other.x), abs(self.y - other.y)
+        return dx if dx > dy or dx != dx else dy  # a NaN in either one is returned
 
     def to_json(self) -> dict:
         from .jsonutil import encode_complex

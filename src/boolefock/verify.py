@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import oracle, sampling
@@ -293,40 +293,29 @@ def nfold_telescoping_lines(
     factors: Sequence[BooleanElement],
     engine: Engine = SPARSE_ENGINE,
 ) -> List[Tuple[str, complex]]:
-    """Every line of the telescoped n-fold factorization, in order.
+    """The n lines of the telescoped n-fold factorization, in order.
 
-    With ``F`` the conditional expectation, ``s_t = x_{t+1} ... x_n``,
-    ``h_1 = x_1`` and ``h_{t+1} = F(h_t) x_{t+1}``, the 3n - 4 lines are
-    ``product`` psi(x_1 ... x_n), then for t = 1 .. n-1
-    ``stage{t}_factorized`` psi(F(h_t) F(s_t)) (pair factorization),
-    ``stage{t}_bimodule`` psi(F(x_1) ... F(x_t) F(s_t)) for t >= 2, and
-    ``stage{t}_preserved`` psi(F(F(h_t) s_t)) for t <= n-2 (state
-    preservation).  The last line, psi(F(x_1) ... F(x_n)), is labelled
-    ``fully_factored``, so two factors give the pair identity.  All lines
-    are equal when the state is conditionally independent over the tail
-    algebra.  Each product and expectation is computed once.
+    With ``F`` the conditional expectation and ``s_t = x_{t+1} ... x_n``,
+    the lines are ``product`` psi(x_1 ... x_n), then for t = 1 .. n-1
+    ``stage{t}_factorized`` psi(F(x_1) ... F(x_t) F(s_t)), the last
+    labelled ``fully_factored``; two factors give the pair identity.  Stage
+    t factorizes the pair ``F(x_1) ... F(x_{t-1}) x_t``, ``s_t`` of stage
+    t-1, whose head has expectation F(x_1) ... F(x_t) by the bimodule
+    property.  All lines are equal when the state is conditionally
+    independent over the tail algebra.  Each product and expectation is
+    computed once.
     """
     ev = lambda el: engine.evaluate(state, el)
     ex = lambda el: engine.cond_expect(phi, el)
     n = len(factors)
     if n < 2:
         raise ValueError("n-fold factorization needs at least two blocks")
-    # suffixes[t - 1] is s_t, built right to left
-    suffixes = [factors[-1]]
-    for factor in reversed(factors[1:-1]):
-        suffixes.insert(0, engine.mul(factor, suffixes[0]))
-    lines: List[Tuple[str, complex]] = [("product", ev(engine.mul(factors[0], suffixes[0])))]
-    head_exp = marginals = ex(factors[0])
-    for t, suffix in enumerate(suffixes, start=1):
-        suffix_exp = ex(suffix).embed()
-        lines.append((f"stage{t}_factorized", ev(engine.mul(head_exp.embed(), suffix_exp))))
-        if t > 1:
-            lines.append((f"stage{t}_bimodule", ev(engine.mul(marginals.embed(), suffix_exp))))
-        if t < n - 1:
-            absorbed = engine.mul(head_exp.embed(), suffix)
-            lines.append((f"stage{t}_preserved", ev(ex(absorbed).embed())))
-            head_exp = ex(engine.mul(head_exp.embed(), factors[t]))
-            marginals = marginals * ex(factors[t])
+    # s_1 .. s_{n-1}, built right to left, and F(x_1) ... F(x_t) for t < n
+    suffixes = list(accumulate(reversed(factors[1:]), lambda s, x: engine.mul(x, s)))[::-1]
+    heads = accumulate((ex(x) for x in factors[:-1]), lambda head, fx: head * fx)
+    lines = [("product", ev(engine.mul(factors[0], suffixes[0])))]
+    for t, (head, suffix) in enumerate(zip(heads, suffixes), start=1):
+        lines.append((f"stage{t}_factorized", ev(engine.mul(head.embed(), ex(suffix).embed()))))
     lines[-1] = ("fully_factored", lines[-1][1])
     return lines
 
@@ -440,14 +429,13 @@ def classify_definetti(
         iid = ident.passed and pair.passed
     else:
         found = _state_ratio(state)
-        # The contraction identity is phi-free; record how well the
-        # witness reproduces it under both implemented families.
-        psi_x = engine.evaluate(BooleanState(1.0, state.density), found.element)
-        dev = 0.0
-        for phi in (PhiState.singular(), PhiState.normal(state.density)):
-            fx = engine.cond_expect(phi, found.element)
-            lhs = engine.evaluate(BooleanState(1.0, state.density), fx.embed())
-            dev = max(dev, abs(lhs - found.ratio * psi_x))
+        # Record how well the witness reproduces the contraction identity.
+        # Its element X has Q X Q = 0, so F_phi(X) is the same for every
+        # phi, and the singular phi stands for all of them.
+        psi_t = BooleanState(1.0, state.density)
+        fx = engine.cond_expect(PhiState.singular(), found.element)
+        lhs = engine.evaluate(psi_t, fx.embed())
+        dev = abs(lhs - found.ratio * engine.evaluate(psi_t, found.element))
         reports.append(
             CheckReport(
                 "preserving_expectation_exists",
@@ -530,7 +518,7 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     recomputed ratio matches it within ``tol``.  A witness that ``state``
     cannot pose (a tail identity on a state that is not expected, a
     contraction ratio on one that is) does not reproduce; its sides are
-    ``None``.
+    ``None``.  Sides that overflow to a non-finite value raise ``ValueError``.
     """
     kind = witness.get("kind")
     replay = _REPLAYS.get(kind) if isinstance(kind, str) else None
@@ -538,8 +526,13 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
         raise ValueError(f"unknown witness kind {kind!r}")
     try:
         lhs, rhs, deviation = replay(state, witness)
+        finite = all(math.isfinite(abs(value)) for value in (lhs, rhs, deviation))
     except DecisionError:
         return None, None, False
+    except OverflowError:  # a complex value with finite parts and too large a magnitude
+        finite = False
+    if not finite:
+        raise ValueError(f"the {kind} witness does not recompute to finite values")
     reproduced = deviation <= tol if kind == "expectation_ratio" else deviation > tol
     return lhs, rhs, reproduced
 

@@ -10,6 +10,8 @@ from boolefock import jsonutil
 from boolefock.algebra import FockVector, site_vector, vacuum_vector
 from boolefock.cli import SWEEP_CSV_HEADER, main
 from boolefock.states import BooleanState, TraceClassOperator, vacuum_state
+from boolefock.tail import preserving_phi
+from boolefock.verify import check_nfold_factorization
 
 
 def write_state(tmp_path, state, name="state.json"):
@@ -246,6 +248,16 @@ def test_sweep_csv_header_and_exit(tmp_path, capsys):
     assert len(lines) == 16
 
 
+def test_sweep_rank_is_limited_by_the_site_pool(capsys):
+    # the sampled densities live on the 8-site pool, which holds at most
+    # eight orthonormal site vectors
+    argv = ["sweep", "--seed", "1", "--samples", "10", "--format", "csv"]
+    code, out, err = run(capsys, argv + ["--max-rank", "8"])
+    assert (code, err, len(out.splitlines())) == (0, "", 11)
+    for rank in ("9", "0"):
+        assert_rejected(run(capsys, argv + ["--max-rank", rank]), "max rank")
+
+
 @pytest.mark.parametrize("tolerance", ["1e-9", "1e-17"])
 def test_sweep_formats_render_the_json_table(capsys, tolerance):
     outs = run_formats(capsys, ["sweep", "--seed", "3", "--samples", "12", "--tolerance", tolerance])
@@ -467,7 +479,9 @@ def test_classify_rejects_non_finite_number(tmp_path, capsys, field, number):
     )
     path = tmp_path / "state.json"
     path.write_text(text % values)
-    assert_rejected(run(capsys, ["classify", "--state", str(path)]), "finite")
+    result = run(capsys, ["classify", "--state", str(path)])
+    assert_rejected(result, "finite")
+    assert len(result[2].strip()) < 120  # the rejected value is shortened
 
 
 @NON_FINITE_NUMBERS
@@ -482,7 +496,37 @@ def test_replay_rejects_non_finite_number(tmp_path, capsys, kind, number):
         witness["ratio"] = "NUMBER"
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(payload).replace('"NUMBER"', number))
-    assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "finite")
+    result = run(capsys, ["replay", "--witness", str(path)])
+    assert_rejected(result, "finite")
+    assert len(result[2].strip()) < 120
+
+
+@pytest.mark.parametrize("d, length", [([1e300, 0.0], 2), ([1.5e308, 1.5e308], 1)], ids=["inf", "magnitude"])
+def test_replay_rejects_a_witness_that_overflows(tmp_path, capsys, d, length):
+    # finite amplitudes whose moment overflows, or whose moment has finite
+    # parts but too large a magnitude: the message names the witness
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    payload = json.loads(saved_report(tmp_path, capsys, state).read_text())
+    witness = next(r["witness"] for r in payload["reports"] if r["name"] == "exchangeability")
+    huge = {"a": d, "b": [0.0, 0.0], "c": [0.0, 0.0], "d": d, "beta": [0.0, 0.0]}
+    witness["word"] = [[1, huge]] * length
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(payload))
+    assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "exchangeability witness")
+
+
+def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys):
+    # the n-fold chain once had stage{t}_preserved lines; a witness naming
+    # one is malformed
+    state = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, site_vector(3)))))
+    witness = check_nfold_factorization(state, preserving_phi(state.density), n=3, seed=1).witness
+    path = tmp_path / "nfold.json"
+    for step, code in ((witness["step"], 0), ("stage1_factorized -> stage1_preserved", 2)):
+        report = {"name": "nfold_factorization", "witness": dict(witness, step=step)}
+        path.write_text(jsonutil.dumps({"state": state.to_json(), "reports": [report]}))
+        result = run(capsys, ["replay", "--witness", str(path)])
+        assert result[0] == code, result
+    assert_rejected(result, "stage1_preserved")
 
 
 @pytest.mark.parametrize("tolerance", ["1e-9", "1e-300"])
