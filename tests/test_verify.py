@@ -419,11 +419,10 @@ def reference_check_pair_independence(
         rec.record(
             abs(lhs - rhs),
             lambda: {
-                "kind": "pair_independence",
-                "sites_x": list(block_x),
-                "sites_y": list(block_y),
-                "x": x.to_json(),
-                "y": y.to_json(),
+                "kind": "nfold_factorization",
+                "blocks": [list(block_x), list(block_y)],
+                "factors": [x.to_json(), y.to_json()],
+                "step": "product -> fully_factored",
                 "lhs": encode_complex(lhs),
                 "rhs": encode_complex(rhs),
             },
@@ -615,6 +614,29 @@ def test_classify_large_support_matches_closed_form():
         )
 
 
+def legacy_pair_witness(witness):
+    """A two-factor n-fold witness in the form older reports stored for
+    pair independence."""
+    (sites_x, sites_y), (x, y) = witness["blocks"], witness["factors"]
+    return {
+        "kind": "pair_independence",
+        "sites_x": sites_x,
+        "sites_y": sites_y,
+        "x": x,
+        "y": y,
+        "lhs": witness["lhs"],
+        "rhs": witness["rhs"],
+    }
+
+
+def replayable_witnesses():
+    """The stored witnesses, and each pair witness in its older form too."""
+    found = stored_witnesses()
+    pairs = [(s, w) for s, w in found if w["kind"] == "nfold_factorization" and len(w["factors"]) == 2]
+    assert pairs
+    return found + [(state, legacy_pair_witness(witness)) for state, witness in pairs]
+
+
 def stored_witnesses():
     """``(state, witness)`` for every witness kind a checker stores."""
     dependent = expected_dependent()
@@ -626,7 +648,7 @@ def stored_witnesses():
 
 
 def test_replay_witness_reproduces_every_kind():
-    found = stored_witnesses()
+    found = replayable_witnesses()
     assert {w["kind"] for _, w in found} == {
         "exchangeability",
         "identical_distribution",
@@ -648,7 +670,7 @@ def test_replay_witness_reproduces_every_kind():
 
 def test_replay_witness_not_reproduced():
     # the sides agree on the vacuum, and a stored ratio no longer matches
-    found = dict((w["kind"], (s, w)) for s, w in stored_witnesses())
+    found = dict((w["kind"], (s, w)) for s, w in replayable_witnesses())
     for kind in ("exchangeability", "pair_independence", "nfold_factorization"):
         _, witness = found[kind]
         lhs, rhs, reproduced = replay_witness(vacuum_state(), witness, CHECK_TOL)
@@ -687,7 +709,7 @@ def test_replay_witness_not_posed_on_the_other_branch():
     # tail identities on a state that is not expected, a contraction ratio
     # on an expected one: the state raises DecisionError, and the witness
     # does not reproduce
-    found = dict((w["kind"], w) for _, w in stored_witnesses())
+    found = dict((w["kind"], w) for _, w in replayable_witnesses())
     tail_kinds = ("identical_distribution", "pair_independence", "nfold_factorization")
     swapped = [(rotated_nonexpected(), found[kind]) for kind in tail_kinds]
     ratio = classify_definetti(rotated_nonexpected(), seed=5).reports[-1].witness
@@ -702,7 +724,6 @@ def test_witness_fields_of_every_kind():
     fields = {
         "exchangeability": ["kind", "word", "permutation", "lhs", "rhs"],
         "identical_distribution": ["kind", "site_i", "site_k", "element", "lhs", "rhs"],
-        "pair_independence": ["kind", "sites_x", "sites_y", "x", "y", "lhs", "rhs"],
         "nfold_factorization": ["kind", "blocks", "factors", "step", "lhs", "rhs"],
         "expectation_ratio": ["kind", "ratio", "element"],
     }
@@ -710,6 +731,12 @@ def test_witness_fields_of_every_kind():
     assert {w["kind"] for _, w in found} == set(fields)
     for _, witness in found:
         assert list(witness) == fields[witness["kind"]]
+    # the pair check stores the two-block n-fold witness
+    pair = classify_definetti(expected_dependent(), seed=14).reports[-1]
+    assert pair.name == "pair_independence"
+    assert pair.witness["kind"] == "nfold_factorization"
+    assert len(pair.witness["blocks"]) == len(pair.witness["factors"]) == 2
+    assert pair.witness["step"] == "product -> fully_factored"
 
 
 def test_replay_ratio_witness_on_a_state_with_gamma_zero():
