@@ -154,4 +154,5 @@ def dense_cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     q[pos[VACUUM], pos[VACUUM]] = 0
     corner = q @ dense_compact(x, basis) @ q
     s = q @ dense_density(phi.density, basis) @ q
-    return TailElement(vac, complex(np.trace(s @ corner)) / np.trace(s).real + x.scalar)
+    mass = np.trace(s).real + phi.singular_weight
+    return TailElement(vac, complex(np.trace(s @ corner)) / mass + x.scalar)

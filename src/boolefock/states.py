@@ -148,6 +148,11 @@ class TraceClassOperator:
     def vacuum_weight(self) -> float:
         return sum(w * abs(xi.vacuum_amp) ** 2 for w, xi in self.eigenpairs)
 
+    def site_weight(self) -> float:
+        """``Tr(Q T Q)``, summed from the site amplitudes: ``1 - w`` cancels
+        to zero for a density within rounding of the vacuum."""
+        return sum(w * sum(abs(a) ** 2 for a in xi.wave.values()) for w, xi in self.eigenpairs)
+
     def site_support(self) -> Tuple[int, ...]:
         return tuple(sorted(ix for ix in self._live if ix != VACUUM))
 
@@ -191,6 +196,10 @@ class BooleanState:
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {g!r}")
         object.__setattr__(self, "gamma", g)
+
+    def corner_weight(self) -> float:
+        """The state's value on ``I - P``, ``gamma * Tr(Q T Q) + 1 - gamma``."""
+        return self.gamma * self.density.site_weight() + (1.0 - self.gamma)
 
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "T": self.density.to_json()}

@@ -10,11 +10,11 @@ coordinatewise product.  Every conditional expectation onto it has the form
 for a state ``phi`` on the bounded operators over the sites (``Q = I - P``).
 Two computable families of ``phi`` are provided: ``normal`` states, the
 normalised site corner ``phi(Y) = Tr(Q S Q Y) / Tr(Q S Q)`` of a finite-rank
-density ``S`` with positive site weight ``Tr(Q S Q) = 1 - <S e_#, e_#>``, and
-the ``singular`` family that factors through the quotient by the compacts
-and therefore reads off the identity coefficient alone.  When the vacuum is
-an eigenvector of ``T`` the preserving ``phi`` is the site corner of ``T``
-itself.
+density ``S`` with positive site weight ``Tr(Q S Q) = 1 - <S e_#, e_#>``,
+optionally mixed with the ``singular`` family, which factors through the
+quotient by the compacts and so reads off the identity coefficient alone.
+The ``phi`` preserving ``gamma * psi_T + (1 - gamma) * omega_inf`` mixes the
+site corner of ``T`` and the singular state as ``gamma * Tr(Q T Q) : 1 - gamma``.
 
 Whether some ``F_phi`` preserves the trace state of a density ``T`` is
 decidable: it happens exactly when the vacuum vector is an eigenvector of
@@ -90,15 +90,16 @@ class TailElement:
 class PhiState:
     """A state on the bounded operators over the sites.
 
-    ``normal`` is the normalised site corner of a finite-rank density
-    ``S``, ``phi(Y) = Tr(Q S Q Y) / Tr(Q S Q)``; any density with positive
-    site weight ``Tr(Q S Q)`` qualifies, and a density supported on the
-    sites only has site weight one.  ``singular`` vanishes on every compact
-    and returns the identity coefficient.
+    ``normal`` is the site corner of a finite-rank density ``S`` with
+    positive site weight, mixed with a singular weight ``mu`` (default 0):
+    ``phi(Y) = (Tr(Q S Q Y) + mu * s) / (Tr(Q S Q) + mu)`` for ``Y = A + s*I``.
+    A density supported on the sites only has site weight one.
+    ``singular`` vanishes on every compact and returns the identity coefficient.
     """
 
     kind: str
     density: Optional[TraceClassOperator] = None
+    singular_weight: float = 0.0
     site_weight: Optional[float] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -110,14 +111,11 @@ class PhiState:
         else:
             if self.density is None:
                 raise ValueError("a normal phi requires a density")
-            # summed from the site amplitudes rather than as 1 - w, which
-            # cancels to zero for a density within rounding of the vacuum
-            site_weight = sum(
-                w * sum(abs(a) ** 2 for a in xi.wave.values())
-                for w, xi in self.density.eigenpairs
-            )
-            if site_weight <= 0:
-                raise ValueError("a normal phi density must have positive site weight")
+            site_weight = self.density.site_weight()
+            if not (site_weight > 0 and self.singular_weight >= 0):
+                raise ValueError(
+                    "a normal phi needs positive site weight and a nonnegative singular weight"
+                )
             object.__setattr__(self, "site_weight", site_weight)
 
     @classmethod
@@ -125,8 +123,8 @@ class PhiState:
         return cls("singular")
 
     @classmethod
-    def normal(cls, density: TraceClassOperator) -> "PhiState":
-        return cls("normal", density)
+    def normal(cls, density: TraceClassOperator, singular_weight: float = 0.0) -> "PhiState":
+        return cls("normal", density, singular_weight)
 
     def corner_value(self, x: BooleanElement) -> complex:
         """``phi(Q X Q)`` for ``Q = I - eps(#,#)``.
@@ -140,7 +138,7 @@ class PhiState:
         for (m, n), amp in x.compact.items():
             if m != VACUUM and n != VACUUM:
                 total += amp * self.density.entry(n, m)
-        return total / self.site_weight + x.scalar
+        return total / (self.site_weight + self.singular_weight) + x.scalar
 
 
 def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
@@ -176,13 +174,18 @@ def is_expected(t: TraceClassOperator, tol: float = DEFAULT_TOL) -> bool:
     return residual <= tol
 
 
-def preserving_phi(t: TraceClassOperator, tol: float = DEFAULT_TOL) -> PhiState:
-    """Build a ``phi`` whose conditional expectation preserves the trace state.
+def preserving_phi(t: TraceClassOperator, tol: float = DEFAULT_TOL, gamma: float = 1.0) -> PhiState:
+    """Build a ``phi`` whose conditional expectation preserves the state
+    ``gamma * psi_T + (1 - gamma) * omega_inf``.
 
-    For vacuum weight 1 the state is the vacuum state and every
-    conditional expectation preserves it; the singular phi is returned by
-    convention.  Otherwise ``phi`` is the normalised site corner of ``t``.
+    For gamma 0 or vacuum weight 1 every conditional expectation preserves
+    the state; the singular phi is returned by convention.  Otherwise
+    ``phi(Q X Q) = gamma * Tr(Q T Q A) / N + s`` for ``X = A + s*I``, with
+    ``N = gamma * Tr(Q T Q) + 1 - gamma`` the state's weight on ``I - P``:
+    the site corner of ``t`` with singular weight ``(1 - gamma) / gamma``.
     """
+    if gamma == 0.0:
+        return PhiState.singular()
     if not is_expected(t, tol):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
@@ -190,7 +193,7 @@ def preserving_phi(t: TraceClassOperator, tol: float = DEFAULT_TOL) -> PhiState:
         )
     if t.vacuum_weight() >= 1.0 - tol:
         return PhiState.singular()
-    return PhiState.normal(t)
+    return PhiState.normal(t, (1.0 - gamma) / gamma)
 
 
 @dataclass(frozen=True)

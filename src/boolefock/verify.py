@@ -212,25 +212,28 @@ def check_identically_distributed(
     state: BooleanState,
     phi: PhiState,
     sample_elements: Optional[Sequence[TestAlgebraElement]] = None,
-    index_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     seed: int = 0,
     tol: float = CHECK_TOL,
     engine: Engine = SPARSE_ENGINE,
 ) -> CheckReport:
-    """Check that the conditioned one-site marginals do not depend on the site."""
+    """Check that the conditioned one-site marginals do not depend on the site.
+
+    Each deviation is weighted by the state's mass on the site corner,
+    ``psi(I - P)``, so that it is measured in the state's units rather
+    than in ``phi``'s.
+    """
     rng = random.Random(seed)
     pool = site_pool(state)
     if sample_elements is None:
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(8)
         ]
-    if index_pairs is None:
-        index_pairs = list(combinations(pool, 2))
-    sites = list(dict.fromkeys(s for pair in index_pairs for s in pair))
+    pairs = list(combinations(pool, 2))
+    weight = state.corner_weight()
     rec = _Recorder(tol)
 
     def witness(a, marginals, n):
-        i, k = index_pairs[n]
+        i, k = pairs[n]
         return {
             "kind": "identical_distribution",
             "site_i": i,
@@ -241,9 +244,9 @@ def check_identically_distributed(
         }
 
     for a in sample_elements:
-        marginals = {s: engine.cond_expect(phi, embed(s, a)) for s in sites}
+        marginals = {s: engine.cond_expect(phi, embed(s, a)) for s in pool}
         rec.record_all(
-            [marginals[i].max_diff(marginals[k]) for i, k in index_pairs],
+            [weight * marginals[i].max_diff(marginals[k]) for i, k in pairs],
             lambda n: witness(a, marginals, n),
         )
     return rec.report("identical_distribution")
@@ -357,9 +360,9 @@ class Classification:
 
 
 def _state_phi(state: BooleanState) -> PhiState:
-    """The ``phi`` the tail checkers condition ``state`` on; raises
-    ``DecisionError`` when the state is not expected."""
-    return PhiState.singular() if state.gamma == 0.0 else preserving_phi(state.density)
+    """The ``phi`` whose expectation preserves ``state``, for the tail
+    checkers; raises ``DecisionError`` when the state is not expected."""
+    return preserving_phi(state.density, gamma=state.gamma)
 
 
 def _state_ratio(state: BooleanState) -> RatioWitness:
@@ -457,7 +460,7 @@ def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
     phi = _state_phi(state)
     lhs = cond_expect(phi, embed(witness["site_i"], element))
     rhs = cond_expect(phi, embed(witness["site_k"], element))
-    return lhs.x + lhs.y, rhs.x + rhs.y, lhs.max_diff(rhs)
+    return lhs.x + lhs.y, rhs.x + rhs.y, state.corner_weight() * lhs.max_diff(rhs)
 
 
 def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:

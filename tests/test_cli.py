@@ -518,8 +518,10 @@ def test_replay_rejects_a_witness_that_overflows(tmp_path, capsys, d, length):
 def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys):
     # the n-fold chain once had stage{t}_preserved lines; a witness naming
     # one is malformed
-    state = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, site_vector(3)))))
-    witness = check_nfold_factorization(state, preserving_phi(state.density), n=3, seed=1).witness
+    xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
+    state = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
+    phi = preserving_phi(state.density, gamma=state.gamma)
+    witness = check_nfold_factorization(state, phi, n=3, seed=1).witness
     path = tmp_path / "nfold.json"
     for step, code in ((witness["step"], 0), ("stage1_factorized -> stage1_preserved", 2)):
         report = {"name": "nfold_factorization", "witness": dict(witness, step=step)}
@@ -619,3 +621,30 @@ def test_cli_imports_no_checker_math():
             modules += [f"{base}.{a.name}" for a in node.names] if base == "boolefock" else [base]
     imported = {m.split(".")[1] for m in modules if m.startswith("boolefock.")}
     assert imported <= {"jsonutil", "sampling", "states", "verify"}, imported
+
+
+def test_replay_keeps_the_kind_of_a_saved_pair_witness(tmp_path, capsys):
+    # older reports stored the pair witness as sites_x, sites_y, x and y; it
+    # replays to the same sides as the two-block n-fold witness now stored
+    xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
+    state = BooleanState(1.0, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
+    path = saved_report(tmp_path, capsys, state)
+    code, out, _ = run(capsys, ["replay", "--witness", str(path)])
+    payload = json.loads(path.read_text())
+    report = next(r for r in payload["reports"] if r["name"] == "pair_independence")
+    witness = report["witness"]
+    (sites_x, sites_y), (x, y) = witness["blocks"], witness["factors"]
+    report["witness"] = {
+        "kind": "pair_independence",
+        "sites_x": sites_x,
+        "sites_y": sites_y,
+        "x": x,
+        "y": y,
+        "lhs": witness["lhs"],
+        "rhs": witness["rhs"],
+    }
+    path.write_text(jsonutil.dumps(payload))
+    line = "pair_independence [nfold_factorization]: "
+    assert code == 0 and line in out
+    saved = out.replace(line, "pair_independence [pair_independence]: ")
+    assert run(capsys, ["replay", "--witness", str(path)]) == (0, saved, "")

@@ -26,7 +26,7 @@ from boolefock.tail import (
     preserving_cond_expect,
     preserving_phi,
 )
-from boolefock import sampling
+from boolefock import oracle, sampling
 
 
 def normal_phi(*sites):
@@ -190,6 +190,39 @@ def test_preserving_phi_preservation_identity():
             x = sampling.boolean_element(rng, sites=range(1, 9))
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+def test_preserving_phi_preserves_the_mixed_state(gamma):
+    # F_phi preserves gamma * psi_T + (1 - gamma) * omega_inf, in both engines
+    rng = random.Random(36)
+    for trial in range(20):
+        rank = rng.randint(2, 4)
+        vac_w = rng.uniform(0.1, 0.8) if trial % 2 else None
+        t = sampling.expected_density(rng, rank, range(1, 7), vacuum_weight=vac_w)
+        phi = preserving_phi(t, gamma=gamma)
+        assert phi.singular_weight == (1 - gamma) / gamma
+        state = BooleanState(gamma, t)
+        for _ in range(30):
+            x = sampling.boolean_element(rng, sites=range(1, 9))
+            for fx in (cond_expect(phi, x), oracle.dense_cond_expect(phi, x)):
+                assert abs(evaluate(state, fx.embed()) - evaluate(state, x)) <= 1e-13
+
+
+def test_preserving_phi_corner_weight_example():
+    # T = 0.7 |e_#><e_#| + 0.3 |e_1><e_1|: the site corner of T alone moves
+    # the state for gamma < 1, the mixed phi does not
+    t = TraceClassOperator(((0.7, vacuum_vector()), (0.3, site_vector(1))))
+    state = BooleanState(0.5, t)
+    x = matrix_unit(1, 1)
+    assert evaluate(state, x) == 0.15
+    assert abs(evaluate(state, cond_expect(PhiState.normal(t), x).embed()) - 0.15) > 0.4
+    assert abs(evaluate(state, cond_expect(preserving_phi(t, gamma=0.5), x).embed()) - 0.15) <= 1e-16
+    assert preserving_phi(t, gamma=0.0) == PhiState.singular()
+    assert preserving_phi(TraceClassOperator.vacuum_projection(), gamma=0.5) == PhiState.singular()
+    assert state.corner_weight() == 0.5 * 0.3 + 0.5
+    with pytest.raises(ValueError, match="nonnegative singular weight"):
+        PhiState.normal(t, math.nan)
 
 
 def test_counterexample_ratio_frozen_instance():

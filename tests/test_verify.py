@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from boolefock.algebra import FockVector, site_vector, vacuum_vector
+from boolefock.algebra import BooleanElement, FockVector, site_vector, vacuum_vector
 from boolefock.fock import (
     FinitePermutation,
     TestAlgebraElement,
@@ -58,10 +58,23 @@ def nonexpected():
 
 
 def expected_dependent():
-    """Expected and non-symmetric, and pair factorization fails as well."""
+    """Expected and non-symmetric, and pair factorization fails as well:
+    the site part of T is a coherence between sites 2 and 3."""
+    xi = FockVector(0j, {2: 1 / math.sqrt(2), 3: 1 / math.sqrt(2)})
+    return BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
+
+
+def expected_site_three():
+    """Expected and non-symmetric, with a diagonal site part: pair
+    factorization holds under the expectation that preserves the state."""
     return BooleanState(
         0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, site_vector(3))))
     )
+
+
+def state_phi(state):
+    """The ``phi`` whose expectation preserves ``state``."""
+    return preserving_phi(state.density, gamma=state.gamma)
 
 
 def test_exchangeable_symmetric_states_pass():
@@ -104,16 +117,6 @@ def test_identically_distributed_fails_for_expected_nonsymmetric():
     assert report.witness["site_i"] != report.witness["site_k"]
 
 
-def test_identically_distributed_trivial_on_equal_indices():
-    state = expected_nonsymmetric()
-    from boolefock.tail import preserving_phi
-
-    phi = preserving_phi(state.density)
-    report = check_identically_distributed(state, phi, index_pairs=[(3, 3)], seed=6)
-    assert report.passed
-    assert report.max_deviation == 0
-
-
 def test_pair_independence_vacuum_singular():
     report = check_pair_independence(vacuum_state(), PhiState.singular(), n_samples=60, seed=7)
     assert report.passed
@@ -150,7 +153,7 @@ def test_nfold_two_blocks_matches_pair_identity():
     dependent = expected_dependent()
     for state, phi in (
         (vacuum_state(), PhiState.singular()),
-        (dependent, preserving_phi(dependent.density)),
+        (dependent, state_phi(dependent)),
     ):
         x = sampling.block_element(rng, [1, 2])
         y = sampling.block_element(rng, [3])
@@ -319,13 +322,7 @@ def pairwise_check_exchangeable(
 
 
 def pairwise_check_identically_distributed(
-    state,
-    phi,
-    sample_elements=None,
-    index_pairs=None,
-    seed=0,
-    tol=CHECK_TOL,
-    engine=SPARSE_ENGINE,
+    state, phi, sample_elements=None, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
     rng = random.Random(seed)
     pool = site_pool(state)
@@ -333,15 +330,13 @@ def pairwise_check_identically_distributed(
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(8)
         ]
-    if index_pairs is None:
-        index_pairs = list(combinations(pool, 2))
     rec = PairwiseRecorder(tol)
     for a in sample_elements:
-        for i, k in index_pairs:
+        for i, k in combinations(pool, 2):
             lhs = engine.cond_expect(phi, embed(i, a))
             rhs = engine.cond_expect(phi, embed(k, a))
             rec.record(
-                lhs.max_diff(rhs),
+                state.corner_weight() * lhs.max_diff(rhs),
                 lambda: {
                     "kind": "identical_distribution",
                     "site_i": i,
@@ -386,18 +381,6 @@ def test_per_site_checkers_match_pairwise_reference():
                 check_identically_distributed(state, phi, seed=41 + n, engine=engine),
                 pairwise_check_identically_distributed(state, phi, seed=41 + n, engine=engine),
             )
-        # explicit pairs, repeated and reversed, with a failing pair late
-        state = expected_nonsymmetric()
-        phi = preserving_phi(state.density)
-        pairs = [(3, 3), (4, 1), (1, 4), (9, 2), (3, 3), (2, 5)]
-        assert_same_report(
-            check_identically_distributed(
-                state, phi, index_pairs=pairs, seed=51, engine=engine
-            ),
-            pairwise_check_identically_distributed(
-                state, phi, index_pairs=pairs, seed=51, engine=engine
-            ),
-        )
 
 
 def reference_check_pair_independence(
@@ -438,11 +421,11 @@ def test_pair_independence_matches_direct_reference():
         (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
         (nonexpected(), PhiState.normal(nonexpected().density)),
         (wide_state(), preserving_phi(wide_state().density)),
-        (dependent, preserving_phi(dependent.density)),
+        (dependent, state_phi(dependent)),
     ]
     for engine in (SPARSE_ENGINE, DENSE_ENGINE):
         for n, (state, phi) in enumerate(cases):
-            kwargs = {"n_samples": 24, "seed": 71 + n, "engine": engine}
+            kwargs = {"n_samples": 40, "seed": 71 + n, "engine": engine}
             ref = reference_check_pair_independence(state, phi, **kwargs)
             assert_same_report(check_pair_independence(state, phi, **kwargs), ref)
         assert ref.witness is not None
@@ -459,12 +442,11 @@ def test_nan_deviation_fails():
     assert report.witness is not None
     assert (report.witness["site_i"], report.witness["site_k"]) == (1, 2)
 
-    # a NaN after finite deviations, and finite ones after a NaN
+    # a NaN after finite deviations, and finite ones after a NaN; the
+    # coherence probes give equal marginals at every site
     state = expected_nonsymmetric()
-    elements = [PROBE_ELEMENTS[0], TestAlgebraElement(math.nan, 0, 0, 0, 0), PROBE_ELEMENTS[1]]
-    report = check_identically_distributed(
-        state, preserving_phi(state.density), sample_elements=elements, index_pairs=[(1, 3)]
-    )
+    elements = [PROBE_ELEMENTS[1], TestAlgebraElement(math.nan, 0, 0, 0, 0), PROBE_ELEMENTS[2]]
+    report = check_identically_distributed(state, preserving_phi(state.density), sample_elements=elements)
     assert not report.passed
     assert math.isnan(report.max_deviation)
     assert math.isnan(report.witness["element"]["a"][0])
@@ -511,7 +493,7 @@ def chain_labels(n):
 
 def test_nfold_chain_computes_each_quantity_once():
     state = expected_dependent()
-    phi = preserving_phi(state.density)
+    phi = state_phi(state)
     rng = random.Random(65)
     engine, counts = counting_engine(SPARSE_ENGINE)
     for n in range(2, 7):
@@ -566,7 +548,7 @@ def test_nfold_chain_keeps_the_reference_lines_that_can_differ():
     cases = [
         (vacuum_state(), PhiState.singular()),
         (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
-        (dependent, preserving_phi(dependent.density)),
+        (dependent, state_phi(dependent)),
         (wide_state(), preserving_phi(wide_state().density)),
     ]
     rng = random.Random(68)
@@ -614,6 +596,126 @@ def test_classify_large_support_matches_closed_form():
         )
 
 
+def test_pair_check_conditions_on_the_state_preserving_phi():
+    # with gamma < 1 the site corner of T alone does not preserve the
+    # state, and pair factorization failed only because of it
+    state = expected_site_three()
+    assert state_phi(state).singular_weight > 0
+    kwargs = {"n_samples": 24, "seed": 73}
+    assert check_pair_independence(state, state_phi(state), **kwargs).max_deviation <= 1e-13
+    assert not check_pair_independence(state, preserving_phi(state.density), **kwargs).passed
+    dependent = expected_dependent()
+    assert check_pair_independence(dependent, state_phi(dependent), **kwargs).max_deviation > 0.1
+    for state, seed in ((expected_site_three(), 14), (expected_dependent(), 14)):
+        result = classify_definetti(state, seed=seed)
+        assert (result.symmetric, result.expected, result.iid, result.consistent) == (
+            False,
+            True,
+            False,
+            True,
+        )
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+def test_identical_distribution_measures_in_state_units(gamma):
+    # a probe's deviation reads gamma * (d - beta) * (T_ii - T_kk), as the
+    # exchangeability probe's does
+    for t in (expected_nonsymmetric().density, wide_state().density, expected_dependent().density):
+        state = BooleanState(gamma, t)
+        for probe in PROBE_ELEMENTS:
+            values = {i: moment(state, [(i, probe)]) for i in site_pool(state)}
+            widest = max(abs(values[i] - values[k]) for i, k in combinations(values, 2))
+            ident = check_identically_distributed(state, state_phi(state), sample_elements=[probe])
+            assert abs(ident.max_deviation - widest) <= 1e-15, (gamma, probe)
+        ident = check_identically_distributed(state, state_phi(state), sample_elements=PROBE_ELEMENTS)
+        exch = check_exchangeable(state, n_words=0)
+        assert ident.max_deviation > 0.01
+        assert abs(ident.max_deviation - exch.max_deviation) <= 1e-15
+
+
+@pytest.mark.parametrize("delta", [1.5e-10, 3e-10, 5e-10, 6e-10])
+def test_classify_consistent_near_the_vacuum(delta):
+    # T = (1 - delta) |e_#><e_#| + delta |e_1><e_1|: exchangeability deviates
+    # by about 1.37 delta, and so does identical distribution in state units
+    t = TraceClassOperator(((1 - delta, vacuum_vector()), (delta, site_vector(1))))
+    state = BooleanState(1.0, t)
+    result = classify_definetti(state, seed=1)
+    assert (result.symmetric, result.expected, result.iid, result.consistent) == (
+        True,
+        True,
+        True,
+        True,
+    )
+    # the marginals at sites 1 and 2 differ by 1, which is delta in state units
+    witness = {"kind": "identical_distribution", "site_i": 1, "site_k": 2}
+    witness["element"] = PROBE_ELEMENTS[0].to_json()
+    assert replay_witness(state, witness, CHECK_TOL) == (1, 0, False)
+    assert replay_witness(state, witness, delta / 2) == (1, 0, True)
+
+
+def delta_stratum(count=150, seed=90):
+    """``(state, gamma * delta)`` for expected states within ``delta`` of the
+    vacuum: T = (1 - delta) |e_#><e_#| plus a rank-two site part of weight
+    delta over sites 1-4, with delta log-uniform in [1e-13, 1e-3]."""
+    rng = random.Random(seed)
+    for k in range(count):
+        gamma = (1.0, 0.5, 0.1)[k % 3]
+        delta = 10 ** rng.uniform(-13, -3)
+        u, v = sampling.orthonormal_site_frame(rng, range(1, 5), 2)
+        w = rng.uniform(0.1, 0.9)
+        t = TraceClassOperator(((1 - delta, vacuum_vector()), (delta * w, u), (delta * (1 - w), v)))
+        yield BooleanState(gamma, t), gamma * delta
+
+
+def test_classify_matches_theory_on_the_delta_stratum():
+    # theory: symmetric = iid = (gamma * delta <= tol); asserted outside the
+    # decade around the tolerance, where the sampled deviations (a constant
+    # times gamma * delta) cannot straddle it
+    outside = 0
+    for k, (state, scale) in enumerate(delta_stratum()):
+        if abs(math.log10(scale / CHECK_TOL)) <= 1:
+            continue
+        outside += 1
+        result = classify_definetti(state, seed=k)
+        theory = scale <= CHECK_TOL
+        assert (result.symmetric, result.expected, result.iid) == (theory, True, theory), (k, scale)
+    assert outside >= 120
+
+
+def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
+    # the benchmark traces verify.check_pair_independence; classify must reach
+    # it through that name, once for each expected state
+    import boolefock.verify as verify
+
+    calls = []
+    checker = verify.check_pair_independence
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return checker(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_pair_independence", counted)
+    states = [vacuum_state(), expected_nonsymmetric(), nonexpected(), expected_dependent(), infinity_state()]
+    expected = [state for state in states if classify_definetti(state, seed=5).expected]
+    assert calls == expected and len(expected) == 4
+
+
+def test_saved_pair_witness_replays_as_before():
+    # a pair witness in the form older reports stored, on a state with
+    # gamma 1, where the expectation is the one those reports used
+    state = BooleanState(1.0, expected_dependent().density)
+    pair = classify_definetti(state, seed=14).reports[-1].witness
+    saved = legacy_pair_witness(pair)
+    x, y = (BooleanElement.from_json(saved[side]) for side in ("x", "y"))
+    fx, fy = (cond_expect(state_phi(state), f) for f in (x, y))
+    lhs, rhs = evaluate(state, x * y), evaluate(state, fx.embed() * fy.embed())
+    assert (decode_complex(saved["lhs"]), decode_complex(saved["rhs"])) == (lhs, rhs)
+    assert replay_witness(state, saved, CHECK_TOL) == (lhs, rhs, True)
+    assert replay_witness(state, pair, CHECK_TOL) == (lhs, rhs, True)
+    lhs, rhs, reproduced = replay_witness(vacuum_state(), saved, CHECK_TOL)
+    assert not reproduced and abs(lhs - rhs) <= CHECK_TOL
+
+
 def legacy_pair_witness(witness):
     """A two-factor n-fold witness in the form older reports stored for
     pair independence."""
@@ -640,7 +742,7 @@ def replayable_witnesses():
 def stored_witnesses():
     """``(state, witness)`` for every witness kind a checker stores."""
     dependent = expected_dependent()
-    nfold = check_nfold_factorization(dependent, preserving_phi(dependent.density), n=3, seed=1)
+    nfold = check_nfold_factorization(dependent, state_phi(dependent), n=3, seed=1)
     found = [(dependent, nfold.witness)]
     for state, seed in ((dependent, 14), (nonexpected(), 15)):
         found += [(state, r.witness) for r in classify_definetti(state, seed=seed).reports]
