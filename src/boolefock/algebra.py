@@ -194,6 +194,22 @@ class BooleanElement:
         object.__setattr__(self, "compact", cleaned)
         object.__setattr__(self, "scalar", complex(self.scalar))
 
+    @classmethod
+    def _canonical(
+        cls, compact: Dict[Tuple[Index, Index], complex], scalar: complex
+    ) -> "BooleanElement":
+        """Wrap fields that are canonical by construction, skipping the checks.
+
+        ``compact`` must be a fresh dict keyed by valid indices with nonzero
+        ``complex`` amplitudes, and ``scalar`` a ``complex``: what kernel
+        arithmetic on validated elements produces.  Outside input goes
+        through the public constructor or ``from_json``.  The fields go
+        straight into the instance dict, past the frozen ``__setattr__``.
+        """
+        x = object.__new__(cls)
+        x.__dict__.update(compact=compact, scalar=scalar)
+        return x
+
     def entry(self, m: Index, n: Index) -> complex:
         return self.compact.get((m, n), 0j)
 
@@ -208,7 +224,7 @@ class BooleanElement:
         return tuple(ix for ix in self.support_indices() if ix != VACUUM)
 
     def adjoint(self) -> "BooleanElement":
-        return BooleanElement(
+        return BooleanElement._canonical(
             {(n, m): amp.conjugate() for (m, n), amp in self.compact.items()},
             self.scalar.conjugate(),
         )
@@ -232,7 +248,7 @@ class BooleanElement:
         entries = dict(self.compact)
         for key, amp in other.compact.items():
             entries[key] = entries.get(key, 0j) + amp
-        return BooleanElement(_chop_map(entries), self.scalar + other.scalar)
+        return BooleanElement._canonical(_chop_map(entries), self.scalar + other.scalar)
 
     def __sub__(self, other: "BooleanElement") -> "BooleanElement":
         return self + (-1) * other
@@ -256,7 +272,7 @@ class BooleanElement:
             if other.scalar != 0:
                 for key, a in self.compact.items():
                     prod[key] = prod.get(key, 0j) + a * other.scalar
-            return BooleanElement(_chop_map(prod), self.scalar * other.scalar)
+            return BooleanElement._canonical(_chop_map(prod), self.scalar * other.scalar)
         if isinstance(other, (int, float, complex)):
             return self._scaled(other)
         return NotImplemented
@@ -268,7 +284,7 @@ class BooleanElement:
 
     def _scaled(self, c) -> "BooleanElement":
         c = complex(c)
-        return BooleanElement(
+        return BooleanElement._canonical(
             _chop_map({k: c * v for k, v in self.compact.items()}), c * self.scalar
         )
 

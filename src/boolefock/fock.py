@@ -21,7 +21,7 @@ embeddings, i.e. ``permute(g, embed(j, A)) == embed(g(j), A)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, check_site, index_from_key
 from .jsonutil import decode_complex, encode_complex
@@ -42,6 +42,15 @@ class TestAlgebraElement:
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "beta"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+
+    @classmethod
+    def _canonical(
+        cls, a: complex, b: complex, c: complex, d: complex, beta: complex
+    ) -> "TestAlgebraElement":
+        """Wrap five ``complex`` values without coercing them again."""
+        x = object.__new__(cls)
+        x.__dict__.update(a=a, b=b, c=c, d=d, beta=beta)
+        return x
 
     @classmethod
     def unit(cls) -> "TestAlgebraElement":
@@ -115,7 +124,7 @@ def embed(site: int, x: TestAlgebraElement) -> BooleanElement:
         (j, VACUUM): x.c,
         (j, j): x.d - x.beta,
     }
-    return BooleanElement({k: v for k, v in entries.items() if v != 0}, x.beta)
+    return BooleanElement._canonical({k: v for k, v in entries.items() if v != 0}, x.beta)
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,14 @@ class FinitePermutation:
         if sorted(cleaned) != sorted(cleaned.values()):
             raise ValueError("permutation must map its support onto itself")
         object.__setattr__(self, "mapping", cleaned)
+
+    @classmethod
+    def _canonical(cls, mapping: Dict[int, int]) -> "FinitePermutation":
+        """Wrap a fresh bijection of distinct valid sites with no fixed
+        points, skipping the checks."""
+        g = object.__new__(cls)
+        g.__dict__.update(mapping=mapping)
+        return g
 
     def __call__(self, site: int) -> int:
         return self.mapping.get(site, site)
@@ -172,7 +189,7 @@ class FinitePermutation:
 
 def permute(g: FinitePermutation, x: BooleanElement) -> BooleanElement:
     """Relabel the site indices of ``x`` by ``g`` (a *-automorphism)."""
-    return BooleanElement(
+    return BooleanElement._canonical(
         {(g.on_index(m), g.on_index(n)): amp for (m, n), amp in x.compact.items()},
         x.scalar,
     )

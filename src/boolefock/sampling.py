@@ -26,7 +26,7 @@ def complex_box(rng: random.Random, scale: float = 1.0) -> complex:
 
 
 def test_element(rng: random.Random) -> TestAlgebraElement:
-    return TestAlgebraElement(*(complex_box(rng) for _ in range(5)))
+    return TestAlgebraElement._canonical(*(complex_box(rng) for _ in range(5)))
 
 
 def site_vector(
@@ -64,7 +64,8 @@ def word(
     rng: random.Random, sites: Sequence[int], max_len: int = 5
 ) -> List[Tuple[int, TestAlgebraElement]]:
     length = rng.randint(1, max_len)
-    return [(rng.choice(list(sites)), test_element(rng)) for _ in range(length)]
+    pool = list(sites)
+    return [(rng.choice(pool), test_element(rng)) for _ in range(length)]
 
 
 def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
@@ -73,7 +74,7 @@ def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
     chosen = rng.sample(pool, k)
     images = chosen[:]
     rng.shuffle(images)
-    return FinitePermutation(dict(zip(chosen, images)))
+    return FinitePermutation._canonical({s: d for s, d in zip(chosen, images) if s != d})
 
 
 def tail_element(rng: random.Random) -> TailElement:
@@ -172,7 +173,7 @@ def block_element(rng: random.Random, block: Sequence[int]) -> BooleanElement:
     entries[(VACUUM, VACUUM)] -= a
     for i in block:
         entries[(i, i)] -= a
-    return BooleanElement(entries, a)
+    return BooleanElement._canonical({k: v for k, v in entries.items() if v != 0}, a)
 
 
 def disjoint_blocks(

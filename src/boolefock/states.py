@@ -141,8 +141,14 @@ class TraceClassOperator:
 
     def _eigen_sum(self, m, n) -> complex:
         total = 0j
+        if m == VACUUM or n == VACUUM:
+            for w, xi in self.eigenpairs:
+                total += w * xi.amp(m) * xi.amp(n).conjugate()
+            return total
+        # site pairs, most of the memo misses, read the amplitudes directly
         for w, xi in self.eigenpairs:
-            total += w * xi.amp(m) * xi.amp(n).conjugate()
+            wave = xi.wave
+            total += w * wave.get(m, 0j) * wave.get(n, 0j).conjugate()
         return total
 
     def vacuum_weight(self) -> float:

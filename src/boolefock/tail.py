@@ -74,7 +74,7 @@ class TailElement:
         """Write the pair as an algebra element ``(x - y)*eps(#,#) + y*I``."""
         diff = self.x - self.y
         entries = {(VACUUM, VACUUM): diff} if diff != 0 else {}
-        return BooleanElement(entries, self.y)
+        return BooleanElement._canonical(entries, self.y)
 
     def max_diff(self, other: "TailElement") -> float:
         dx, dy = abs(self.x - other.x), abs(self.y - other.y)

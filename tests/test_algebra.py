@@ -95,13 +95,21 @@ def test_apply_adjoint_pairing():
         assert abs(lhs - rhs) <= 1e-12
 
 
+def assert_canonical(x):
+    """``x`` equals its validated rebuild and stores only nonzero complex values."""
+    assert x == BooleanElement(x.compact, x.scalar)
+    assert all(type(amp) is complex and amp != 0 for amp in x.compact.values())
+    assert type(x.scalar) is complex
+
+
 def test_canonical_form_no_zero_entries():
+    # kernel results skip validation, so each must already be canonical
     rng = random.Random(9)
     for _ in range(60):
         x = rand_element(rng)
-        y = rand_element(rng)
-        for result in (x + y, x * y, x - x, x.adjoint(), 0 * x):
-            assert all(amp != 0 for amp in result.compact.values())
+        y = rand_element(rng, with_scalar=False)
+        for result in (x + y, x * y, x - x, x.adjoint(), y.adjoint(), 0 * x, x * 1j, y * identity()):
+            assert_canonical(result)
     assert BooleanElement({(VACUUM, 1): 0.0}, 1) == identity()
 
 
@@ -110,6 +118,11 @@ def test_index_validation():
         matrix_unit(0, 1)
     with pytest.raises(ValueError):
         matrix_unit("x", 1)
+    with pytest.raises(ValueError):
+        BooleanElement({(0, 1): 1})
+    row_zero = {"scalar": [0, 0], "compact": [{"row": 0, "col": 1, "amp": [1, 0]}]}
+    with pytest.raises(ValueError):
+        BooleanElement.from_json(row_zero)
     with pytest.raises(ValueError):
         FockVector(0, {0: 1.0})
     with pytest.raises(ValueError):

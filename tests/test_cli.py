@@ -623,6 +623,30 @@ def test_cli_imports_no_checker_math():
     assert imported <= {"jsonutil", "sampling", "states", "verify"}, imported
 
 
+def test_outside_input_never_skips_validation():
+    # the canonical constructors trust their fields; whatever parses input
+    # from outside the program must go through the validating ones
+    package = pathlib.Path(boolefock.cli.__file__).parent
+    boundaries = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name in ("cli.py", "jsonutil.py"):
+            boundaries.append((path.name, tree))
+        boundaries += [
+            (f"{path.name}:{node.name}", node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("from_json")
+        ]
+    assert len(boundaries) > 2  # the two modules and at least one parser
+    for where, tree in boundaries:
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert "_canonical" not in names, where
+
+
 def test_replay_keeps_the_kind_of_a_saved_pair_witness(tmp_path, capsys):
     # older reports stored the pair witness as sites_x, sites_y, x and y; it
     # replays to the same sides as the two-block n-fold witness now stored

@@ -4,6 +4,7 @@ import pytest
 
 from boolefock.algebra import (
     VACUUM,
+    BooleanElement,
     FockVector,
     identity,
     matrix_unit,
@@ -19,8 +20,17 @@ from boolefock.fock import (
     creator,
     embed,
     permute,
+    word_from_json,
 )
+from boolefock.states import moment, vacuum_state
 from boolefock import sampling
+
+
+def assert_canonical(x):
+    """``x`` equals its validated rebuild and stores only nonzero complex values."""
+    assert x == BooleanElement(x.compact, x.scalar)
+    assert all(type(amp) is complex and amp != 0 for amp in x.compact.values())
+    assert type(x.scalar) is complex
 
 
 def test_creator_annihilator_on_basis():
@@ -79,6 +89,7 @@ def test_matrix_unit_dictionary_exact():
 
 def test_embed_unit_and_expansion():
     assert embed(1, TestAlgebraElement.unit()) == identity()
+    assert_canonical(embed(1, TestAlgebraElement.unit()))
 
     x = embed(2, TestAlgebraElement(1, 2, 3, 4, 5))
     assert x.scalar == 5
@@ -125,6 +136,15 @@ def test_permute_covariance_and_composition():
         x = sampling.boolean_element(rng, sites=range(1, 9))
         assert permute(g.compose(h), x) == permute(g, permute(h, x))
         assert permute(g.inverse(), permute(g, x)) == x
+        # sampler draws and relabelings skip validation, so each must
+        # already be canonical
+        assert g == FinitePermutation(g.mapping) and h == FinitePermutation(h.mapping)
+        assert a == TestAlgebraElement(a.a, a.b, a.c, a.d, a.beta)
+        assert all(type(z) is complex for z in (a.a, a.b, a.c, a.d, a.beta))
+        block = sampling.disjoint_blocks(rng, range(1, 9), 1, max_block=3)[0]
+        tail = sampling.tail_element(rng)
+        for y in (embed(j, a), permute(g, x), sampling.block_element(rng, block), tail.embed()):
+            assert_canonical(y)
 
 
 def test_permutation_automorphism():
@@ -140,6 +160,13 @@ def test_permutation_automorphism():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         FinitePermutation({1: 2})
+    a = TestAlgebraElement(1, 2, 3, 4, 5)
+    with pytest.raises(ValueError):
+        embed(0, a)
+    with pytest.raises(ValueError):
+        moment(vacuum_state(), [(0, a)])
+    with pytest.raises(ValueError):
+        word_from_json([[0, a.to_json()]])
     assert FinitePermutation({1: 1, 2: 2}) == FinitePermutation.identity()
 
 
