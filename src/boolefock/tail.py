@@ -54,6 +54,14 @@ class TailElement:
         object.__setattr__(self, "y", complex(self.y))
 
     @classmethod
+    def _canonical(cls, x: complex, y: complex) -> "TailElement":
+        """Wrap two ``complex`` fields computed from validated values,
+        skipping the coercion; outside input goes through the constructor."""
+        z = object.__new__(cls)
+        z.__dict__.update(x=x, y=y)
+        return z
+
+    @classmethod
     def unit(cls) -> "TailElement":
         return cls(1, 1)
 
@@ -147,7 +155,7 @@ def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     Unital, idempotent through the tail embedding, and a bimodule map
     over the tail algebra.
     """
-    return TailElement(vacuum_expectation(x), phi.corner_value(x))
+    return TailElement._canonical(vacuum_expectation(x), phi.corner_value(x))
 
 
 def bimodule_property_holds(

@@ -17,8 +17,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import oracle, sampling
 from .algebra import (
@@ -106,24 +109,20 @@ class _Recorder:
         self.witness: Optional[dict] = None
         self.samples = 0
 
-    def record(self, deviation: float, witness_factory: Callable[[], dict]) -> None:
-        self.record_all([deviation], lambda _: witness_factory())
-
-    def record_all(
-        self, deviations: Sequence[float], witness_at: Callable[[int], dict]
+    def record(
+        self, deviation: float, witness_factory: Callable[[], dict], samples: int = 1
     ) -> None:
-        """Record deviations in order; ``witness_at(k)`` builds the k-th witness.
+        """Record the worst of ``samples`` deviations; ``witness_factory``
+        builds the witness of the first failing one.
 
         A NaN deviation fails: it makes ``max_deviation`` NaN and can
         supply the witness, which a plain ``>`` comparison would skip.
         """
-        self.samples += len(deviations)
-        worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
-        if worst > self.max_deviation or math.isnan(worst):
-            self.max_deviation = worst
-        if self.witness is None and not worst <= self.tol:
-            first = next(k for k, d in enumerate(deviations) if not d <= self.tol)
-            self.witness = witness_at(first)
+        self.samples += samples
+        if deviation > self.max_deviation or math.isnan(deviation):
+            self.max_deviation = deviation
+        if self.witness is None and not deviation <= self.tol:
+            self.witness = witness_factory()
 
     def report(self, name: str) -> CheckReport:
         return CheckReport(
@@ -142,6 +141,103 @@ def site_pool(state: BooleanState, base: Sequence[int] = SITE_POOL) -> List[int]
     pool = sorted(sites)
     pool.append(pool[-1] + 1)
     return pool
+
+
+#: Values in one temporary of a site-pair reduction: rows are compared in
+#: blocks that stay near this size, so memory does not grow with the
+#: square of the support.
+_PAIR_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row indices of the pairs i < j of ``n`` rows, in ``combinations`` order;
+    read-only, since every caller shares them."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    # the libm hypot that Python's abs() of a complex calls; np.abs can
+    # differ from abs() in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # NaN and inf propagate, as with Python complex
+def _pair_maxima(table: np.ndarray) -> np.ndarray:
+    """The largest ``|table[i, c] - table[j, c]|`` over row pairs i < j,
+    per column c: NaN where some pair deviates by NaN, 0 with fewer than
+    two rows.
+
+    No pair list is built: each temporary holds about ``_PAIR_BLOCK``
+    values, or one row against every other if that is more.  Equal finite
+    values deviate by exactly 0, so when every value is finite, columns
+    constant over the rows are skipped and bitwise-equal rows merged; two
+    equal infinite values deviate by NaN, so a table with a non-finite
+    value is scanned whole.
+    """
+    widest = np.zeros(table.shape[1])
+    if len(table) < 2:
+        return widest
+    live = slice(None)
+    rows = table
+    if np.isfinite(table).all():
+        live = np.flatnonzero((table != table[0]).any(axis=0))
+        first = {row.tobytes(): i for i, row in enumerate(table[:, live])}
+        rows = table[np.ix_(list(first.values()), live)]
+    n, k = rows.shape
+    block = max(1, _PAIR_BLOCK // max(1, n * k))
+    maxima = np.zeros(k)
+    for start in range(0, n - 1, block):
+        head, rest = rows[start:start + block], rows[start + block:]
+        i, j = _upper_pairs(len(head))
+        maxima = np.maximum(maxima, _moduli(head[i] - head[j]).max(axis=0, initial=0.0))
+        if len(rest):
+            maxima = np.maximum(maxima, _moduli(head[:, None] - rest).max(axis=(0, 1)))
+    widest[live] = maxima
+    return widest
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _first_failing_pair(table: np.ndarray, weight: float, tol: float) -> Tuple[int, int]:
+    """The first row pair i < j, in ``combinations`` order, whose deviation
+    ``weight * max_c |table[i, c] - table[j, c]|`` is not within ``tol``."""
+    for i in range(len(table) - 1):
+        deviations = weight * _moduli(table[i] - table[i + 1:]).max(axis=1)
+        failing = np.flatnonzero(~(deviations <= tol))
+        if len(failing):
+            return i, i + 1 + int(failing[0])
+    raise ValueError("no site pair fails the tolerance")
+
+
+def _record_site_pairs(
+    rec: _Recorder,
+    table: np.ndarray,
+    width: int,
+    weight: float,
+    witness_at: Callable[[int, int, int], dict],
+) -> None:
+    """Record a per-site scan for each group of ``width`` columns of ``table``.
+
+    Row i of ``table`` holds the values at the i-th site of the pool.  For
+    the element of group e, the deviation of sites i < j is ``weight``
+    times the largest modulus of their difference over its columns; the
+    scan records the worst over all pairs, counts every pair as a sample,
+    and calls ``witness_at(e, i, j)`` with the first failing pair.
+    Multiplying by ``weight >= 0`` is monotone, so it is applied to the
+    maximum.
+    """
+    n = len(table)
+    worst = _pair_maxima(table).reshape(-1, width).max(axis=1)
+    for e, deviation in enumerate(worst.tolist()):
+        columns = table[:, e * width:(e + 1) * width]
+        rec.record(
+            weight * deviation,
+            lambda: witness_at(e, *_first_failing_pair(columns, weight, rec.tol)),
+            samples=n * (n - 1) // 2,
+        )
 
 
 #: Length-one probe elements isolating single matrix entries of a state:
@@ -173,13 +269,15 @@ def check_exchangeable(
     witness any non-symmetric state of the implemented family), then the
     requested number of random words against random permutations.  The
     swap ``(i j)`` maps the probe word ``[(i, probe)]`` to ``[(j, probe)]``,
-    so each probe is evaluated once per site and the pairs compare those
-    values.
+    so each probe is evaluated once per site, and one reduction over the
+    table of site values compares every pair without listing the pairs.
+    Each probe counts one sample per site pair, and its witness is the
+    first failing pair in ``combinations`` order.
     """
     rng = random.Random(seed)
     pool = site_pool(state)
-    pairs = list(combinations(pool, 2))
     rec = _Recorder(tol)
+    values = [[engine.moment(state, [(i, probe)]) for probe in PROBE_ELEMENTS] for i in pool]
 
     def witness(word, perm, lhs, rhs):
         return {
@@ -190,16 +288,11 @@ def check_exchangeable(
             "rhs": encode_complex(rhs),
         }
 
-    def probe_witness(probe, values, k):
-        i, j = pairs[k]
-        return witness([(i, probe)], FinitePermutation.swap(i, j), values[i], values[j])
+    def probe_witness(c, i, j):
+        word = [(pool[i], PROBE_ELEMENTS[c])]
+        return witness(word, FinitePermutation.swap(pool[i], pool[j]), values[i][c], values[j][c])
 
-    for probe in PROBE_ELEMENTS:
-        values = {i: engine.moment(state, [(i, probe)]) for i in pool}
-        rec.record_all(
-            [abs(values[i] - values[j]) for i, j in pairs],
-            lambda k: probe_witness(probe, values, k),
-        )
+    _record_site_pairs(rec, np.array(values, dtype=complex), 1, 1.0, probe_witness)
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
         perm = sampling.permutation(rng, pool)
@@ -220,7 +313,11 @@ def check_identically_distributed(
 
     Each deviation is weighted by the state's mass on the site corner,
     ``psi(I - P)``, so that it is measured in the state's units rather
-    than in ``phi``'s.
+    than in ``phi``'s.  Each element's marginal is computed once per site,
+    and one reduction over the table of their tail coordinates compares
+    every site pair without listing the pairs.  Each element counts one
+    sample per site pair, and its witness is the first failing pair in
+    ``combinations`` order.
     """
     rng = random.Random(seed)
     pool = site_pool(state)
@@ -228,27 +325,21 @@ def check_identically_distributed(
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(8)
         ]
-    pairs = list(combinations(pool, 2))
-    weight = state.corner_weight()
     rec = _Recorder(tol)
+    marginals = [[engine.cond_expect(phi, embed(s, a)) for a in sample_elements] for s in pool]
+    table = np.array([[v for m in row for v in (m.x, m.y)] for row in marginals], dtype=complex)
 
-    def witness(a, marginals, n):
-        i, k = pairs[n]
+    def witness(e, i, k):
         return {
             "kind": "identical_distribution",
-            "site_i": i,
-            "site_k": k,
-            "element": a.to_json(),
-            "lhs": marginals[i].to_json(),
-            "rhs": marginals[k].to_json(),
+            "site_i": pool[i],
+            "site_k": pool[k],
+            "element": sample_elements[e].to_json(),
+            "lhs": marginals[i][e].to_json(),
+            "rhs": marginals[k][e].to_json(),
         }
 
-    for a in sample_elements:
-        marginals = {s: engine.cond_expect(phi, embed(s, a)) for s in pool}
-        rec.record_all(
-            [weight * marginals[i].max_diff(marginals[k]) for i, k in pairs],
-            lambda n: witness(a, marginals, n),
-        )
+    _record_site_pairs(rec, table, 2, state.corner_weight(), witness)
     return rec.report("identical_distribution")
 
 

@@ -97,6 +97,20 @@ def test_cond_expect_idempotent_through_embedding():
             assert once.max_diff(twice) <= 1e-12
 
 
+def test_cond_expect_results_are_canonical():
+    # cond_expect skips the constructor's coercion: both fields must
+    # already be complex, and equal the validated rebuild
+    rng = random.Random(35)
+    phis = BOTH_PHIS + (PhiState.normal(normal_phi(2).density, 0.5),)
+    elements = [identity(), BooleanElement({}, 2), BooleanElement({(1, 1): 3})]
+    elements += [sampling.boolean_element(rng) for _ in range(20)]
+    for phi in phis:
+        for x in elements:
+            f = cond_expect(phi, x)
+            assert type(f.x) is complex and type(f.y) is complex
+            assert f == TailElement(f.x, f.y)
+
+
 def test_cond_expect_positive_on_squares():
     rng = random.Random(32)
     for phi in BOTH_PHIS:

@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from boolefock.algebra import BooleanElement, FockVector, site_vector, vacuum_vector
@@ -23,7 +25,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import PhiState, cond_expect, preserving_phi
+from boolefock.tail import PhiState, TailElement, cond_expect, preserving_phi
 from boolefock.verify import (
     CHECK_TOL,
     DENSE_ENGINE,
@@ -43,7 +45,7 @@ from boolefock.verify import (
     replay_witness,
     site_pool,
 )
-from boolefock import sampling
+from boolefock import sampling, verify
 
 
 def expected_nonsymmetric():
@@ -383,6 +385,83 @@ def test_per_site_checkers_match_pairwise_reference():
             )
 
 
+def listed_site_pairs(rows, width, weight, tol):
+    """The per-site scan over a pair list, as the checkers ran it before the
+    reduction: one list of deviations per column group, in combinations
+    order; NaN fails and supplies the witness."""
+    pairs = list(combinations(range(len(rows)), 2))
+    n_groups = len(rows[0]) // width
+    worst_seen, witness = 0.0, None
+    for e in range(n_groups):
+        if width == 1:
+            deviations = [weight * abs(rows[i][e] - rows[j][e]) for i, j in pairs]
+        else:
+            tail = [TailElement(*row[2 * e:2 * e + 2]) for row in rows]
+            deviations = [weight * tail[i].max_diff(tail[j]) for i, j in pairs]
+        worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
+        if worst > worst_seen or math.isnan(worst):
+            worst_seen = worst
+        if witness is None and not worst <= tol:
+            i, j = next(pair for pair, d in zip(pairs, deviations) if not d <= tol)
+            witness = {"element": e, "i": i, "j": j}
+    return CheckReport("scan", worst_seen <= tol, worst_seen, witness, len(pairs) * n_groups)
+
+
+def reduced_site_pairs(rows, width, weight, tol):
+    rec = verify._Recorder(tol)
+    table = np.array(rows, dtype=complex)
+    verify._record_site_pairs(
+        rec, table, width, weight, lambda e, i, j: {"element": e, "i": i, "j": j}
+    )
+    return rec.report("scan")
+
+
+# a pair whose difference np.abs takes to a different last bit than abs()
+ABS_SPLIT = (complex(-2.17, 3.562), complex(3.211, -3.755))
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("block", [1 << 16, 5])
+@pytest.mark.parametrize(
+    "name, rows, width, weight",
+    [
+        ("duplicates", [[1 + 1j, 2j], [3, -1j], [1 + 1j, 2j], [0j, -0.0 + 0j], [3, -1j]], 1, 1.0),
+        ("duplicates weighted", [[1 + 1j, 2j], [1 + 1j, 2j], [3, 0.5j], [1 + 1j, 2j]], 2, 0.3),
+        ("constant column", [[1j, 2, 0j], [1j, 3, complex(-0.0, 0)], [1j, 2, 0j]], 1, 1.0),
+        ("constant x", [[7j, 2, 7j, 1j], [7j, 3, 7j, 1j], [7j, 2.5, 7j, 0j]], 2, 0.5),
+        ("nan", [[1j, 0j], [complex(NAN, 0), 1], [1j, 0j], [2j, 5]], 1, 1.0),
+        ("nan in one tail field", [[1j, 0j], [1j, complex(0, NAN)], [1j, 0j]], 2, 0.5),
+        ("lone inf", [[0j, 1], [complex(INF, 0), 1], [0j, 1], [1j, 1]], 1, 1.0),
+        ("lone -inf", [[0j], [0j], [complex(1, -INF)]], 1, 1.0),
+        ("equal infinities", [[complex(INF, 1), 2], [complex(INF, 1), 2], [complex(INF, 1), 2]], 1, 1.0),
+        ("weight 0 against inf", [[1j, 2j], [1j, complex(INF, 0)], [1j, 2j]], 2, 0.0),
+        ("weight 0 finite", [[1j, 2j], [1j, 3j], [5j, 2j]], 2, 0.0),
+        ("abs split", [[ABS_SPLIT[0]], [ABS_SPLIT[1]], [ABS_SPLIT[0]]], 1, 1.0),
+        ("one site", [[1j, 2j]], 2, 1.0),
+        ("no elements", [[], [], []], 2, 1.0),
+    ],
+)
+def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, width, weight):
+    a, b = ABS_SPLIT
+    assert float(np.abs(np.complex128(a - b))) != abs(a - b)
+    monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
+    # the case itself, then with 20 more sites, which spans several blocks
+    rng = random.Random(len(name))
+    values = (0, 1, 2.5, 1j, 1 + 0.5j, complex(rng.random(), rng.random()))
+    spread = [[rng.choice(values) for _ in rows[0]] for _ in range(20)]
+    for table in (rows, rows + spread):
+        for tol in (0.0, CHECK_TOL, 1.5):
+            got = reduced_site_pairs(table, width, weight, tol)
+            want = listed_site_pairs(table, width, weight, tol)
+            assert (got.samples_run, got.witness, got.passed) == (
+                want.samples_run, want.witness, want.passed
+            ), (name, tol)
+            assert got.max_deviation == want.max_deviation or (
+                math.isnan(got.max_deviation) and math.isnan(want.max_deviation)
+            ), (name, tol)
+            assert type(got.max_deviation) is float
+
+
 def reference_check_pair_independence(
     state, phi, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
@@ -582,18 +661,33 @@ def test_nfold_chain_needs_two_factors(n_factors):
 def test_classify_large_support_matches_closed_form():
     # rank two with a vacuum eigenvalue: expected, but neither exchangeable
     # nor conditionally i.i.d.
+    # The per-site scans count every site pair as a sample but must not
+    # hold a list of them: at 2000 sites that would be 2,001,000 pairs per
+    # probe or element.
     rng = random.Random(63)
-    for n_sites in (256, 1000):
+    for n_sites in (256, 1000, 2000):
         xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
         xi = (1.0 / xi.norm()) * xi
         state = BooleanState(0.8, TraceClassOperator(((0.4, vacuum_vector()), (0.6, xi))))
-        result = classify_definetti(state, seed=64)
+        tracemalloc.start()
+        try:
+            result = classify_definetti(state, seed=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (result.symmetric, result.expected, result.iid, result.consistent) == (
             False,
             True,
             False,
             True,
         )
+        pairs = (n_sites + 1) * n_sites // 2  # the support and one fresh site
+        samples = {r.name: r.samples_run for r in result.reports}
+        assert samples["exchangeability"] == len(PROBE_ELEMENTS) * pairs + 60
+        assert samples["identical_distribution"] == (len(PROBE_ELEMENTS) + 8) * pairs
+        assert peak < 64 * 2 ** 20, (n_sites, peak)
+    assert samples["exchangeability"] == 8_004_060
+    assert samples["identical_distribution"] == 24_012_000
 
 
 def test_pair_check_conditions_on_the_state_preserving_phi():
