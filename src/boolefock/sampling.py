@@ -145,7 +145,8 @@ def nonexpected_density(
     mixed = FockVector(alpha, {}) + beta * frame[0]
     vectors = [mixed] + frame[1:]
     t = TraceClassOperator(tuple(zip(positive_weights(rng, rank), vectors)))
-    assert not is_expected(t)
+    if is_expected(t):
+        raise RuntimeError("drew a density whose vacuum vector is an eigenvector")
     return t
 
 

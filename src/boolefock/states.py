@@ -110,12 +110,6 @@ class TraceClassOperator:
     def rank(self) -> int:
         return len(self.eigenpairs)
 
-    def apply(self, v: FockVector) -> FockVector:
-        out = FockVector(0j, {})
-        for w, xi in self.eigenpairs:
-            out = out + (w * v.inner(xi)) * xi
-        return out
-
     def entry(self, m, n) -> complex:
         """Matrix entry ``<T e_n, e_m>``, summed over the eigenpairs once per
         pair and then read from the memo."""

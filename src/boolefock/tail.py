@@ -18,9 +18,12 @@ site corner of ``T`` and the singular state as ``gamma * Tr(Q T Q) : 1 - gamma``
 
 Whether some ``F_phi`` preserves the trace state of a density ``T`` is
 decidable: it happens exactly when the vacuum vector is an eigenvector of
-``T``.  The negative branch is settled for every ``phi`` at once because the
-witness ``X`` below satisfies ``Q X Q = 0``, so the phi-dependent term drops
-out of ``F_phi(X)``.
+``T``.  Every tail-branch decision reads that one rule: the state is expected
+iff the site part of ``T e_#`` has norm at most ``DEFAULT_TOL``.  On that
+branch the preserving ``phi`` is singular only for gamma 0 or site weight 0,
+where no normal ``phi`` exists.  The negative branch is settled for every
+``phi`` at once because the witness ``X`` below satisfies ``Q X Q = 0``, so
+the phi-dependent term drops out of ``F_phi(X)``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .algebra import (
     VACUUM,
     BooleanElement,
     vacuum_expectation,
-    vacuum_vector,
 )
 from .states import TraceClassOperator
 
@@ -171,35 +173,37 @@ def bimodule_property_holds(
     return lhs.max_diff(rhs) <= tol
 
 
-def is_expected(t: TraceClassOperator, tol: float = DEFAULT_TOL) -> bool:
+def is_expected(t: TraceClassOperator) -> bool:
     """True iff the vacuum vector is an eigenvector of ``t``.
 
     Exactly the condition under which some conditional expectation onto
-    the tail algebra preserves the trace state of ``t``.
+    the tail algebra preserves the trace state of ``t``.  Decided by the
+    residual ``||(T e_#)_sites|| <= DEFAULT_TOL``, read from the vacuum
+    column of ``t``'s entry memo over its site support.
     """
-    image = t.apply(vacuum_vector())
-    residual = sum(abs(a) ** 2 for a in image.wave.values()) ** 0.5
-    return residual <= tol
+    residual = sum(abs(t.entry(i, VACUUM)) ** 2 for i in t.site_support()) ** 0.5
+    return residual <= DEFAULT_TOL
 
 
-def preserving_phi(t: TraceClassOperator, tol: float = DEFAULT_TOL, gamma: float = 1.0) -> PhiState:
+def preserving_phi(t: TraceClassOperator, gamma: float = 1.0) -> PhiState:
     """Build a ``phi`` whose conditional expectation preserves the state
     ``gamma * psi_T + (1 - gamma) * omega_inf``.
 
-    For gamma 0 or vacuum weight 1 every conditional expectation preserves
-    the state; the singular phi is returned by convention.  Otherwise
-    ``phi(Q X Q) = gamma * Tr(Q T Q A) / N + s`` for ``X = A + s*I``, with
-    ``N = gamma * Tr(Q T Q) + 1 - gamma`` the state's weight on ``I - P``:
-    the site corner of ``t`` with singular weight ``(1 - gamma) / gamma``.
+    For gamma 0 or site weight ``Tr(Q T Q) = 0`` every conditional
+    expectation preserves the state; the singular phi is returned by
+    convention.  Otherwise ``phi(Q X Q) = gamma * Tr(Q T Q A) / N + s`` for
+    ``X = A + s*I``, with ``N = gamma * Tr(Q T Q) + 1 - gamma`` the state's
+    weight on ``I - P``: the site corner of ``t`` with singular weight
+    ``(1 - gamma) / gamma``.
     """
     if gamma == 0.0:
         return PhiState.singular()
-    if not is_expected(t, tol):
+    if not is_expected(t):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
         )
-    if t.vacuum_weight() >= 1.0 - tol:
+    if t.site_weight() == 0.0:
         return PhiState.singular()
     return PhiState.normal(t, (1.0 - gamma) / gamma)
 
@@ -212,34 +216,26 @@ class RatioWitness:
     element: BooleanElement
 
 
-def counterexample_ratio(
-    t: TraceClassOperator, tol: float = DEFAULT_TOL
-) -> RatioWitness:
+def counterexample_ratio(t: TraceClassOperator) -> RatioWitness:
     """Witness that no conditional expectation preserves the trace state.
 
-    Picks the eigenvector ``xi`` of largest weight among those overlapping
-    the vacuum (first such on ties) and returns the rank-one element
-    ``X = |e_#><xi|`` together with the ratio by which every ``F_phi``
-    contracts it:
+    Picks the eigenvector ``xi`` of largest weight among those with a
+    nonzero vacuum amplitude (first such on ties); one exists, or ``T e_#``
+    would vanish.  Returns the rank-one element ``X = |e_#><xi|`` together
+    with the ratio by which every ``F_phi`` contracts it:
 
         psi_T(F_phi(X)) / psi_T(X) = sum_k (w_k / w_pivot) |<e_#, xi_k>|^2 < 1.
 
     The ratio is independent of ``phi`` because ``Q X Q = 0``.
     """
-    if is_expected(t, tol):
+    if is_expected(t):
         raise DecisionError(
             "the vacuum vector is an eigenvector of the density; a preserving "
             "conditional expectation exists"
         )
-    pivot = None
-    for k, (weight, xi) in enumerate(t.eigenpairs):
-        if abs(xi.vacuum_amp) <= tol:
-            continue
-        if pivot is None or weight > t.eigenpairs[pivot][0]:
-            pivot = k
-    if pivot is None:  # unreachable: is_expected would have been true
-        raise DecisionError("density has no eigenvector overlapping the vacuum")
-    pivot_weight, pivot_vec = t.eigenpairs[pivot]
+    pivot_weight, pivot_vec = max(
+        ((w, xi) for w, xi in t.eigenpairs if xi.vacuum_amp != 0), key=lambda pair: pair[0]
+    )
     ratio = sum(
         (w / pivot_weight) * abs(xi.vacuum_amp) ** 2 for w, xi in t.eigenpairs
     )
@@ -249,27 +245,25 @@ def counterexample_ratio(
     return RatioWitness(float(ratio), BooleanElement(entries))
 
 
-def preserving_cond_expect(
-    t: TraceClassOperator, x: BooleanElement, tol: float = DEFAULT_TOL
-) -> TailElement:
+def preserving_cond_expect(t: TraceClassOperator, x: BooleanElement) -> TailElement:
     """Closed form of the expectation preserving the trace state of ``t``.
 
-        F(X) = <X e_#, e_#> * P + (psi_T(X) - w * <X e_#, e_#>) / (1 - w) * (I - P)
+        F(X) = <X e_#, e_#> * P + (psi_T(X) - w * <X e_#, e_#>) / Tr(Q T Q) * (I - P)
 
-    with ``w`` the vacuum weight of ``t``.  Agrees with
-    ``cond_expect(preserving_phi(t), x)`` everywhere.
+    with ``w`` the vacuum weight of ``t`` and ``Tr(Q T Q) = 1 - w`` its site
+    weight.  Agrees with ``cond_expect(preserving_phi(t), x)`` everywhere.
     """
-    if not is_expected(t, tol):
+    if not is_expected(t):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
         )
-    w = t.vacuum_weight()
-    if w >= 1.0 - tol:
+    site_weight = t.site_weight()
+    if site_weight == 0.0:
         raise DecisionError(
-            "vacuum weight is 1: the closed form degenerates (every "
+            "site weight is 0: the closed form degenerates (every "
             "conditional expectation preserves the vacuum state)"
         )
     vac = vacuum_expectation(x)
     psi = t.trace_against(x) + x.scalar
-    return TailElement(vac, (psi - w * vac) / (1.0 - w))
+    return TailElement(vac, (psi - t.vacuum_weight() * vac) / site_weight)

@@ -178,6 +178,31 @@ def test_classify_invariant_violation(tmp_path, capsys):
     assert "sum to 1" in err
 
 
+#: Valid state files within ORTHO_TOL of the vacuum-overlap boundary: a
+#: vacuum amplitude of exactly 1e-10, and a vacuum-only density whose
+#: vacuum weight falls 1.8e-10 short of 1.
+NEAR_VACUUM_STATES = {
+    "amplitude-1e-10": '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": 1.00000000009, '
+    '"vector": {"#": [1e-10, 0.0], "1": [1.0, 0.0]}}]}}',
+    "amplitude-1e-10-half": '{"gamma": 0.5, "T": {"eigenpairs": [{"weight": 1.00000000009, '
+    '"vector": {"#": [1e-10, 0.0], "1": [1.0, 0.0]}}]}}',
+    "vacuum-only": '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": 0.99999999991, '
+    '"vector": {"#": [0.999999999955, 0.0]}}]}}',
+}
+
+
+@pytest.mark.parametrize("text", NEAR_VACUUM_STATES.values(), ids=NEAR_VACUUM_STATES.keys())
+def test_classify_and_replay_near_the_vacuum_boundary(tmp_path, capsys, text):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, ["classify", "--state", str(state), "--format", "json", "--out", str(report)])
+    assert (code, err) == (0, "")
+    assert json.loads(report.read_text())["classification"]["consistent"] is True
+    code, _, err = run(capsys, ["replay", "--witness", str(report)])
+    assert (code, err) == (0, "")
+
+
 NON_FINITE_STATES = (
     '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": 1.0, "vector": {"#": [NaN, 0.0]}}]}}',
     '{"gamma": 1.0, "T": {"eigenpairs": [{"weight": NaN, "vector": {"3": [1.0, 0.0]}}]}}',

@@ -272,6 +272,29 @@ def test_counterexample_ratio_random_nonexpected():
         counterexample_ratio(TraceClassOperator.vacuum_projection())
 
 
+def test_tail_branch_near_the_vacuum_boundary():
+    # weights and norms within ORTHO_TOL of one: a vacuum amplitude of 1e-10
+    # is still a pivot, and a vacuum-only density has no site corner
+    overlapping = TraceClassOperator(((1.00000000009, FockVector(1e-10, {1: 1.0})),))
+    assert not is_expected(overlapping)
+    found = counterexample_ratio(overlapping)
+    assert found.ratio < 1.0
+    assert found.element.compact[(VACUUM, VACUUM)] == 1e-10
+    vacuum_only = TraceClassOperator(((0.99999999991, FockVector(0.999999999955, {})),))
+    assert vacuum_only.vacuum_weight() < 1.0 - 1e-10 and vacuum_only.site_weight() == 0.0
+    for gamma in (1.0, 0.5):
+        assert preserving_phi(vacuum_only, gamma=gamma) == PhiState.singular()
+    with pytest.raises(DecisionError, match="site weight is 0"):
+        preserving_cond_expect(vacuum_only, identity())
+
+
+def test_nonexpected_density_checks_its_branch_without_assert(monkeypatch):
+    # the sweep's branch labels rely on this check, so it must survive python -O
+    monkeypatch.setattr(sampling, "is_expected", lambda t: True)
+    with pytest.raises(RuntimeError, match="eigenvector"):
+        sampling.nonexpected_density(random.Random(1), 2)
+
+
 def test_expectedness_dichotomy():
     rng = random.Random(37)
     for _ in range(60):

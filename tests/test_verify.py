@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from boolefock.algebra import BooleanElement, FockVector, site_vector, vacuum_vector
+from boolefock.algebra import DEFAULT_TOL, VACUUM, BooleanElement, FockVector, site_vector, vacuum_vector
 from boolefock.fock import (
     FinitePermutation,
     TestAlgebraElement,
@@ -713,8 +713,14 @@ def test_pair_check_conditions_on_the_state_preserving_phi():
 @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
 def test_identical_distribution_measures_in_state_units(gamma):
     # a probe's deviation reads gamma * (d - beta) * (T_ii - T_kk), as the
-    # exchangeability probe's does
-    for t in (expected_nonsymmetric().density, wide_state().density, expected_dependent().density):
+    # exchangeability probe's does, also within 1e-10 of the vacuum, where
+    # T = (1 - delta) |e_#><e_#| + delta |e_1><e_1| deviates by gamma * delta
+    wide = [(t, 0.01) for t in (expected_nonsymmetric().density, wide_state().density, expected_dependent().density)]
+    near_vacuum = [
+        (TraceClassOperator(((1 - delta, vacuum_vector()), (delta, site_vector(1)))), 0.9 * gamma * delta)
+        for delta in (5e-11, 1e-12)
+    ]
+    for t, floor in wide + near_vacuum:
         state = BooleanState(gamma, t)
         for probe in PROBE_ELEMENTS:
             values = {i: moment(state, [(i, probe)]) for i in site_pool(state)}
@@ -723,7 +729,7 @@ def test_identical_distribution_measures_in_state_units(gamma):
             assert abs(ident.max_deviation - widest) <= 1e-15, (gamma, probe)
         ident = check_identically_distributed(state, state_phi(state), sample_elements=PROBE_ELEMENTS)
         exch = check_exchangeable(state, n_words=0)
-        assert ident.max_deviation > 0.01
+        assert ident.max_deviation > floor
         assert abs(ident.max_deviation - exch.max_deviation) <= 1e-15
 
 
@@ -774,6 +780,48 @@ def test_classify_matches_theory_on_the_delta_stratum():
         theory = scale <= CHECK_TOL
         assert (result.symmetric, result.expected, result.iid) == (theory, True, theory), (k, scale)
     assert outside >= 120
+
+
+def epsilon_stratum(count=120, seed=5):
+    """``(state, D)`` for rank-one T = |xi><xi| with xi proportional to
+    e_# + eps e_1 + 0.5i eps e_2, eps log-uniform in [1e-15, 1e-3], and
+    D = gamma * max(max_i |T_i#|, max_i T_ii), the entrywise maximum of
+    gamma * (T - T_## P)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        gamma = (1.0, 0.5, 0.1)[k % 3]
+        eps = 10 ** rng.uniform(-15, -3)
+        t = TraceClassOperator.rank_one(FockVector(1.0, {1: eps, 2: 0.5j * eps}))
+        sites = t.site_support()
+        coherence = max(abs(t.entry(i, VACUUM)) for i in sites)
+        yield BooleanState(gamma, t), gamma * max(coherence, max(t.entry(i, i).real for i in sites))
+
+
+#: Epsilon-stratum states that read symmetric but neither expected nor iid:
+#: the expected branch decides on ||(T e_#)_sites|| without gamma, while the
+#: exchangeability probes read gamma * T_i# (ROADMAP item 3, Step 2).
+EPSILON_INCONSISTENT = {7, 53, 106, 107, 119}
+
+
+def test_classify_on_the_epsilon_stratum():
+    # theory: symmetric = iid = (D <= tol), and expected iff T e_# has no
+    # site part; symmetric is asserted outside the decade around the
+    # tolerance, iid not yet, since three inconsistent states lie outside it
+    outside = 0
+    inconsistent = set()
+    for k, (state, scale) in enumerate(epsilon_stratum()):
+        result = classify_definetti(state, seed=k)
+        w, xi = state.density.eigenpairs[0]
+        residual = w * abs(xi.vacuum_amp) * math.sqrt(sum(abs(a) ** 2 for a in xi.wave.values()))
+        assert result.expected == (residual <= DEFAULT_TOL), k
+        if not result.consistent:
+            inconsistent.add(k)
+            assert (result.symmetric, result.expected, result.iid) == (True, False, False), k
+        if abs(math.log10(scale / CHECK_TOL)) > 1:
+            outside += 1
+            assert result.symmetric == (scale <= CHECK_TOL), (k, scale)
+    assert outside == 104
+    assert inconsistent == EPSILON_INCONSISTENT
 
 
 def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
