@@ -142,17 +142,19 @@ def dense_moment(
 
 
 def dense_cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
-    basis = truncation_basis(
-        x.sites(), phi.density.site_support() if phi.kind == "normal" else ()
-    )
+    """``<X e_#, e_#> * P + psi(Q X Q) / psi(Q) * (I - P)`` for ``psi = phi.state``,
+    with ``psi``'s compact part the dense ``gamma * Q T Q`` on the corner;
+    the identity coefficient when ``gamma * Tr(Q T Q) = 0``."""
+    state = phi.state
+    basis = truncation_basis(x.sites(), state.density.site_support())
     pos = {ix: k for k, ix in enumerate(basis)}
-    full = dense_full(x, basis)
-    vac = complex(full[pos[VACUUM], pos[VACUUM]])
-    if phi.kind == "singular":
-        return TailElement(vac, x.scalar)
+    vac = complex(dense_full(x, basis)[pos[VACUUM], pos[VACUUM]])
     q = np.eye(len(basis))
     q[pos[VACUUM], pos[VACUUM]] = 0
-    corner = q @ dense_compact(x, basis) @ q
-    s = q @ dense_density(phi.density, basis) @ q
-    mass = np.trace(s).real + phi.singular_weight
-    return TailElement(vac, complex(np.trace(s @ corner)) / mass + x.scalar)
+    s = state.gamma * (q @ dense_density(state.density, basis) @ q)
+    mass = np.trace(s).real
+    if mass == 0:
+        return TailElement(vac, x.scalar)
+    psi_q = mass + 1.0 - state.gamma
+    psi_corner = complex(np.trace(s @ (q @ dense_compact(x, basis) @ q))) + x.scalar * psi_q
+    return TailElement(vac, psi_corner / psi_q)

@@ -197,10 +197,6 @@ class BooleanState:
             raise ValueError(f"gamma must lie in [0, 1], got {g!r}")
         object.__setattr__(self, "gamma", g)
 
-    def corner_weight(self) -> float:
-        """The state's value on ``I - P``, ``gamma * Tr(Q T Q) + 1 - gamma``."""
-        return self.gamma * self.density.site_weight() + (1.0 - self.gamma)
-
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "T": self.density.to_json()}
 

@@ -8,22 +8,21 @@ coordinatewise product.  Every conditional expectation onto it has the form
     F_phi(X) = <X e_#, e_#> * P + phi(Q X Q) * (I - P)
 
 for a state ``phi`` on the bounded operators over the sites (``Q = I - P``).
-Two computable families of ``phi`` are provided: ``normal`` states, the
-normalised site corner ``phi(Y) = Tr(Q S Q Y) / Tr(Q S Q)`` of a finite-rank
-density ``S`` with positive site weight ``Tr(Q S Q) = 1 - <S e_#, e_#>``,
-optionally mixed with the ``singular`` family, which factors through the
-quotient by the compacts and so reads off the identity coefficient alone.
-The ``phi`` preserving ``gamma * psi_T + (1 - gamma) * omega_inf`` mixes the
-site corner of ``T`` and the singular state as ``gamma * Tr(Q T Q) : 1 - gamma``.
+One computable family of ``phi`` is provided: the state ``psi`` conditioned
+on its site corner, ``phi(Q X Q) = psi(Q X Q) / psi(Q)``.  For
+``psi = gamma * psi_T + (1 - gamma) * omega_inf`` it mixes the site corner of
+``T`` with the singular state, which vanishes on every compact and reads off
+the identity coefficient alone.  When ``psi(Q) > 0`` no other ``phi`` can
+make ``F_phi`` preserve ``psi``.
 
 Whether some ``F_phi`` preserves the trace state of a density ``T`` is
 decidable: it happens exactly when the vacuum vector is an eigenvector of
 ``T``.  Every tail-branch decision reads that one rule: the state is expected
 iff the site part of ``T e_#`` has norm at most ``DEFAULT_TOL``.  On that
-branch the preserving ``phi`` is singular only for gamma 0 or site weight 0,
-where no normal ``phi`` exists.  The negative branch is settled for every
-``phi`` at once because the witness ``X`` below satisfies ``Q X Q = 0``, so
-the phi-dependent term drops out of ``F_phi(X)``.
+branch ``psi``'s own ``phi`` preserves it; that ``phi`` is singular exactly
+for gamma 0 or site weight ``Tr(Q T Q) = 0``.  The negative branch is
+settled for every ``phi`` at once because the witness ``X`` below satisfies
+``Q X Q = 0``, so the phi-dependent term drops out of ``F_phi(X)``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .algebra import (
     BooleanElement,
     vacuum_expectation,
 )
-from .states import TraceClassOperator
+from .states import BooleanState, TraceClassOperator, evaluate
 
 
 class DecisionError(ValueError):
@@ -98,43 +97,28 @@ class TailElement:
 
 @dataclass(frozen=True)
 class PhiState:
-    """A state on the bounded operators over the sites.
+    """The state ``psi`` conditioned on its site corner.
 
-    ``normal`` is the site corner of a finite-rank density ``S`` with
-    positive site weight, mixed with a singular weight ``mu`` (default 0):
-    ``phi(Y) = (Tr(Q S Q Y) + mu * s) / (Tr(Q S Q) + mu)`` for ``Y = A + s*I``.
-    A density supported on the sites only has site weight one.
-    ``singular`` vanishes on every compact and returns the identity coefficient.
+    ``phi(Q Y Q) = psi(Q Y Q) / psi(Q)``: for ``Y = A + s*I`` and
+    ``psi = gamma * psi_T + (1 - gamma) * omega_inf`` this is
+    ``Tr(Q T Q A) / (Tr(Q T Q) + (1 - gamma) / gamma) + s``.  It is singular,
+    reading off ``s`` alone, exactly when gamma is 0 or ``Tr(Q T Q) = 0``;
+    for ``psi(Q) = 0`` that is a convention.  The site weight is summed once,
+    here, and ``psi(Q)`` is kept as ``psi_q``.
     """
 
-    kind: str
-    density: Optional[TraceClassOperator] = None
-    singular_weight: float = 0.0
-    site_weight: Optional[float] = field(init=False, repr=False, compare=False, default=None)
+    state: BooleanState
+    #: ``psi(Q) = gamma * Tr(Q T Q) + 1 - gamma``, the state's weight on ``I - P``.
+    psi_q: float = field(init=False, repr=False, compare=False)
+    #: The divisor of ``Tr(Q T Q A)``; None when ``phi`` is singular.
+    _divisor: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("normal", "singular"):
-            raise ValueError(f"phi kind must be 'normal' or 'singular', got {self.kind!r}")
-        if self.kind == "singular":
-            if self.density is not None:
-                raise ValueError("a singular phi carries no density")
-        else:
-            if self.density is None:
-                raise ValueError("a normal phi requires a density")
-            site_weight = self.density.site_weight()
-            if not (site_weight > 0 and self.singular_weight >= 0):
-                raise ValueError(
-                    "a normal phi needs positive site weight and a nonnegative singular weight"
-                )
-            object.__setattr__(self, "site_weight", site_weight)
-
-    @classmethod
-    def singular(cls) -> "PhiState":
-        return cls("singular")
-
-    @classmethod
-    def normal(cls, density: TraceClassOperator, singular_weight: float = 0.0) -> "PhiState":
-        return cls("normal", density, singular_weight)
+        gamma = self.state.gamma
+        site_weight = self.state.density.site_weight() if gamma != 0.0 else 0.0
+        object.__setattr__(self, "psi_q", gamma * site_weight + (1.0 - gamma))
+        divisor = site_weight + (1.0 - gamma) / gamma if site_weight != 0.0 else None
+        object.__setattr__(self, "_divisor", divisor)
 
     def corner_value(self, x: BooleanElement) -> complex:
         """``phi(Q X Q)`` for ``Q = I - eps(#,#)``.
@@ -142,13 +126,14 @@ class PhiState:
         The compact part of ``Q X Q`` is the site block of ``compact(x)``
         and the identity coefficient passes through.
         """
-        if self.kind == "singular":
+        if self._divisor is None:
             return complex(x.scalar)
+        density = self.state.density
         total = 0j
         for (m, n), amp in x.compact.items():
             if m != VACUUM and n != VACUUM:
-                total += amp * self.density.entry(n, m)
-        return total / (self.site_weight + self.singular_weight) + x.scalar
+                total += amp * density.entry(n, m)
+        return total / self._divisor + x.scalar
 
 
 def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
@@ -185,27 +170,19 @@ def is_expected(t: TraceClassOperator) -> bool:
     return residual <= DEFAULT_TOL
 
 
-def preserving_phi(t: TraceClassOperator, gamma: float = 1.0) -> PhiState:
-    """Build a ``phi`` whose conditional expectation preserves the state
-    ``gamma * psi_T + (1 - gamma) * omega_inf``.
+def preserving_phi(state: BooleanState) -> PhiState:
+    """``state``'s own ``phi``, whose conditional expectation preserves it.
 
-    For gamma 0 or site weight ``Tr(Q T Q) = 0`` every conditional
-    expectation preserves the state; the singular phi is returned by
-    convention.  Otherwise ``phi(Q X Q) = gamma * Tr(Q T Q A) / N + s`` for
-    ``X = A + s*I``, with ``N = gamma * Tr(Q T Q) + 1 - gamma`` the state's
-    weight on ``I - P``: the site corner of ``t`` with singular weight
-    ``(1 - gamma) / gamma``.
+    It does exactly when gamma is 0 or the vacuum vector is an eigenvector
+    of the density; otherwise no conditional expectation preserves the
+    state, and ``DecisionError`` is raised.
     """
-    if gamma == 0.0:
-        return PhiState.singular()
-    if not is_expected(t):
+    if state.gamma != 0.0 and not is_expected(state.density):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
         )
-    if t.site_weight() == 0.0:
-        return PhiState.singular()
-    return PhiState.normal(t, (1.0 - gamma) / gamma)
+    return PhiState(state)
 
 
 @dataclass(frozen=True)
@@ -245,25 +222,22 @@ def counterexample_ratio(t: TraceClassOperator) -> RatioWitness:
     return RatioWitness(float(ratio), BooleanElement(entries))
 
 
-def preserving_cond_expect(t: TraceClassOperator, x: BooleanElement) -> TailElement:
-    """Closed form of the expectation preserving the trace state of ``t``.
+def preserving_cond_expect(state: BooleanState, x: BooleanElement) -> TailElement:
+    """Closed form of the expectation preserving ``state``.
 
-        F(X) = <X e_#, e_#> * P + (psi_T(X) - w * <X e_#, e_#>) / Tr(Q T Q) * (I - P)
+        F(X) = x_## * P + (psi(X) - psi(P) * x_##) / psi(Q) * (I - P)
 
-    with ``w`` the vacuum weight of ``t`` and ``Tr(Q T Q) = 1 - w`` its site
-    weight.  Agrees with ``cond_expect(preserving_phi(t), x)`` everywhere.
+    with ``x_## = <X e_#, e_#>``: ``F`` must fix ``x_##`` on ``P`` and carry
+    the rest of ``psi(X)`` on ``I - P``.  Agrees with
+    ``cond_expect(preserving_phi(state), x)`` everywhere.  Raises
+    ``DecisionError`` when the state is not expected or ``psi(Q) = 0``.
     """
-    if not is_expected(t):
+    psi_q = preserving_phi(state).psi_q
+    if psi_q == 0.0:
         raise DecisionError(
-            "no preserving conditional expectation exists: the vacuum vector "
-            "is not an eigenvector of the density"
-        )
-    site_weight = t.site_weight()
-    if site_weight == 0.0:
-        raise DecisionError(
-            "site weight is 0: the closed form degenerates (every "
-            "conditional expectation preserves the vacuum state)"
+            "psi(Q) is 0: the closed form degenerates (every conditional "
+            "expectation preserves the vacuum state)"
         )
     vac = vacuum_expectation(x)
-    psi = t.trace_against(x) + x.scalar
-    return TailElement(vac, (psi - t.vacuum_weight() * vac) / site_weight)
+    psi_p = state.gamma * state.density.vacuum_weight()
+    return TailElement(vac, (evaluate(state, x) - psi_p * vac) / psi_q)

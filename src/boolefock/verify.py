@@ -302,7 +302,6 @@ def check_exchangeable(
 
 
 def check_identically_distributed(
-    state: BooleanState,
     phi: PhiState,
     sample_elements: Optional[Sequence[TestAlgebraElement]] = None,
     seed: int = 0,
@@ -311,16 +310,16 @@ def check_identically_distributed(
 ) -> CheckReport:
     """Check that the conditioned one-site marginals do not depend on the site.
 
-    Each deviation is weighted by the state's mass on the site corner,
-    ``psi(I - P)``, so that it is measured in the state's units rather
-    than in ``phi``'s.  Each element's marginal is computed once per site,
-    and one reduction over the table of their tail coordinates compares
-    every site pair without listing the pairs.  Each element counts one
-    sample per site pair, and its witness is the first failing pair in
-    ``combinations`` order.
+    The state is ``phi.state``.  Each deviation is weighted by its mass on
+    the site corner, ``psi(I - P)``, so that it is measured in the state's
+    units rather than in ``phi``'s.  Each element's marginal is computed
+    once per site, and one reduction over the table of their tail
+    coordinates compares every site pair without listing the pairs.  Each
+    element counts one sample per site pair, and its witness is the first
+    failing pair in ``combinations`` order.
     """
     rng = random.Random(seed)
-    pool = site_pool(state)
+    pool = site_pool(phi.state)
     if sample_elements is None:
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(8)
@@ -339,20 +338,20 @@ def check_identically_distributed(
             "rhs": marginals[k][e].to_json(),
         }
 
-    _record_site_pairs(rec, table, 2, state.corner_weight(), witness)
+    _record_site_pairs(rec, table, 2, phi.psi_q, witness)
     return rec.report("identical_distribution")
 
 
 def nfold_telescoping_lines(
-    state: BooleanState,
     phi: PhiState,
     factors: Sequence[BooleanElement],
     engine: Engine = SPARSE_ENGINE,
 ) -> List[Tuple[str, complex]]:
     """The n lines of the telescoped n-fold factorization, in order.
 
-    With ``F`` the conditional expectation and ``s_t = x_{t+1} ... x_n``,
-    the lines are ``product`` psi(x_1 ... x_n), then for t = 1 .. n-1
+    With ``F`` the conditional expectation of ``phi``, ``psi`` its state
+    and ``s_t = x_{t+1} ... x_n``, the lines are ``product``
+    psi(x_1 ... x_n), then for t = 1 .. n-1
     ``stage{t}_factorized`` psi(F(x_1) ... F(x_t) F(s_t)), the last
     labelled ``fully_factored``; two factors give the pair identity.  Stage
     t factorizes the pair ``F(x_1) ... F(x_{t-1}) x_t``, ``s_t`` of stage
@@ -361,7 +360,7 @@ def nfold_telescoping_lines(
     independent over the tail algebra.  Each product and expectation is
     computed once.
     """
-    ev = lambda el: engine.evaluate(state, el)
+    ev = lambda el: engine.evaluate(phi.state, el)
     ex = lambda el: engine.cond_expect(phi, el)
     n = len(factors)
     if n < 2:
@@ -377,7 +376,6 @@ def nfold_telescoping_lines(
 
 
 def check_nfold_factorization(
-    state: BooleanState,
     phi: PhiState,
     n: int = 4,
     n_samples: int = 30,
@@ -386,14 +384,15 @@ def check_nfold_factorization(
     tol: float = CHECK_TOL,
     engine: Engine = SPARSE_ENGINE,
 ) -> CheckReport:
-    """Check the n-block factorization and each of its telescoping steps."""
+    """Check the n-block factorization of ``phi.state`` and each of its
+    telescoping steps."""
     rng = random.Random(seed)
-    pool = site_pool(state)
+    pool = site_pool(phi.state)
     rec = _Recorder(tol)
     for _ in range(n_samples):
         blocks = sampling.disjoint_blocks(rng, pool, n, max_block=block_size)
         factors = [sampling.block_element(rng, block) for block in blocks]
-        lines = nfold_telescoping_lines(state, phi, factors, engine)
+        lines = nfold_telescoping_lines(phi, factors, engine)
         for (label_a, val_a), (label_b, val_b) in zip(lines, lines[1:]):
             rec.record(
                 abs(val_a - val_b),
@@ -410,7 +409,6 @@ def check_nfold_factorization(
 
 
 def check_pair_independence(
-    state: BooleanState,
     phi: PhiState,
     n_samples: int = 100,
     seed: int = 0,
@@ -424,7 +422,7 @@ def check_pair_independence(
     n-fold witness with two factors.
     """
     report = check_nfold_factorization(
-        state, phi, n=2, n_samples=n_samples, seed=seed, block_size=3, tol=tol, engine=engine
+        phi, n=2, n_samples=n_samples, seed=seed, block_size=3, tol=tol, engine=engine
     )
     return replace(report, name="pair_independence")
 
@@ -448,12 +446,6 @@ class Classification:
             "consistent": self.consistent,
             "max_deviation": self.max_deviation,
         }
-
-
-def _state_phi(state: BooleanState) -> PhiState:
-    """The ``phi`` whose expectation preserves ``state``, for the tail
-    checkers; raises ``DecisionError`` when the state is not expected."""
-    return preserving_phi(state.density, gamma=state.gamma)
 
 
 def _state_ratio(state: BooleanState) -> RatioWitness:
@@ -487,7 +479,7 @@ def classify_definetti(
     symmetric = exch.passed
 
     try:
-        phi = _state_phi(state)
+        phi = preserving_phi(state)
     except DecisionError:
         phi = None
     expected = phi is not None
@@ -495,11 +487,9 @@ def classify_definetti(
         reports.append(
             CheckReport("preserving_expectation_exists", True, 0.0, None, 1)
         )
-        ident = check_identically_distributed(
-            state, phi, seed=seed + 1, tol=tol, engine=engine
-        )
+        ident = check_identically_distributed(phi, seed=seed + 1, tol=tol, engine=engine)
         pair = check_pair_independence(
-            state, phi, n_samples=n_pairs, seed=seed + 2, tol=tol, engine=engine
+            phi, n_samples=n_pairs, seed=seed + 2, tol=tol, engine=engine
         )
         reports.extend([ident, pair])
         iid = ident.passed and pair.passed
@@ -507,9 +497,9 @@ def classify_definetti(
         found = _state_ratio(state)
         # Record how well the witness reproduces the contraction identity.
         # Its element X has Q X Q = 0, so F_phi(X) is the same for every
-        # phi, and the singular phi stands for all of them.
+        # phi, and the singular phi of gamma 0 stands for all of them.
         psi_t = BooleanState(1.0, state.density)
-        fx = engine.cond_expect(PhiState.singular(), found.element)
+        fx = engine.cond_expect(PhiState(BooleanState(0.0, state.density)), found.element)
         lhs = engine.evaluate(psi_t, fx.embed())
         dev = abs(lhs - found.ratio * engine.evaluate(psi_t, found.element))
         reports.append(
@@ -548,10 +538,10 @@ def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
 
 def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
     element = TestAlgebraElement.from_json(witness["element"])
-    phi = _state_phi(state)
+    phi = preserving_phi(state)
     lhs = cond_expect(phi, embed(witness["site_i"], element))
     rhs = cond_expect(phi, embed(witness["site_k"], element))
-    return lhs.x + lhs.y, rhs.x + rhs.y, state.corner_weight() * lhs.max_diff(rhs)
+    return lhs.x + lhs.y, rhs.x + rhs.y, phi.psi_q * lhs.max_diff(rhs)
 
 
 def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
@@ -559,7 +549,7 @@ def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
     step = witness["step"]
     if not isinstance(step, str):
         raise TypeError(f"step must be a string, got {step!r}")
-    lines = dict(nfold_telescoping_lines(state, _state_phi(state), factors))
+    lines = dict(nfold_telescoping_lines(preserving_phi(state), factors))
     lhs, rhs = (lines[label.strip()] for label in step.split("->"))
     return lhs, rhs, abs(lhs - rhs)
 

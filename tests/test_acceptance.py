@@ -21,6 +21,7 @@ from boolefock.states import (
     BooleanState,
     TraceClassOperator,
     evaluate,
+    infinity_state,
     moment,
     symmetric_state,
 )
@@ -91,8 +92,8 @@ def test_criterion_05_preserving_expectation_positive_branch():
         rank = rng.randint(1, 5)
         vac_w = rng.uniform(0.05, 0.9) if rank > 1 and rng.random() < 0.7 else None
         t = sampling.expected_density(rng, rank, range(1, 8), vacuum_weight=vac_w)
-        phi = preserving_phi(t)
-        state = BooleanState(1.0, t)
+        phi = preserving_phi(BooleanState(1.0, t))
+        state = phi.state
         for _ in range(1000):
             x = sampling.boolean_element(rng, sites=range(1, 10), max_entries=3)
             dev = abs(evaluate(state, cond_expect(phi, x).embed()) - evaluate(state, x))
@@ -110,9 +111,8 @@ def test_criterion_06_counterexample_negative_branch():
         ok = ok and found.ratio < 1.0 - 1e-12
         state = BooleanState(1.0, t)
         psi_x = evaluate(state, found.element)
-        phis = [PhiState.singular()]
-        supp = t.site_support()
-        phis.append(PhiState.normal(TraceClassOperator.rank_one(site_vector(supp[0]))))
+        site_only = TraceClassOperator.rank_one(site_vector(t.site_support()[0]))
+        phis = [PhiState(infinity_state()), PhiState(BooleanState(1.0, site_only)), PhiState(state)]
         for phi in phis:
             lhs = evaluate(state, cond_expect(phi, found.element).embed())
             worst = max(worst, abs(lhs - found.ratio * psi_x))
@@ -129,12 +129,11 @@ def test_criterion_06_counterexample_negative_branch():
 def test_criterion_07_nfold_factorization():
     from boolefock.states import vacuum_state
 
-    state = vacuum_state()
-    phi = PhiState.singular()
+    phi = PhiState(vacuum_state())
     ok = True
     for n in range(2, 6):
         report = check_nfold_factorization(
-            state, phi, n=n, n_samples=25, seed=1007 + n, block_size=1, tol=1e-9
+            phi, n=n, n_samples=25, seed=1007 + n, block_size=1, tol=1e-9
         )
         ok = ok and report.passed
     # every telescoping line individually, against the head of the chain
@@ -142,7 +141,7 @@ def test_criterion_07_nfold_factorization():
     for _ in range(25):
         blocks = sampling.disjoint_blocks(rng, range(1, 9), 5, max_block=1)
         factors = [sampling.block_element(rng, b) for b in blocks]
-        lines = nfold_telescoping_lines(state, phi, factors)
+        lines = nfold_telescoping_lines(phi, factors)
         head = lines[0][1]
         ok = ok and all(abs(value - head) <= 1e-9 for _, value in lines)
     _verdict(7, "n-fold factorization with telescoping steps", ok)
@@ -201,10 +200,11 @@ def test_criterion_09_oracle_equivalence():
             worst = max(worst, abs(moment(state, word) - oracle.dense_moment(state, word)))
         else:
             if rng.random() < 0.5:
-                phi = PhiState.singular()
+                phi = PhiState(infinity_state())
             else:
                 frame = sampling.orthonormal_site_frame(rng, range(1, 7), 2)
-                phi = PhiState.normal(TraceClassOperator(((0.5, frame[0]), (0.5, frame[1]))))
+                density = TraceClassOperator(((0.5, frame[0]), (0.5, frame[1])))
+                phi = PhiState(BooleanState((1.0, 0.3)[k // 4 % 2], density))
             x = sampling.boolean_element(rng, sites=range(1, 8), max_entries=5)
             worst = max(
                 worst, cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x))

@@ -545,8 +545,7 @@ def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys
     # one is malformed
     xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
     state = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
-    phi = preserving_phi(state.density, gamma=state.gamma)
-    witness = check_nfold_factorization(state, phi, n=3, seed=1).witness
+    witness = check_nfold_factorization(preserving_phi(state), n=3, seed=1).witness
     path = tmp_path / "nfold.json"
     for step, code in ((witness["step"], 0), ("stage1_factorized -> stage1_preserved", 2)):
         report = {"name": "nfold_factorization", "witness": dict(witness, step=step)}

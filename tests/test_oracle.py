@@ -4,7 +4,7 @@ import random
 
 from boolefock import oracle, sampling
 from boolefock.algebra import max_amp_diff, max_entry_diff
-from boolefock.states import BooleanState, evaluate, infinity_state, moment
+from boolefock.states import BooleanState, TraceClassOperator, evaluate, infinity_state, moment
 from boolefock.tail import PhiState, cond_expect
 
 
@@ -16,12 +16,10 @@ def rand_state(rng):
 
 def rand_phi(rng):
     if rng.random() < 0.5:
-        return PhiState.singular()
+        return PhiState(infinity_state())
     frame = sampling.orthonormal_site_frame(rng, range(1, 7), rng.randint(1, 3))
     weights = sampling.positive_weights(rng, len(frame))
-    from boolefock.states import TraceClassOperator
-
-    return PhiState.normal(TraceClassOperator(tuple(zip(weights, frame))))
+    return PhiState(BooleanState(1.0, TraceClassOperator(tuple(zip(weights, frame)))))
 
 
 def test_mul_matches_dense():
@@ -76,9 +74,9 @@ def test_cond_expect_matches_dense():
 
 
 def test_cond_expect_matches_dense_with_vacuum_weight():
-    # a normal phi from a density with a vacuum component: the site corner
-    # is renormalised by the site weight in both engines, plus the singular
-    # weight that the expectation preserving a state with gamma < 1 carries
+    # the phi of a state whose density has a vacuum component: the site
+    # corner is renormalised by psi(Q) in both engines, which for gamma < 1
+    # carries the singular part's weight 1 - gamma
     rng = random.Random(46)
     for trial in range(100):
         rank = rng.randint(2, 4)
@@ -87,6 +85,6 @@ def test_cond_expect_matches_dense_with_vacuum_weight():
         else:
             t = sampling.generic_density(rng, rank, range(1, 7))
         assert t.vacuum_weight() > 0
-        phi = PhiState.normal(t, (0.0, 0.25, 9.0)[trial % 3])
+        phi = PhiState(BooleanState((1.0, 0.8, 0.1)[trial % 3], t))
         x = sampling.boolean_element(rng, sites=range(1, 9), max_entries=6)
         assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12

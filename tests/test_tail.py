@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,7 +15,14 @@ from boolefock.algebra import (
     vacuum_vector,
 )
 from boolefock.fock import embed
-from boolefock.states import BooleanState, TraceClassOperator, evaluate
+from boolefock.states import (
+    BooleanState,
+    TraceClassOperator,
+    evaluate,
+    infinity_state,
+    symmetric_state,
+    vacuum_state,
+)
 from boolefock.tail import (
     DecisionError,
     PhiState,
@@ -29,18 +37,25 @@ from boolefock.tail import (
 from boolefock import oracle, sampling
 
 
-def normal_phi(*sites):
+def site_phi(*sites, gamma=1.0):
+    """The ``phi`` of the state with T uniform over the given site vectors."""
     weights = [1.0 / len(sites)] * len(sites)
     pairs = tuple((w, site_vector(i)) for w, i in zip(weights, sites))
-    return PhiState.normal(TraceClassOperator(pairs))
+    return PhiState(BooleanState(gamma, TraceClassOperator(pairs)))
 
 
-BOTH_PHIS = (PhiState.singular(), normal_phi(1, 3))
+#: A singular phi and one with a site corner.
+BOTH_PHIS = (PhiState(infinity_state()), site_phi(1, 3))
+
+#: Near the vacuum boundary, weights and norms within ORTHO_TOL of one: a
+#: density overlapping the vacuum by 1e-10, and a vacuum-only one.
+OVERLAPPING = TraceClassOperator(((1.00000000009, FockVector(1e-10, {1: 1.0})),))
+VACUUM_ONLY = TraceClassOperator(((0.99999999991, FockVector(0.999999999955, {})),))
 
 
 def assert_site_projection_phi(phi, k):
     """``phi`` acts as the vector state of ``e_k`` on the site matrix units."""
-    reference = PhiState.normal(TraceClassOperator.rank_one(site_vector(k)))
+    reference = site_phi(k)
     for m in range(1, 4):
         for n in range(1, 4):
             x = matrix_unit(m, n)
@@ -59,18 +74,49 @@ def test_tail_element_algebra():
     assert (z * w).embed() == z.embed() * w.embed()
 
 
-def test_phi_state_validation():
-    with pytest.raises(ValueError):
-        PhiState("weird")
-    with pytest.raises(ValueError):
-        PhiState("normal")  # missing density
-    with pytest.raises(ValueError):
-        PhiState.normal(TraceClassOperator.vacuum_projection())  # no site weight
-    assert PhiState.singular().density is None
-    # a site weight far below rounding of 1 - w is still positive
-    near_vacuum = PhiState.normal(TraceClassOperator.rank_one(FockVector(1.0, {1: 1e-9})))
-    assert near_vacuum.site_weight > 0
+def test_phi_state_is_singular_exactly_without_a_site_corner():
+    # phi is the state alone; it reads off the identity coefficient exactly
+    # when gamma is 0 or Tr(QTQ) = 0, psi(Q) = 0 included
+    assert [f.name for f in dataclasses.fields(PhiState) if f.init] == ["state"]
+    t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(1))))
+    x = BooleanElement({(1, 1): 2.0, (VACUUM, 1): 3.0, (VACUUM, VACUUM): 5.0}, 0.25)
+    for state in (BooleanState(0.0, t), symmetric_state(0.4), vacuum_state()):
+        assert PhiState(state).corner_value(x) == 0.25
+    assert PhiState(vacuum_state()).psi_q == 0.0
+    # psi(Q X Q) / psi(Q) = (0.4 * 0.5 * 2 + 0.25 * 0.8) / 0.8
+    assert abs(PhiState(BooleanState(0.4, t)).corner_value(x) - 0.75) <= 1e-15
+    # a site weight far below rounding of 1 - w still gives a site corner
+    near_vacuum = PhiState(BooleanState(1.0, TraceClassOperator.rank_one(FockVector(1.0, {1: 1e-9}))))
+    assert 0 < near_vacuum.psi_q < 1e-17
     assert cond_expect(near_vacuum, matrix_unit(1, 1)) == TailElement(0, 1)
+
+
+def test_phi_is_the_state_conditioned_on_its_corner():
+    # phi(Q X Q) = psi(Q X Q) / psi(Q), with Q and Q X Q built by kernel
+    # products and psi applied by evaluate; the dense oracle rebuilds phi
+    # from gamma * Q T Q.  T's trace is one only within ORTHO_TOL, and phi
+    # normalises by gamma * Tr(Q T Q) + 1 - gamma where evaluate reads
+    # psi(Q) = 1 - gamma * T_##: the two differ by gamma * (Tr T - 1), which
+    # moves the identity by |y - s| times that (about 1e-10 for OVERLAPPING).
+    rng = random.Random(47)
+    q = identity() - matrix_unit(VACUUM, VACUUM)
+    densities = [TraceClassOperator.vacuum_projection(), OVERLAPPING, VACUUM_ONLY]
+    for k in range(6):
+        vac_w = rng.uniform(0.1, 0.8) if k % 2 else None
+        densities.append(sampling.expected_density(rng, rng.randint(1, 4), range(1, 7), vacuum_weight=vac_w))
+        densities.append(sampling.nonexpected_density(rng, rng.randint(1, 4), range(1, 7)))
+    for t in densities:
+        trace_gap = abs(sum(w * xi.norm() ** 2 for w, xi in t.eigenpairs) - 1)
+        for gamma in (0.0, 0.2, 0.5, 1.0):
+            psi = BooleanState(gamma, t)
+            phi = PhiState(psi)
+            psi_q = evaluate(psi, q)
+            for _ in range(20):
+                x = sampling.boolean_element(rng, sites=range(1, 9))
+                f = cond_expect(phi, x)
+                slack = abs(f.y - x.scalar) * gamma * trace_gap
+                assert abs(f.y * psi_q - evaluate(psi, q * x * q)) <= 1e-12 + slack
+                assert f.max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-13
 
 
 def test_cond_expect_unital_and_vacuum_unit():
@@ -83,7 +129,7 @@ def test_cond_expect_on_embeddings_singular():
     rng = random.Random(30)
     for _ in range(30):
         a = sampling.test_element(rng)
-        values = {cond_expect(PhiState.singular(), embed(j, a)) for j in (1, 4, 7)}
+        values = {cond_expect(BOTH_PHIS[0], embed(j, a)) for j in (1, 4, 7)}
         assert values == {TailElement(a.a, a.beta)}
 
 
@@ -101,7 +147,7 @@ def test_cond_expect_results_are_canonical():
     # cond_expect skips the constructor's coercion: both fields must
     # already be complex, and equal the validated rebuild
     rng = random.Random(35)
-    phis = BOTH_PHIS + (PhiState.normal(normal_phi(2).density, 0.5),)
+    phis = BOTH_PHIS + (site_phi(2, gamma=2 / 3),)
     elements = [identity(), BooleanElement({}, 2), BooleanElement({(1, 1): 3})]
     elements += [sampling.boolean_element(rng) for _ in range(20)]
     for phi in phis:
@@ -169,23 +215,25 @@ def test_is_expected_examples():
 
 
 def test_preserving_phi_examples():
-    t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
-    phi = preserving_phi(t)
-    assert phi.kind == "normal"
+    state = BooleanState(1.0, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+    phi = preserving_phi(state)
+    assert phi == PhiState(state) and phi.psi_q == 0.5
     assert_site_projection_phi(phi, 2)
 
-    assert preserving_phi(TraceClassOperator.vacuum_projection()).kind == "singular"
+    # the vacuum state's phi reads off the identity coefficient alone
+    x = BooleanElement({(2, 2): 4.0, (VACUUM, VACUUM): 1.0}, -0.5)
+    assert preserving_phi(vacuum_state()).corner_value(x) == -0.5
 
     s = 1 / math.sqrt(2)
     with pytest.raises(DecisionError):
-        preserving_phi(TraceClassOperator.rank_one(FockVector(s, {1: s})))
+        preserving_phi(BooleanState(1.0, TraceClassOperator.rank_one(FockVector(s, {1: s}))))
 
 
 def test_saved_site_only_phi_matches_preserving_phi():
     # the site-only density in which older reports stored preserving_phi(t) for this t
-    saved = PhiState.normal(TraceClassOperator.rank_one(site_vector(2)))
+    saved = site_phi(2)
     t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
-    phi = preserving_phi(t)
+    phi = preserving_phi(BooleanState(1.0, t))
     rng = random.Random(61)
     for _ in range(100):
         x = sampling.boolean_element(rng)
@@ -198,29 +246,32 @@ def test_preserving_phi_preservation_identity():
         rank = rng.randint(1, 4)
         vac_w = rng.uniform(0.1, 0.8) if rank > 1 and rng.random() < 0.7 else None
         t = sampling.expected_density(rng, rank, range(1, 7), vacuum_weight=vac_w)
-        phi = preserving_phi(t)
-        state = BooleanState(1.0, t)
+        phi = preserving_phi(BooleanState(1.0, t))
+        state = phi.state
         for _ in range(50):
             x = sampling.boolean_element(rng, sites=range(1, 9))
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
 
 
-@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5, 1.0])
 def test_preserving_phi_preserves_the_mixed_state(gamma):
-    # F_phi preserves gamma * psi_T + (1 - gamma) * omega_inf, in both engines
+    # F_phi preserves gamma * psi_T + (1 - gamma) * omega_inf, in both
+    # engines, and is the closed form
     rng = random.Random(36)
     for trial in range(20):
         rank = rng.randint(2, 4)
         vac_w = rng.uniform(0.1, 0.8) if trial % 2 else None
         t = sampling.expected_density(rng, rank, range(1, 7), vacuum_weight=vac_w)
-        phi = preserving_phi(t, gamma=gamma)
-        assert phi.singular_weight == (1 - gamma) / gamma
         state = BooleanState(gamma, t)
+        phi = preserving_phi(state)
+        assert phi.psi_q == gamma * t.site_weight() + (1 - gamma)
         for _ in range(30):
             x = sampling.boolean_element(rng, sites=range(1, 9))
-            for fx in (cond_expect(phi, x), oracle.dense_cond_expect(phi, x)):
-                assert abs(evaluate(state, fx.embed()) - evaluate(state, x)) <= 1e-13
+            fx = cond_expect(phi, x)
+            for f in (fx, oracle.dense_cond_expect(phi, x)):
+                assert abs(evaluate(state, f.embed()) - evaluate(state, x)) <= 1e-13
+            assert preserving_cond_expect(state, x).max_diff(fx) <= 1e-12
 
 
 def test_preserving_phi_corner_weight_example():
@@ -230,13 +281,11 @@ def test_preserving_phi_corner_weight_example():
     state = BooleanState(0.5, t)
     x = matrix_unit(1, 1)
     assert evaluate(state, x) == 0.15
-    assert abs(evaluate(state, cond_expect(PhiState.normal(t), x).embed()) - 0.15) > 0.4
-    assert abs(evaluate(state, cond_expect(preserving_phi(t, gamma=0.5), x).embed()) - 0.15) <= 1e-16
-    assert preserving_phi(t, gamma=0.0) == PhiState.singular()
-    assert preserving_phi(TraceClassOperator.vacuum_projection(), gamma=0.5) == PhiState.singular()
-    assert state.corner_weight() == 0.5 * 0.3 + 0.5
-    with pytest.raises(ValueError, match="nonnegative singular weight"):
-        PhiState.normal(t, math.nan)
+    assert abs(evaluate(state, cond_expect(PhiState(BooleanState(1.0, t)), x).embed()) - 0.15) > 0.4
+    assert abs(evaluate(state, cond_expect(preserving_phi(state), x).embed()) - 0.15) <= 1e-16
+    assert preserving_phi(state).psi_q == 0.5 * 0.3 + 0.5
+    for singular in (BooleanState(0.0, t), symmetric_state(0.5)):
+        assert preserving_phi(singular).corner_value(x + 0.5 * identity()) == 0.5
 
 
 def test_counterexample_ratio_frozen_instance():
@@ -275,17 +324,17 @@ def test_counterexample_ratio_random_nonexpected():
 def test_tail_branch_near_the_vacuum_boundary():
     # weights and norms within ORTHO_TOL of one: a vacuum amplitude of 1e-10
     # is still a pivot, and a vacuum-only density has no site corner
-    overlapping = TraceClassOperator(((1.00000000009, FockVector(1e-10, {1: 1.0})),))
-    assert not is_expected(overlapping)
-    found = counterexample_ratio(overlapping)
+    assert not is_expected(OVERLAPPING)
+    found = counterexample_ratio(OVERLAPPING)
     assert found.ratio < 1.0
     assert found.element.compact[(VACUUM, VACUUM)] == 1e-10
-    vacuum_only = TraceClassOperator(((0.99999999991, FockVector(0.999999999955, {})),))
-    assert vacuum_only.vacuum_weight() < 1.0 - 1e-10 and vacuum_only.site_weight() == 0.0
+    assert VACUUM_ONLY.vacuum_weight() < 1.0 - 1e-10 and VACUUM_ONLY.site_weight() == 0.0
+    x = BooleanElement({(1, 1): 2.0, (VACUUM, VACUUM): 1.0}, 0.75)
     for gamma in (1.0, 0.5):
-        assert preserving_phi(vacuum_only, gamma=gamma) == PhiState.singular()
-    with pytest.raises(DecisionError, match="site weight is 0"):
-        preserving_cond_expect(vacuum_only, identity())
+        phi = preserving_phi(BooleanState(gamma, VACUUM_ONLY))
+        assert phi.corner_value(x) == 0.75 and phi.psi_q == 1.0 - gamma
+    with pytest.raises(DecisionError, match=r"psi\(Q\) is 0"):
+        preserving_cond_expect(BooleanState(1.0, VACUUM_ONLY), identity())
 
 
 def test_nonexpected_density_checks_its_branch_without_assert(monkeypatch):
@@ -305,9 +354,9 @@ def test_expectedness_dichotomy():
             )
         else:
             t = sampling.nonexpected_density(rng, rng.randint(1, 4), range(1, 7))
+        state = BooleanState(1.0, t)
         if is_expected(t):
-            phi = preserving_phi(t)
-            state = BooleanState(1.0, t)
+            phi = preserving_phi(state)
             x = sampling.boolean_element(rng)
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
@@ -317,29 +366,29 @@ def test_expectedness_dichotomy():
             found = counterexample_ratio(t)
             assert found.ratio < 1.0 - 1e-12
             with pytest.raises(DecisionError):
-                preserving_phi(t)
+                preserving_phi(state)
 
 
 def test_preserving_cond_expect_closed_form():
-    t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2))))
-    assert preserving_cond_expect(t, identity()) == TailElement(1, 1)
+    state = BooleanState(1.0, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+    assert preserving_cond_expect(state, identity()) == TailElement(1, 1)
 
-    # on a site number operator: (0, psi_T(eps_ii) / (1 - vacuum weight))
-    f = preserving_cond_expect(t, matrix_unit(2, 2))
+    # on a site number operator: (0, psi(eps_ii) / psi(Q))
+    f = preserving_cond_expect(state, matrix_unit(2, 2))
     assert f == TailElement(0, 1.0)
-    assert preserving_cond_expect(t, matrix_unit(5, 5)) == TailElement(0, 0)
+    assert preserving_cond_expect(state, matrix_unit(5, 5)) == TailElement(0, 0)
 
     rng = random.Random(38)
-    phi = preserving_phi(t)
+    phi = preserving_phi(state)
     for _ in range(200):
         x = sampling.boolean_element(rng)
-        assert preserving_cond_expect(t, x).max_diff(cond_expect(phi, x)) <= 1e-10
+        assert preserving_cond_expect(state, x).max_diff(cond_expect(phi, x)) <= 1e-10
 
     with pytest.raises(DecisionError):
-        preserving_cond_expect(TraceClassOperator.vacuum_projection(), identity())
+        preserving_cond_expect(vacuum_state(), identity())
     s = 1 / math.sqrt(2)
     with pytest.raises(DecisionError):
-        preserving_cond_expect(TraceClassOperator.rank_one(FockVector(s, {1: s})), identity())
+        preserving_cond_expect(BooleanState(1.0, TraceClassOperator.rank_one(FockVector(s, {1: s}))), identity())
 
 
 def test_preserving_phi_degenerate_mixed_representation():
@@ -351,13 +400,13 @@ def test_preserving_phi_degenerate_mixed_representation():
         ((0.5, FockVector(s, {1: s})), (0.5, FockVector(s, {1: -s})))
     )
     assert is_expected(t)
-    phi = preserving_phi(t)
-    assert phi.kind == "normal"
+    state = BooleanState(1.0, t)
+    phi = preserving_phi(state)
+    assert abs(phi.psi_q - 0.5) <= 1e-15
     assert_site_projection_phi(phi, 1)
     with pytest.raises(DecisionError):
         counterexample_ratio(t)
 
-    state = BooleanState(1.0, t)
     rng = random.Random(60)
     for _ in range(100):
         x = sampling.boolean_element(rng)
@@ -370,9 +419,9 @@ def test_preservation_across_expected_ranks():
     for rank in range(1, 6):
         t = sampling.expected_density(rng, rank, range(1, 8), vacuum_weight=0.3 if rank > 1 else None)
         state = BooleanState(1.0, t)
-        phi = preserving_phi(t)
+        phi = preserving_phi(state)
         for _ in range(50):
             x = sampling.boolean_element(rng, sites=range(1, 10))
-            closed = preserving_cond_expect(t, x)
+            closed = preserving_cond_expect(state, x)
             assert closed.max_diff(cond_expect(phi, x)) <= 1e-10
             assert abs(evaluate(state, closed.embed()) - evaluate(state, x)) <= 1e-10

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from boolefock.algebra import DEFAULT_TOL, VACUUM, BooleanElement, FockVector, site_vector, vacuum_vector
+from boolefock.algebra import DEFAULT_TOL, VACUUM, BooleanElement, FockVector, matrix_unit, site_vector, vacuum_vector
 from boolefock.fock import (
     FinitePermutation,
     TestAlgebraElement,
@@ -74,11 +74,6 @@ def expected_site_three():
     )
 
 
-def state_phi(state):
-    """The ``phi`` whose expectation preserves ``state``."""
-    return preserving_phi(state.density, gamma=state.gamma)
-
-
 def test_exchangeable_symmetric_states_pass():
     for gamma in (0.0, 0.25, 1.0):
         report = check_exchangeable(symmetric_state(gamma), n_words=100, seed=1)
@@ -104,31 +99,25 @@ def test_exchangeable_infinity_state_passes():
 
 
 def test_identically_distributed_vacuum_singular():
-    report = check_identically_distributed(vacuum_state(), PhiState.singular(), seed=4)
+    report = check_identically_distributed(PhiState(vacuum_state()), seed=4)
     assert report.passed
 
 
 def test_identically_distributed_fails_for_expected_nonsymmetric():
-    state = expected_nonsymmetric()
-    from boolefock.tail import preserving_phi
-
-    phi = preserving_phi(state.density)
-    report = check_identically_distributed(state, phi, seed=5)
+    report = check_identically_distributed(preserving_phi(expected_nonsymmetric()), seed=5)
     assert not report.passed
     assert report.witness is not None
     assert report.witness["site_i"] != report.witness["site_k"]
 
 
 def test_pair_independence_vacuum_singular():
-    report = check_pair_independence(vacuum_state(), PhiState.singular(), n_samples=60, seed=7)
+    report = check_pair_independence(PhiState(vacuum_state()), n_samples=60, seed=7)
     assert report.passed
 
 
 def test_pair_independence_mixed_symmetric():
     for gamma in (0.0, 0.3, 1.0):
-        report = check_pair_independence(
-            symmetric_state(gamma), PhiState.singular(), n_samples=40, seed=8
-        )
+        report = check_pair_independence(PhiState(symmetric_state(gamma)), n_samples=40, seed=8)
         assert report.passed
 
 
@@ -137,7 +126,7 @@ def test_pair_independence_pure_tail_factor():
     # the bimodule property in disguise
     rng = random.Random(9)
     state = vacuum_state()
-    phi = PhiState.singular()
+    phi = PhiState(state)
     for _ in range(30):
         z = sampling.tail_element(rng)
         y = sampling.block_element(rng, [3, 5])
@@ -153,35 +142,30 @@ def test_nfold_two_blocks_matches_pair_identity():
     # two factors give exactly the pair identity, with no repeated lines
     rng = random.Random(10)
     dependent = expected_dependent()
-    for state, phi in (
-        (vacuum_state(), PhiState.singular()),
-        (dependent, state_phi(dependent)),
-    ):
+    for state in (vacuum_state(), dependent):
+        phi = preserving_phi(state)
         x = sampling.block_element(rng, [1, 2])
         y = sampling.block_element(rng, [3])
         fx, fy = cond_expect(phi, x), cond_expect(phi, y)
-        assert nfold_telescoping_lines(state, phi, [x, y]) == [
+        assert nfold_telescoping_lines(phi, [x, y]) == [
             ("product", evaluate(state, x * y)),
             ("fully_factored", evaluate(state, fx.embed() * fy.embed())),
         ]
 
 
 def test_nfold_factorization_vacuum_singleton_blocks():
-    report = check_nfold_factorization(
-        vacuum_state(), PhiState.singular(), n=4, n_samples=20, seed=11
-    )
+    report = check_nfold_factorization(PhiState(vacuum_state()), n=4, n_samples=20, seed=11)
     assert report.passed
     assert report.max_deviation <= 1e-9
 
 
 def test_nfold_telescoping_lines_all_equal_n3():
     rng = random.Random(12)
-    state = vacuum_state()
-    phi = PhiState.singular()
+    phi = PhiState(vacuum_state())
     for _ in range(20):
         blocks = sampling.disjoint_blocks(rng, range(1, 9), 3, max_block=2)
         factors = [sampling.block_element(rng, b) for b in blocks]
-        lines = nfold_telescoping_lines(state, phi, factors)
+        lines = nfold_telescoping_lines(phi, factors)
         base = lines[0][1]
         for label, value in lines[1:]:
             assert abs(value - base) <= 1e-9, label
@@ -228,15 +212,14 @@ def test_checkers_agree_with_dense_engine():
         assert sparse.passed == dense.passed
         assert abs(sparse.max_deviation - dense.max_deviation) <= 1e-10
 
-    state = vacuum_state()
-    phi = PhiState.singular()
+    phi = PhiState(vacuum_state())
     for checker, kwargs in (
         (check_identically_distributed, {"seed": 17}),
         (check_pair_independence, {"n_samples": 20, "seed": 18}),
         (check_nfold_factorization, {"n": 3, "n_samples": 10, "seed": 19}),
     ):
-        sparse = checker(state, phi, engine=SPARSE_ENGINE, **kwargs)
-        dense = checker(state, phi, engine=DENSE_ENGINE, **kwargs)
+        sparse = checker(phi, engine=SPARSE_ENGINE, **kwargs)
+        dense = checker(phi, engine=DENSE_ENGINE, **kwargs)
         assert sparse.passed == dense.passed
         assert abs(sparse.max_deviation - dense.max_deviation) <= 1e-10
 
@@ -324,10 +307,10 @@ def pairwise_check_exchangeable(
 
 
 def pairwise_check_identically_distributed(
-    state, phi, sample_elements=None, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
+    phi, sample_elements=None, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
     rng = random.Random(seed)
-    pool = site_pool(state)
+    pool = site_pool(phi.state)
     if sample_elements is None:
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(8)
@@ -338,7 +321,7 @@ def pairwise_check_identically_distributed(
             lhs = engine.cond_expect(phi, embed(i, a))
             rhs = engine.cond_expect(phi, embed(k, a))
             rec.record(
-                state.corner_weight() * lhs.max_diff(rhs),
+                phi.psi_q * lhs.max_diff(rhs),
                 lambda: {
                     "kind": "identical_distribution",
                     "site_i": i,
@@ -366,22 +349,17 @@ def assert_same_report(new, ref):
 
 
 def test_per_site_checkers_match_pairwise_reference():
-    cases = [
-        (vacuum_state(), PhiState.singular()),
-        (symmetric_state(0.4), PhiState.singular()),
-        (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
-        (nonexpected(), PhiState.normal(nonexpected().density)),
-        (wide_state(), preserving_phi(wide_state().density)),
-    ]
+    states = [vacuum_state(), symmetric_state(0.4), expected_nonsymmetric(), nonexpected(), wide_state()]
     for engine in (SPARSE_ENGINE, DENSE_ENGINE):
-        for n, (state, phi) in enumerate(cases):
+        for n, state in enumerate(states):
+            phi = PhiState(state)
             assert_same_report(
                 check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
                 pairwise_check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
             )
             assert_same_report(
-                check_identically_distributed(state, phi, seed=41 + n, engine=engine),
-                pairwise_check_identically_distributed(state, phi, seed=41 + n, engine=engine),
+                check_identically_distributed(phi, seed=41 + n, engine=engine),
+                pairwise_check_identically_distributed(phi, seed=41 + n, engine=engine),
             )
 
 
@@ -463,10 +441,11 @@ def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, w
 
 
 def reference_check_pair_independence(
-    state, phi, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
+    phi, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
     """The pair check with its two sides computed directly, not as the
     two-block case of the telescoping chain."""
+    state = phi.state
     rng = random.Random(seed)
     pool = site_pool(state)
     rec = PairwiseRecorder(tol)
@@ -493,27 +472,26 @@ def reference_check_pair_independence(
 
 
 def test_pair_independence_matches_direct_reference():
-    dependent = expected_dependent()
-    cases = [
-        (vacuum_state(), PhiState.singular()),
-        (symmetric_state(0.4), PhiState.singular()),
-        (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
-        (nonexpected(), PhiState.normal(nonexpected().density)),
-        (wide_state(), preserving_phi(wide_state().density)),
-        (dependent, state_phi(dependent)),
+    states = [
+        vacuum_state(),
+        symmetric_state(0.4),
+        expected_nonsymmetric(),
+        nonexpected(),
+        wide_state(),
+        expected_dependent(),
     ]
     for engine in (SPARSE_ENGINE, DENSE_ENGINE):
-        for n, (state, phi) in enumerate(cases):
+        for n, state in enumerate(states):
+            phi = PhiState(state)
             kwargs = {"n_samples": 40, "seed": 71 + n, "engine": engine}
-            ref = reference_check_pair_independence(state, phi, **kwargs)
-            assert_same_report(check_pair_independence(state, phi, **kwargs), ref)
+            ref = reference_check_pair_independence(phi, **kwargs)
+            assert_same_report(check_pair_independence(phi, **kwargs), ref)
         assert ref.witness is not None
 
 
 def test_nan_deviation_fails():
     report = check_identically_distributed(
-        vacuum_state(),
-        PhiState.singular(),
+        PhiState(vacuum_state()),
         sample_elements=[TestAlgebraElement(math.nan, 0, 0, 0, 0)],
     )
     assert not report.passed
@@ -525,14 +503,14 @@ def test_nan_deviation_fails():
     # coherence probes give equal marginals at every site
     state = expected_nonsymmetric()
     elements = [PROBE_ELEMENTS[1], TestAlgebraElement(math.nan, 0, 0, 0, 0), PROBE_ELEMENTS[2]]
-    report = check_identically_distributed(state, preserving_phi(state.density), sample_elements=elements)
+    report = check_identically_distributed(preserving_phi(state), sample_elements=elements)
     assert not report.passed
     assert math.isnan(report.max_deviation)
     assert math.isnan(report.witness["element"]["a"][0])
 
     # a NaN in the corner part of the marginals only
     report = check_identically_distributed(
-        state, preserving_phi(state.density), sample_elements=[TestAlgebraElement(0, 0, 0, math.nan, 0)]
+        preserving_phi(state), sample_elements=[TestAlgebraElement(0, 0, 0, math.nan, 0)]
     )
     assert not report.passed
     assert math.isnan(report.max_deviation)
@@ -558,7 +536,7 @@ def test_checkers_evaluate_each_site_once():
     state = wide_state()
     pool = site_pool(state)
     engine, counts = counting_engine(SPARSE_ENGINE)
-    check_identically_distributed(state, preserving_phi(state.density), seed=61, engine=engine)
+    check_identically_distributed(preserving_phi(state), seed=61, engine=engine)
     assert counts["cond_expect"] == 12 * len(pool)
     counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
@@ -572,24 +550,24 @@ def chain_labels(n):
 
 def test_nfold_chain_computes_each_quantity_once():
     state = expected_dependent()
-    phi = state_phi(state)
+    phi = preserving_phi(state)
     rng = random.Random(65)
     engine, counts = counting_engine(SPARSE_ENGINE)
     for n in range(2, 7):
         blocks = sampling.disjoint_blocks(rng, site_pool(state), n, max_block=2)
         factors = [sampling.block_element(rng, block) for block in blocks]
         counts.clear()
-        lines = nfold_telescoping_lines(state, phi, factors, engine)
+        lines = nfold_telescoping_lines(phi, factors, engine)
         assert [label for label, _ in lines] == chain_labels(n)
         assert len(set(chain_labels(n))) == n
         assert (counts["evaluate"], counts["cond_expect"], counts["mul"]) == (n, 2 * n - 2, 2 * n - 2)
 
 
-def reference_telescoping_lines(state, phi, factors, engine):
+def reference_telescoping_lines(phi, factors, engine):
     """The chain with all 3n - 4 lines, including those the bimodule
     property and state preservation fix: ``stage{t}_factorized`` for t >= 2
     and ``stage{t}_preserved`` repeat the value of stage t."""
-    ev = lambda el: engine.evaluate(state, el)
+    ev = lambda el: engine.evaluate(phi.state, el)
     ex = lambda el: engine.cond_expect(phi, el)
     n = len(factors)
     suffixes = [factors[-1]]
@@ -623,21 +601,16 @@ def reference_stage(label, n):
 def test_nfold_chain_keeps_the_reference_lines_that_can_differ():
     # stage 1 keeps the pair factorization and each later stage its bimodule
     # line, bitwise; every dropped line repeats its stage's kept value
-    dependent = expected_dependent()
-    cases = [
-        (vacuum_state(), PhiState.singular()),
-        (expected_nonsymmetric(), preserving_phi(expected_nonsymmetric().density)),
-        (dependent, state_phi(dependent)),
-        (wide_state(), preserving_phi(wide_state().density)),
-    ]
+    states = [vacuum_state(), expected_nonsymmetric(), expected_dependent(), wide_state()]
     rng = random.Random(68)
     for engine in (SPARSE_ENGINE, DENSE_ENGINE):
-        for state, phi in cases:
+        for state in states:
+            phi = preserving_phi(state)
             for n in range(2, 7):
                 blocks = sampling.disjoint_blocks(rng, site_pool(state), n, max_block=2)
                 factors = [sampling.block_element(rng, block) for block in blocks]
-                lines = nfold_telescoping_lines(state, phi, factors, engine)
-                ref = reference_telescoping_lines(state, phi, factors, engine)
+                lines = nfold_telescoping_lines(phi, factors, engine)
+                ref = reference_telescoping_lines(phi, factors, engine)
                 kept = {
                     reference_stage(label, n): value
                     for label, value in ref
@@ -655,7 +628,7 @@ def test_nfold_chain_keeps_the_reference_lines_that_can_differ():
 def test_nfold_chain_needs_two_factors(n_factors):
     factors = [sampling.block_element(random.Random(66), [1])] * n_factors
     with pytest.raises(ValueError, match="two blocks"):
-        nfold_telescoping_lines(vacuum_state(), PhiState.singular(), factors)
+        nfold_telescoping_lines(PhiState(vacuum_state()), factors)
 
 
 def test_classify_large_support_matches_closed_form():
@@ -694,12 +667,14 @@ def test_pair_check_conditions_on_the_state_preserving_phi():
     # with gamma < 1 the site corner of T alone does not preserve the
     # state, and pair factorization failed only because of it
     state = expected_site_three()
-    assert state_phi(state).singular_weight > 0
     kwargs = {"n_samples": 24, "seed": 73}
-    assert check_pair_independence(state, state_phi(state), **kwargs).max_deviation <= 1e-13
-    assert not check_pair_independence(state, preserving_phi(state.density), **kwargs).passed
-    dependent = expected_dependent()
-    assert check_pair_independence(dependent, state_phi(dependent), **kwargs).max_deviation > 0.1
+    assert check_pair_independence(preserving_phi(state), **kwargs).max_deviation <= 1e-13
+    # the phi of the same T at gamma 1 does not preserve the gamma 0.6 state:
+    # psi(eps_33) = 0.42, and psi(F(eps_33)) = psi(I - P) = 0.82
+    x = matrix_unit(3, 3)
+    fx = cond_expect(PhiState(BooleanState(1.0, state.density)), x)
+    assert abs(evaluate(state, fx.embed()) - evaluate(state, x)) > 0.39
+    assert check_pair_independence(preserving_phi(expected_dependent()), **kwargs).max_deviation > 0.1
     for state, seed in ((expected_site_three(), 14), (expected_dependent(), 14)):
         result = classify_definetti(state, seed=seed)
         assert (result.symmetric, result.expected, result.iid, result.consistent) == (
@@ -725,9 +700,9 @@ def test_identical_distribution_measures_in_state_units(gamma):
         for probe in PROBE_ELEMENTS:
             values = {i: moment(state, [(i, probe)]) for i in site_pool(state)}
             widest = max(abs(values[i] - values[k]) for i, k in combinations(values, 2))
-            ident = check_identically_distributed(state, state_phi(state), sample_elements=[probe])
+            ident = check_identically_distributed(preserving_phi(state), sample_elements=[probe])
             assert abs(ident.max_deviation - widest) <= 1e-15, (gamma, probe)
-        ident = check_identically_distributed(state, state_phi(state), sample_elements=PROBE_ELEMENTS)
+        ident = check_identically_distributed(preserving_phi(state), sample_elements=PROBE_ELEMENTS)
         exch = check_exchangeable(state, n_words=0)
         assert ident.max_deviation > floor
         assert abs(ident.max_deviation - exch.max_deviation) <= 1e-15
@@ -833,13 +808,30 @@ def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
     checker = verify.check_pair_independence
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0].state)
         return checker(*args, **kwargs)
 
     monkeypatch.setattr(verify, "check_pair_independence", counted)
     states = [vacuum_state(), expected_nonsymmetric(), nonexpected(), expected_dependent(), infinity_state()]
     expected = [state for state in states if classify_definetti(state, seed=5).expected]
     assert calls == expected and len(expected) == 4
+
+
+def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
+    # phi keeps psi(Q), so the tail checkers and the witness of the ratio
+    # branch read the one sum PhiState makes
+    calls = []
+    site_weight = TraceClassOperator.site_weight
+
+    def counted(self):
+        calls.append(self)
+        return site_weight(self)
+
+    monkeypatch.setattr(TraceClassOperator, "site_weight", counted)
+    for state in (vacuum_state(), expected_dependent(), wide_state(), nonexpected(), infinity_state()):
+        calls.clear()
+        classify_definetti(state, seed=5, n_words=10, n_pairs=4)
+        assert len(calls) <= 1, state
 
 
 def test_saved_pair_witness_replays_as_before():
@@ -849,7 +841,7 @@ def test_saved_pair_witness_replays_as_before():
     pair = classify_definetti(state, seed=14).reports[-1].witness
     saved = legacy_pair_witness(pair)
     x, y = (BooleanElement.from_json(saved[side]) for side in ("x", "y"))
-    fx, fy = (cond_expect(state_phi(state), f) for f in (x, y))
+    fx, fy = (cond_expect(preserving_phi(state), f) for f in (x, y))
     lhs, rhs = evaluate(state, x * y), evaluate(state, fx.embed() * fy.embed())
     assert (decode_complex(saved["lhs"]), decode_complex(saved["rhs"])) == (lhs, rhs)
     assert replay_witness(state, saved, CHECK_TOL) == (lhs, rhs, True)
@@ -884,7 +876,7 @@ def replayable_witnesses():
 def stored_witnesses():
     """``(state, witness)`` for every witness kind a checker stores."""
     dependent = expected_dependent()
-    nfold = check_nfold_factorization(dependent, state_phi(dependent), n=3, seed=1)
+    nfold = check_nfold_factorization(preserving_phi(dependent), n=3, seed=1)
     found = [(dependent, nfold.witness)]
     for state, seed in ((dependent, 14), (nonexpected(), 15)):
         found += [(state, r.witness) for r in classify_definetti(state, seed=seed).reports]
