@@ -53,18 +53,6 @@ def index_key(ix: Index) -> Tuple[int, int]:
     return (0, 0) if ix == VACUUM else (1, ix)
 
 
-def index_to_json(ix: Index):
-    return VACUUM if ix == VACUUM else int(ix)
-
-
-def index_from_json(obj) -> Index:
-    if obj == VACUUM:
-        return VACUUM
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return check_site(obj)
-    raise ValueError(f"expected '#' or a site integer, got {obj!r}")
-
-
 def index_from_key(key: str) -> Index:
     """Parse an index that was used as a JSON object key.
 
@@ -296,11 +284,7 @@ class BooleanElement:
         return {
             "scalar": encode_complex(self.scalar),
             "compact": [
-                {
-                    "row": index_to_json(m),
-                    "col": index_to_json(n),
-                    "amp": encode_complex(amp),
-                }
+                {"row": m, "col": n, "amp": encode_complex(amp)}
                 for (m, n), amp in rows
             ],
         }
@@ -311,7 +295,7 @@ class BooleanElement:
             raise ValueError(f"expected an element object with scalar/compact, got {obj!r}")
         entries = {}
         for item in obj["compact"]:
-            key = (index_from_json(item["row"]), index_from_json(item["col"]))
+            key = (check_index(item["row"]), check_index(item["col"]))
             entries[key] = decode_complex(item["amp"])
         return cls(entries, decode_complex(obj["scalar"]))
 

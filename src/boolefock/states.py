@@ -47,9 +47,15 @@ class TraceClassOperator:
     _entries: Dict[Tuple[Index, Index], complex] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    #: Indices where T has a nonzero row: the support of the eigenvectors,
-    #: with the vacuum when some eigenvector has a vacuum amplitude.
+    #: Per eigenpair, its weight and its nonzero amplitudes keyed by index,
+    #: the vacuum among them; every entry is summed from these maps.
+    _amplitudes: Tuple[Tuple[float, Dict[Index, complex]], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
+    #: Indices where T has a nonzero row: the keys of the amplitude maps.
     _live: FrozenSet[Index] = field(init=False, repr=False, compare=False, default=frozenset())
+    #: The sites of ``_live``, sorted.
+    _site_support: Tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         pairs = []
@@ -73,10 +79,14 @@ class TraceClassOperator:
                 if abs(u.inner(v) - expected) > ORTHO_TOL:
                     raise ValueError("eigenvectors must be orthonormal")
         object.__setattr__(self, "eigenpairs", tuple(pairs))
-        live = {ix for _, xi in pairs for ix in xi.wave}
-        if any(xi.vacuum_amp != 0 for _, xi in pairs):
-            live.add(VACUUM)
-        object.__setattr__(self, "_live", frozenset(live))
+        amplitudes = tuple(
+            (w, {VACUUM: xi.vacuum_amp, **xi.wave} if xi.vacuum_amp != 0 else xi.wave)
+            for w, xi in pairs
+        )
+        live = frozenset(ix for _, amps in amplitudes for ix in amps)
+        object.__setattr__(self, "_amplitudes", amplitudes)
+        object.__setattr__(self, "_live", live)
+        object.__setattr__(self, "_site_support", tuple(sorted(ix for ix in live if ix != VACUUM)))
 
     @classmethod
     def vacuum_projection(cls) -> "TraceClassOperator":
@@ -135,18 +145,9 @@ class TraceClassOperator:
 
     def _eigen_sum(self, m, n) -> complex:
         total = 0j
-        if m == VACUUM or n == VACUUM:
-            for w, xi in self.eigenpairs:
-                total += w * xi.amp(m) * xi.amp(n).conjugate()
-            return total
-        # site pairs, most of the memo misses, read the amplitudes directly
-        for w, xi in self.eigenpairs:
-            wave = xi.wave
-            total += w * wave.get(m, 0j) * wave.get(n, 0j).conjugate()
+        for w, amps in self._amplitudes:
+            total += w * amps.get(m, 0j) * amps.get(n, 0j).conjugate()
         return total
-
-    def vacuum_weight(self) -> float:
-        return sum(w * abs(xi.vacuum_amp) ** 2 for w, xi in self.eigenpairs)
 
     def site_weight(self) -> float:
         """``Tr(Q T Q)``, summed from the site amplitudes: ``1 - w`` cancels
@@ -154,7 +155,7 @@ class TraceClassOperator:
         return sum(w * sum(abs(a) ** 2 for a in xi.wave.values()) for w, xi in self.eigenpairs)
 
     def site_support(self) -> Tuple[int, ...]:
-        return tuple(sorted(ix for ix in self._live if ix != VACUUM))
+        return self._site_support
 
     def trace_against(self, x: BooleanElement) -> complex:
         """``Tr(T * compact(x))`` over the finite joint support."""

@@ -34,6 +34,7 @@ from .algebra import (
     DEFAULT_TOL,
     VACUUM,
     BooleanElement,
+    matrix_unit,
     vacuum_expectation,
 )
 from .states import BooleanState, TraceClassOperator, evaluate
@@ -170,6 +171,12 @@ def is_expected(t: TraceClassOperator) -> bool:
     return residual <= DEFAULT_TOL
 
 
+def _preserved(state: BooleanState) -> bool:
+    """True iff some conditional expectation preserves ``state``: gamma is 0
+    or the density is expected."""
+    return state.gamma == 0.0 or is_expected(state.density)
+
+
 def preserving_phi(state: BooleanState) -> PhiState:
     """``state``'s own ``phi``, whose conditional expectation preserves it.
 
@@ -177,7 +184,7 @@ def preserving_phi(state: BooleanState) -> PhiState:
     of the density; otherwise no conditional expectation preserves the
     state, and ``DecisionError`` is raised.
     """
-    if state.gamma != 0.0 and not is_expected(state.density):
+    if not _preserved(state):
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
@@ -193,23 +200,28 @@ class RatioWitness:
     element: BooleanElement
 
 
-def counterexample_ratio(t: TraceClassOperator) -> RatioWitness:
-    """Witness that no conditional expectation preserves the trace state.
+def counterexample_ratio(state: BooleanState) -> RatioWitness:
+    """Witness that no conditional expectation preserves ``state``.
 
-    Picks the eigenvector ``xi`` of largest weight among those with a
-    nonzero vacuum amplitude (first such on ties); one exists, or ``T e_#``
-    would vanish.  Returns the rank-one element ``X = |e_#><xi|`` together
-    with the ratio by which every ``F_phi`` contracts it:
+    Picks the eigenvector ``xi`` of the density ``T`` of largest weight
+    among those with a nonzero vacuum amplitude (first such on ties); one
+    exists, or ``T e_#`` would vanish.  Returns the rank-one element
+    ``X = |e_#><xi|`` together with the ratio by which every ``F_phi``
+    contracts it:
 
-        psi_T(F_phi(X)) / psi_T(X) = sum_k (w_k / w_pivot) |<e_#, xi_k>|^2 < 1.
+        psi(F_phi(X)) / psi(X) = sum_k (w_k / w_pivot) |<e_#, xi_k>|^2 < 1.
 
-    The ratio is independent of ``phi`` because ``Q X Q = 0``.
+    The ratio is independent of ``phi`` because ``Q X Q = 0``, and of gamma
+    because ``X`` and ``F_phi(X)`` are compact.  Raises ``DecisionError``
+    when some conditional expectation preserves the state: gamma is 0 or
+    the vacuum vector is an eigenvector of ``T``.
     """
-    if is_expected(t):
+    if _preserved(state):
         raise DecisionError(
-            "the vacuum vector is an eigenvector of the density; a preserving "
-            "conditional expectation exists"
+            "a preserving conditional expectation exists: gamma is 0 or the "
+            "vacuum vector is an eigenvector of the density"
         )
+    t = state.density
     pivot_weight, pivot_vec = max(
         ((w, xi) for w, xi in t.eigenpairs if xi.vacuum_amp != 0), key=lambda pair: pair[0]
     )
@@ -228,7 +240,8 @@ def preserving_cond_expect(state: BooleanState, x: BooleanElement) -> TailElemen
         F(X) = x_## * P + (psi(X) - psi(P) * x_##) / psi(Q) * (I - P)
 
     with ``x_## = <X e_#, e_#>``: ``F`` must fix ``x_##`` on ``P`` and carry
-    the rest of ``psi(X)`` on ``I - P``.  Agrees with
+    the rest of ``psi(X)`` on ``I - P``.  ``psi(P)`` is read through
+    ``evaluate``, as every other value of the state is.  Agrees with
     ``cond_expect(preserving_phi(state), x)`` everywhere.  Raises
     ``DecisionError`` when the state is not expected or ``psi(Q) = 0``.
     """
@@ -239,5 +252,5 @@ def preserving_cond_expect(state: BooleanState, x: BooleanElement) -> TailElemen
             "expectation preserves the vacuum state)"
         )
     vac = vacuum_expectation(x)
-    psi_p = state.gamma * state.density.vacuum_weight()
+    psi_p = evaluate(state, matrix_unit(VACUUM, VACUUM))
     return TailElement(vac, (evaluate(state, x) - psi_p * vac) / psi_q)

@@ -45,7 +45,7 @@ from .fock import (
 from .jsonutil import decode_float, encode_complex
 from .sampling import SITE_POOL
 from .states import BooleanState, evaluate, moment
-from .tail import DecisionError, PhiState, RatioWitness, cond_expect, counterexample_ratio, preserving_phi
+from .tail import DecisionError, PhiState, cond_expect, counterexample_ratio, preserving_phi
 
 #: Pass/fail tolerance for checkers; looser than the kernel tolerance to
 #: absorb accumulation over length-5 words.
@@ -448,14 +448,6 @@ class Classification:
         }
 
 
-def _state_ratio(state: BooleanState) -> RatioWitness:
-    """The contraction ratio of ``state``; raises ``DecisionError`` when the
-    state is expected, as every state with gamma 0 is."""
-    if state.gamma == 0.0:
-        raise DecisionError("a state with gamma 0 is expected: it has no contraction ratio")
-    return counterexample_ratio(state.density)
-
-
 def classify_definetti(
     state: BooleanState,
     seed: int = 0,
@@ -494,14 +486,14 @@ def classify_definetti(
         reports.extend([ident, pair])
         iid = ident.passed and pair.passed
     else:
-        found = _state_ratio(state)
-        # Record how well the witness reproduces the contraction identity.
-        # Its element X has Q X Q = 0, so F_phi(X) is the same for every
-        # phi, and the singular phi of gamma 0 stands for all of them.
-        psi_t = BooleanState(1.0, state.density)
-        fx = engine.cond_expect(PhiState(BooleanState(0.0, state.density)), found.element)
-        lhs = engine.evaluate(psi_t, fx.embed())
-        dev = abs(lhs - found.ratio * engine.evaluate(psi_t, found.element))
+        found = counterexample_ratio(state)
+        # Record, in the state's units, how well the witness reproduces the
+        # contraction identity psi(F(X)) = ratio * psi(X).  Its element X
+        # has Q X Q = 0, so every F_phi gives the same F(X), and the
+        # state's own phi stands for all of them.
+        fx = engine.cond_expect(PhiState(state), found.element)
+        lhs = engine.evaluate(state, fx.embed())
+        dev = abs(lhs - found.ratio * engine.evaluate(state, found.element))
         reports.append(
             CheckReport(
                 "preserving_expectation_exists",
@@ -562,7 +554,7 @@ def _replay_pair_independence(state: BooleanState, witness: dict) -> tuple:
 
 def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
     rhs = decode_float(witness["ratio"])
-    lhs = _state_ratio(state).ratio
+    lhs = counterexample_ratio(state).ratio
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -107,9 +107,9 @@ def test_criterion_06_counterexample_negative_branch():
     worst = 0.0
     for _ in range(200):
         t = sampling.nonexpected_density(rng, rng.randint(1, 5), range(1, 8))
-        found = counterexample_ratio(t)
-        ok = ok and found.ratio < 1.0 - 1e-12
         state = BooleanState(1.0, t)
+        found = counterexample_ratio(state)
+        ok = ok and found.ratio < 1.0 - 1e-12
         psi_x = evaluate(state, found.element)
         site_only = TraceClassOperator.rank_one(site_vector(t.site_support()[0]))
         phis = [PhiState(infinity_state()), PhiState(BooleanState(1.0, site_only)), PhiState(state)]
@@ -121,7 +121,7 @@ def test_criterion_06_counterexample_negative_branch():
     hand = TraceClassOperator(
         ((0.75, FockVector(s, {1: s})), (0.25, FockVector(s, {1: -s})))
     )
-    hand_ratio = counterexample_ratio(hand).ratio
+    hand_ratio = counterexample_ratio(BooleanState(1.0, hand)).ratio
     ok = ok and abs(hand_ratio - 2.0 / 3.0) <= 1e-12
     _verdict(6, "negative branch ratio", ok and worst <= 1e-10)
 

@@ -3,7 +3,7 @@
 import random
 
 from boolefock import oracle, sampling
-from boolefock.algebra import max_amp_diff, max_entry_diff
+from boolefock.algebra import VACUUM, max_amp_diff, max_entry_diff
 from boolefock.states import BooleanState, TraceClassOperator, evaluate, infinity_state, moment
 from boolefock.tail import PhiState, cond_expect
 
@@ -84,7 +84,7 @@ def test_cond_expect_matches_dense_with_vacuum_weight():
             t = sampling.expected_density(rng, rank, range(1, 7), vacuum_weight=rng.uniform(0.1, 0.9))
         else:
             t = sampling.generic_density(rng, rank, range(1, 7))
-        assert t.vacuum_weight() > 0
+        assert t.entry(VACUUM, VACUUM).real > 0
         phi = PhiState(BooleanState((1.0, 0.8, 0.1)[trial % 3], t))
         x = sampling.boolean_element(rng, sites=range(1, 9), max_entries=6)
         assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12

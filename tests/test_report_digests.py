@@ -63,7 +63,7 @@ CLASSIFY_DIGESTS = {
     "expected_vacuum_eigenvalue": "8a7cef5f4a7cdd6be6645b80e59df248b8bd1ca26f2086e587f2f403896e3cf7",
     "expected_vacuum_in_kernel": "82a3ec139e6b204bbe1c0319dd095580155134327f0cb35d55b35dcc7086aa12",
     "near_vacuum_singular": "1edafeefcb99969c2ba072f7406bcc9caeb9f822ae6e3737703897c34b6cfabc",
-    "nonexpected": "36499e238947bac2403587d01f5c302dbd37091b7cca0244541db39ebdad775f",
+    "nonexpected": "ee128a8eb213ab95bc8434b5dd275697ba4ac29595e694eff84798df7f50537e",
     "vacuum": "95d1a5e4f59715d6b9b6768ebac9f36a62f4f5e3e3855817efa18b5d95fe0323",
     "wide_20_sites": "572c56b067439ec3cd8e937c17a81f2513fcc7224c00af14f33dbcad66b2bc63",
 }

@@ -78,6 +78,11 @@ def test_decode_errors():
         jsonutil.decode_complex([1.0, "x"])
     with pytest.raises(ValueError):
         BooleanElement.from_json({"scalar": [0, 0]})
+    for bad in (True, 0, -1, 1.0, "1", "x", None, [1]):
+        for key in ("row", "col"):
+            item = {"row": 1, "col": VACUUM, "amp": [1, 0], key: bad}
+            with pytest.raises(ValueError, match="site labels"):
+                BooleanElement.from_json({"scalar": [0, 0], "compact": [item]})
     with pytest.raises(ValueError):
         BooleanState.from_json({"gamma": "high", "T": {"eigenpairs": []}})
 

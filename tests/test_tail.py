@@ -293,12 +293,12 @@ def test_counterexample_ratio_frozen_instance():
     t = TraceClassOperator(
         ((0.75, FockVector(s, {1: s})), (0.25, FockVector(s, {1: -s})))
     )
-    found = counterexample_ratio(t)
+    state = BooleanState(1.0, t)
+    found = counterexample_ratio(state)
     assert abs(found.ratio - 2.0 / 3.0) <= 1e-12
     # the witness maps everything onto the vacuum line, so QXQ = 0
     assert all(m == VACUUM for (m, n) in found.element.compact)
 
-    state = BooleanState(1.0, t)
     psi_x = evaluate(state, found.element)
     for phi in BOTH_PHIS:
         lhs = evaluate(state, cond_expect(phi, found.element).embed())
@@ -309,26 +309,30 @@ def test_counterexample_ratio_random_nonexpected():
     rng = random.Random(36)
     for _ in range(40):
         t = sampling.nonexpected_density(rng, rng.randint(1, 5), range(1, 7))
-        found = counterexample_ratio(t)
-        assert found.ratio < 1.0 - 1e-12
         state = BooleanState(1.0, t)
+        found = counterexample_ratio(state)
+        assert found.ratio < 1.0 - 1e-12
         psi_x = evaluate(state, found.element)
         assert abs(psi_x) > 1e-12
         for phi in BOTH_PHIS:
             lhs = evaluate(state, cond_expect(phi, found.element).embed())
             assert abs(lhs - found.ratio * psi_x) <= 1e-10
+        # the ratio does not depend on gamma > 0, and gamma 0 is expected
+        assert counterexample_ratio(BooleanState(0.3, t)) == found
+        with pytest.raises(DecisionError):
+            counterexample_ratio(BooleanState(0.0, t))
     with pytest.raises(DecisionError):
-        counterexample_ratio(TraceClassOperator.vacuum_projection())
+        counterexample_ratio(vacuum_state())
 
 
 def test_tail_branch_near_the_vacuum_boundary():
     # weights and norms within ORTHO_TOL of one: a vacuum amplitude of 1e-10
     # is still a pivot, and a vacuum-only density has no site corner
     assert not is_expected(OVERLAPPING)
-    found = counterexample_ratio(OVERLAPPING)
+    found = counterexample_ratio(BooleanState(1.0, OVERLAPPING))
     assert found.ratio < 1.0
     assert found.element.compact[(VACUUM, VACUUM)] == 1e-10
-    assert VACUUM_ONLY.vacuum_weight() < 1.0 - 1e-10 and VACUUM_ONLY.site_weight() == 0.0
+    assert VACUUM_ONLY.entry(VACUUM, VACUUM).real < 1.0 - 1e-10 and VACUUM_ONLY.site_weight() == 0.0
     x = BooleanElement({(1, 1): 2.0, (VACUUM, VACUUM): 1.0}, 0.75)
     for gamma in (1.0, 0.5):
         phi = preserving_phi(BooleanState(gamma, VACUUM_ONLY))
@@ -361,9 +365,9 @@ def test_expectedness_dichotomy():
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
             with pytest.raises(DecisionError):
-                counterexample_ratio(t)
+                counterexample_ratio(state)
         else:
-            found = counterexample_ratio(t)
+            found = counterexample_ratio(state)
             assert found.ratio < 1.0 - 1e-12
             with pytest.raises(DecisionError):
                 preserving_phi(state)
@@ -405,7 +409,7 @@ def test_preserving_phi_degenerate_mixed_representation():
     assert abs(phi.psi_q - 0.5) <= 1e-15
     assert_site_projection_phi(phi, 1)
     with pytest.raises(DecisionError):
-        counterexample_ratio(t)
+        counterexample_ratio(state)
 
     rng = random.Random(60)
     for _ in range(100):

@@ -1,4 +1,7 @@
+import ast
+import cmath
 import math
+import pathlib
 import random
 import tracemalloc
 from collections import Counter
@@ -757,16 +760,16 @@ def test_classify_matches_theory_on_the_delta_stratum():
     assert outside >= 120
 
 
-def epsilon_stratum(count=120, seed=5):
+def epsilon_stratum(pattern, count=120, seed=5):
     """``(state, D)`` for rank-one T = |xi><xi| with xi proportional to
-    e_# + eps e_1 + 0.5i eps e_2, eps log-uniform in [1e-15, 1e-3], and
-    D = gamma * max(max_i |T_i#|, max_i T_ii), the entrywise maximum of
-    gamma * (T - T_## P)."""
+    e_# + eps sum_i c_i e_i, for the coherence pattern ``{i: c_i}``, eps
+    log-uniform in [1e-15, 1e-3], and D = gamma * max(max_i |T_i#|,
+    max_i T_ii), the entrywise maximum of gamma * (T - T_## P)."""
     rng = random.Random(seed)
     for k in range(count):
         gamma = (1.0, 0.5, 0.1)[k % 3]
         eps = 10 ** rng.uniform(-15, -3)
-        t = TraceClassOperator.rank_one(FockVector(1.0, {1: eps, 2: 0.5j * eps}))
+        t = TraceClassOperator.rank_one(FockVector(1.0, {i: eps * c for i, c in pattern.items()}))
         sites = t.site_support()
         coherence = max(abs(t.entry(i, VACUUM)) for i in sites)
         yield BooleanState(gamma, t), gamma * max(coherence, max(t.entry(i, i).real for i in sites))
@@ -777,14 +780,31 @@ def epsilon_stratum(count=120, seed=5):
 #: exchangeability probes read gamma * T_i# (ROADMAP item 3, Step 2).
 EPSILON_INCONSISTENT = {7, 53, 106, 107, 119}
 
+#: The same for coherence spread evenly over several sites, where sites
+#: differ from each other by more than from the fresh site: by 2x for
+#: opposite phases, by sqrt(3)x at the cube roots of unity.
+EPSILON_SPREAD_INCONSISTENT = {53, 102, 107, 119}
 
-def test_classify_on_the_epsilon_stratum():
+
+@pytest.mark.parametrize(
+    "pattern, pinned",
+    [
+        pytest.param({1: 1, 2: 0.5j}, EPSILON_INCONSISTENT, id="quadrature"),
+        pytest.param({1: 1, 2: -1}, EPSILON_SPREAD_INCONSISTENT, id="opposite"),
+        pytest.param(
+            {k + 1: cmath.exp(2j * math.pi * k / 3) for k in range(3)},
+            EPSILON_SPREAD_INCONSISTENT,
+            id="cube_roots",
+        ),
+    ],
+)
+def test_classify_on_the_epsilon_stratum(pattern, pinned):
     # theory: symmetric = iid = (D <= tol), and expected iff T e_# has no
     # site part; symmetric is asserted outside the decade around the
-    # tolerance, iid not yet, since three inconsistent states lie outside it
+    # tolerance, iid not yet, since inconsistent states lie outside it
     outside = 0
     inconsistent = set()
-    for k, (state, scale) in enumerate(epsilon_stratum()):
+    for k, (state, scale) in enumerate(epsilon_stratum(pattern)):
         result = classify_definetti(state, seed=k)
         w, xi = state.density.eigenpairs[0]
         residual = w * abs(xi.vacuum_amp) * math.sqrt(sum(abs(a) ** 2 for a in xi.wave.values()))
@@ -796,7 +816,7 @@ def test_classify_on_the_epsilon_stratum():
             outside += 1
             assert result.symmetric == (scale <= CHECK_TOL), (k, scale)
     assert outside == 104
-    assert inconsistent == EPSILON_INCONSISTENT
+    assert inconsistent == pinned
 
 
 def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
@@ -832,6 +852,22 @@ def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
         calls.clear()
         classify_definetti(state, seed=5, n_words=10, n_pairs=4)
         assert len(calls) <= 1, state
+
+
+def test_tail_branches_read_the_state_they_classify():
+    # the checkers, the ratio witness and its audit take the state they are
+    # given; none fabricates another state beside it
+    package = pathlib.Path(verify.__file__).parent
+    for name in ("verify.py", "tail.py"):
+        tree = ast.parse((package / name).read_text())
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None))
+            == "BooleanState"
+        ]
+        assert not calls, (name, calls)
 
 
 def test_saved_pair_witness_replays_as_before():
