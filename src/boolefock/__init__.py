@@ -33,6 +33,7 @@ from .fock import (
     embed,
     permute,
     permute_word,
+    word_sites,
 )
 from .states import (
     BooleanState,
@@ -41,6 +42,7 @@ from .states import (
     gram_schmidt,
     infinity_state,
     moment,
+    moments,
     symmetric_state,
     vacuum_state,
 )
@@ -55,6 +57,7 @@ from .tail import (
     is_expected,
     preserving_cond_expect,
     preserving_phi,
+    site_marginals,
 )
 from .verify import (
     CheckReport,

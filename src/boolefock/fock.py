@@ -195,6 +195,11 @@ def permute(g: FinitePermutation, x: BooleanElement) -> BooleanElement:
     )
 
 
+def word_sites(word: Sequence[Tuple[int, TestAlgebraElement]]) -> list:
+    """The word's distinct sites, in order of first occurrence."""
+    return list(dict.fromkeys(j for j, _ in word))
+
+
 def permute_word(
     g: FinitePermutation, word: Sequence[Tuple[int, TestAlgebraElement]]
 ) -> list:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, vacuum_vector
-from .fock import TestAlgebraElement
+from .fock import TestAlgebraElement, word_sites
 from .jsonutil import decode_float
 
 #: Tolerance for validating weights and eigenvector orthonormality.
@@ -39,7 +39,8 @@ class TraceClassOperator:
     """A finite-rank positive operator ``sum_k w_k |xi_k><xi_k|``, trace one.
 
     Entries are computed on first use and memoised per ``(row, col)`` pair,
-    so a memo grows only with the pairs a state is asked for.
+    each summed from two per-index rows that are also built on first use,
+    so the memos grow only with the pairs and indices a state is asked for.
     """
 
     eigenpairs: Tuple[Tuple[float, FockVector], ...]
@@ -47,8 +48,18 @@ class TraceClassOperator:
     _entries: Dict[Tuple[Index, Index], complex] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    #: Per index ``m``, ``w_k * amp_k(m)`` over the eigenpairs; built on
+    #: first use as a row index.
+    _weighted: Dict[Index, List[complex]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    #: Per index ``n``, ``conj(amp_k(n))`` over the eigenpairs; built on
+    #: first use as a column index.
+    _conjugates: Dict[Index, List[complex]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
     #: Per eigenpair, its weight and its nonzero amplitudes keyed by index,
-    #: the vacuum among them; every entry is summed from these maps.
+    #: the vacuum among them; the per-index rows are read from these maps.
     _amplitudes: Tuple[Tuple[float, Dict[Index, complex]], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -128,25 +139,18 @@ class TraceClassOperator:
             value = self._entries[(m, n)] = self._eigen_sum(m, n)
         return value
 
-    def block(self, indices: Sequence[Index]) -> List[List[complex]]:
-        """The compression ``[[entry(m, n) for n in indices] for m in indices]``,
-        read through the same memo as ``entry``."""
-        memo = self._entries
-        rows = []
-        for m in indices:
-            row = []
-            for n in indices:
-                value = memo.get((m, n))
-                if value is None:
-                    value = memo[(m, n)] = self._eigen_sum(m, n)
-                row.append(value)
-            rows.append(row)
-        return rows
-
     def _eigen_sum(self, m, n) -> complex:
+        """``sum_k (w_k * amp_k(m)) * conj(amp_k(n))``, in eigenpair order,
+        from the two per-index rows."""
+        left = self._weighted.get(m)
+        if left is None:
+            left = self._weighted[m] = [w * amps.get(m, 0j) for w, amps in self._amplitudes]
+        right = self._conjugates.get(n)
+        if right is None:
+            right = self._conjugates[n] = [amps.get(n, 0j).conjugate() for _, amps in self._amplitudes]
         total = 0j
-        for w, amps in self._amplitudes:
-            total += w * amps.get(m, 0j) * amps.get(n, 0j).conjugate()
+        for wa, ca in zip(left, right):
+            total += wa * ca
         return total
 
     def site_weight(self) -> float:
@@ -234,7 +238,22 @@ def evaluate(state: BooleanState, x: BooleanElement) -> complex:
 def moment(
     state: BooleanState, word: Sequence[Tuple[int, TestAlgebraElement]]
 ) -> complex:
-    """Evaluate the state on the ordered product ``X`` of embedded elements.
+    """Evaluate the state on the ordered product of the word's embedded
+    elements: :func:`moments` with the word's own sites."""
+    return moments(state, word, [word_sites(word)])[0]
+
+
+def moments(
+    state: BooleanState,
+    word: Sequence[Tuple[int, TestAlgebraElement]],
+    assignments: Iterable[Sequence[int]],
+) -> List[complex]:
+    """The moment of ``word`` with its sites moved, once per assignment.
+
+    An assignment lists the new sites of the word's distinct sites, in
+    order of first occurrence; they must be distinct valid sites, each
+    checked once.  The value for an assignment is the state on the
+    ordered product ``X`` of the moved word's embedded elements.
 
     ``X`` is ``c * I`` plus a compact supported on ``U``, the vacuum and the
     word's sites, where ``c`` is the product of the betas (the identity
@@ -245,44 +264,63 @@ def moment(
     and only the ``u`` where ``T`` has a nonzero row contribute.  The word
     is applied right to left to each such column without forming ``X``: a
     factor at site ``j`` mixes the ``e_#`` and ``e_j`` coordinates by its
-    2x2 block and scales every other coordinate by its ``beta``, and a
-    per-word plan defers those scalings until a coordinate is next mixed.
-    One column costs O(len) and a moment O(len^2), whatever the rank and
-    support of ``T``; the compression of ``T`` is read through its entry
-    memo, so each of its entries costs O(rank) once per state.  No term
-    relies on the weights summing to one, which holds only to within
-    ``ORTHO_TOL``.
+    2x2 block and scales every other coordinate by its ``beta``.  The plan,
+    built once per word, holds each factor's slot and the betas its
+    coordinate gathered since last mixed, so the scalings wait until a
+    coordinate is next mixed; it does not depend on the sites, which only
+    pick the columns.  One column costs O(len) and a moment O(len^2),
+    whatever the rank and support of ``T``; the columns are read through
+    ``T``'s entry memo, so each of its entries costs O(rank) once per
+    state.  No term relies on the weights summing to one, which holds only
+    to within ``ORTHO_TOL``.
     """
     if not word:
         raise ValueError("moment requires a non-empty word")
     scalar = word[0][1].beta
     for _, a in word[1:]:
         scalar *= a.beta
-    sites = list(dict.fromkeys(check_site(j) for j, _ in word))
+    slot = {j: p for p, j in enumerate(word_sites(word), 1)}
+    indexed = [_site_indices(sites, len(slot)) for sites in assignments]
     if state.gamma == 0.0:
-        return scalar
-    slot = {j: p for p, j in enumerate(sites, 1)}
+        return [scalar] * len(indexed)
     # per factor, right to left: its slot, the betas its site's coordinate
     # gathered since last mixed, and its element; the vacuum coordinate is
     # mixed by every factor, so it never gathers any
-    pending = [1.0] * (len(sites) + 1)
+    pending = [1.0] * (len(slot) + 1)
     plan = []
     for j, a in reversed(word):
         p = slot[j]
         plan.append((p, pending[p], a))
         pending = [z * a.beta for z in pending]
         pending[0] = pending[p] = 1.0
-    live = [(p, ix) for p, ix in enumerate([VACUUM, *sites]) if ix in state.density._live]
-    block = state.density.block([ix for _, ix in live])
-    total = 0j
-    for col, (q, _) in enumerate(live):
-        v = [0j] * len(pending)
-        for row, (p, _) in enumerate(live):
-            v[p] = block[row][col]
-        for p, scale, a in plan:
-            v0, vp = v[0], scale * v[p]
-            v[0] = a.a * v0 + a.b * vp
-            v[p] = a.c * v0 + a.d * vp
-        # pending[q] holds the betas gathered since coordinate q was last mixed
-        total += pending[q] * v[q] - scalar * block[col][col]
-    return state.gamma * total + scalar
+    density = state.density
+    memo, support = density._entries, density._live
+    values = []
+    for indices in indexed:
+        live = [(p, ix) for p, ix in enumerate(indices) if ix in support]
+        total = 0j
+        for q, n in live:
+            v = [0j] * len(pending)
+            for p, m in live:
+                entry = memo.get((m, n))
+                v[p] = entry if entry is not None else density.entry(m, n)
+            diagonal = v[q]
+            for p, scale, a in plan:
+                v0, vp = v[0], scale * v[p]
+                v[0] = a.a * v0 + a.b * vp
+                v[p] = a.c * v0 + a.d * vp
+            # pending[q] holds the betas gathered since coordinate q was last mixed
+            total += pending[q] * v[q] - scalar * diagonal
+        values.append(state.gamma * total + scalar)
+    return values
+
+
+def _site_indices(sites: Sequence[int], count: int) -> Tuple[Index, ...]:
+    """``(VACUUM, *sites)``, once ``sites`` is checked to be ``count``
+    distinct valid sites."""
+    indices = (VACUUM, *map(check_site, sites))
+    if len(indices) != count + 1:
+        raise ValueError(f"expected {count} sites, got {len(indices) - 1}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"sites must be distinct, got {list(sites)!r}")
+    return indices

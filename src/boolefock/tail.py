@@ -28,15 +28,17 @@ settled for every ``phi`` at once because the witness ``X`` below satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from .algebra import (
     DEFAULT_TOL,
     VACUUM,
     BooleanElement,
+    check_site,
     matrix_unit,
     vacuum_expectation,
 )
+from .fock import TestAlgebraElement
 from .states import BooleanState, TraceClassOperator, evaluate
 
 
@@ -70,15 +72,15 @@ class TailElement:
     def __mul__(self, other: "TailElement") -> "TailElement":
         if not isinstance(other, TailElement):
             return NotImplemented
-        return TailElement(self.x * other.x, self.y * other.y)
+        return TailElement._canonical(self.x * other.x, self.y * other.y)
 
     def __add__(self, other: "TailElement") -> "TailElement":
         if not isinstance(other, TailElement):
             return NotImplemented
-        return TailElement(self.x + other.x, self.y + other.y)
+        return TailElement._canonical(self.x + other.x, self.y + other.y)
 
     def adjoint(self) -> "TailElement":
-        return TailElement(self.x.conjugate(), self.y.conjugate())
+        return TailElement._canonical(self.x.conjugate(), self.y.conjugate())
 
     def embed(self) -> BooleanElement:
         """Write the pair as an algebra element ``(x - y)*eps(#,#) + y*I``."""
@@ -144,6 +146,35 @@ def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     over the tail algebra.
     """
     return TailElement._canonical(vacuum_expectation(x), phi.corner_value(x))
+
+
+def site_marginals(
+    phi: PhiState, element: TestAlgebraElement, sites: Sequence[int]
+) -> List[TailElement]:
+    """``[cond_expect(phi, embed(s, element)) for s in sites]``, bit for bit,
+    without building the embedded elements.
+
+    ``embed(s, element)`` has vacuum corner ``a`` and site block
+    ``(d - beta) * eps(s, s) + beta * I``, so the vacuum coordinate is
+    computed once and only ``T_ss`` is read per site.
+    """
+    beta = element.beta
+    vacuum_part = element.a - beta
+    x = (vacuum_part if vacuum_part != 0 else 0j) + beta
+    corner = element.d - beta
+    divisor, density = phi._divisor, phi.state.density
+    marginals = []
+    for s in sites:
+        j = check_site(s)
+        if divisor is None:
+            y = complex(beta)
+        else:
+            total = 0j
+            if corner != 0:
+                total += corner * density.entry(j, j)
+            y = total / divisor + beta
+        marginals.append(TailElement._canonical(x, y))
+    return marginals
 
 
 def bimodule_property_holds(

@@ -38,14 +38,21 @@ from .fock import (
     annihilator,
     creator,
     embed,
-    permute_word,
     word_from_json,
+    word_sites,
     word_to_json,
 )
 from .jsonutil import decode_float, encode_complex
 from .sampling import SITE_POOL
-from .states import BooleanState, evaluate, moment
-from .tail import DecisionError, PhiState, cond_expect, counterexample_ratio, preserving_phi
+from .states import BooleanState, evaluate, moments
+from .tail import (
+    DecisionError,
+    PhiState,
+    cond_expect,
+    counterexample_ratio,
+    preserving_phi,
+    site_marginals,
+)
 
 #: Pass/fail tolerance for checkers; looser than the kernel tolerance to
 #: absorb accumulation over length-5 words.
@@ -53,26 +60,49 @@ CHECK_TOL = 1e-9
 
 
 class Engine(NamedTuple):
-    """The kernel operations a checker needs, swappable for the oracle."""
+    """The kernel operations a checker needs, swappable for the oracle.
+
+    ``moments`` evaluates one word at each of several site assignments
+    (see :func:`boolefock.states.moments`), and ``site_marginals`` one
+    element's conditioned marginal at each of several sites (see
+    :func:`boolefock.tail.site_marginals`).
+    """
 
     mul: Callable[[BooleanElement, BooleanElement], BooleanElement]
     evaluate: Callable[[BooleanState, BooleanElement], complex]
-    moment: Callable[[BooleanState, Sequence], complex]
+    moments: Callable[[BooleanState, Sequence, Sequence[Sequence[int]]], List[complex]]
     cond_expect: Callable[[PhiState, BooleanElement], object]
+    site_marginals: Callable[[PhiState, TestAlgebraElement, Sequence[int]], list]
+
+
+def _dense_moments(state: BooleanState, word: Sequence, assignments) -> List[complex]:
+    """The oracle's moment of the word relabelled by each assignment."""
+    sites, values = word_sites(word), []
+    for moved in assignments:
+        relabel = dict(zip(sites, moved))
+        values.append(oracle.dense_moment(state, [(relabel[j], a) for j, a in word]))
+    return values
+
+
+def _dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> list:
+    """The oracle's conditional expectation of the element embedded at each site."""
+    return [oracle.dense_cond_expect(phi, embed(s, element)) for s in sites]
 
 
 SPARSE_ENGINE = Engine(
     mul=lambda x, y: x * y,
     evaluate=evaluate,
-    moment=moment,
+    moments=moments,
     cond_expect=cond_expect,
+    site_marginals=site_marginals,
 )
 
 DENSE_ENGINE = Engine(
     mul=oracle.dense_mul,
     evaluate=oracle.dense_evaluate,
-    moment=oracle.dense_moment,
+    moments=_dense_moments,
     cond_expect=oracle.dense_cond_expect,
+    site_marginals=_dense_site_marginals,
 )
 
 
@@ -251,8 +281,10 @@ PROBE_ELEMENTS = (
 
 
 def _permuted_moments(state: BooleanState, word: Sequence, perm: FinitePermutation, engine: Engine):
-    """The moments of a word and of its image under a site permutation."""
-    return engine.moment(state, word), engine.moment(state, permute_word(perm, word))
+    """The moments of a word and of its image under a site permutation, from
+    one plan of the word."""
+    sites = word_sites(word)
+    return engine.moments(state, word, [sites, [perm(j) for j in sites]])
 
 
 def check_exchangeable(
@@ -267,9 +299,10 @@ def check_exchangeable(
 
     Runs deterministic length-one probes over every site pair first (these
     witness any non-symmetric state of the implemented family), then the
-    requested number of random words against random permutations.  The
-    swap ``(i j)`` maps the probe word ``[(i, probe)]`` to ``[(j, probe)]``,
-    so each probe is evaluated once per site, and one reduction over the
+    requested number of random words against random permutations, each
+    word and its image evaluated from one plan.  The swap ``(i j)`` maps
+    the probe word ``[(i, probe)]`` to ``[(j, probe)]``, so each probe is
+    planned once and evaluated once per site, and one reduction over the
     table of site values compares every pair without listing the pairs.
     Each probe counts one sample per site pair, and its witness is the
     first failing pair in ``combinations`` order.
@@ -277,7 +310,10 @@ def check_exchangeable(
     rng = random.Random(seed)
     pool = site_pool(state)
     rec = _Recorder(tol)
-    values = [[engine.moment(state, [(i, probe)]) for probe in PROBE_ELEMENTS] for i in pool]
+    # the probe word's one site is a label: each assignment moves it
+    sites = [[i] for i in pool]
+    columns = [engine.moments(state, [(pool[0], probe)], sites) for probe in PROBE_ELEMENTS]
+    values = list(zip(*columns))
 
     def witness(word, perm, lhs, rhs):
         return {
@@ -312,11 +348,11 @@ def check_identically_distributed(
 
     The state is ``phi.state``.  Each deviation is weighted by its mass on
     the site corner, ``psi(I - P)``, so that it is measured in the state's
-    units rather than in ``phi``'s.  Each element's marginal is computed
-    once per site, and one reduction over the table of their tail
-    coordinates compares every site pair without listing the pairs.  Each
-    element counts one sample per site pair, and its witness is the first
-    failing pair in ``combinations`` order.
+    units rather than in ``phi``'s.  Each element's marginals come from one
+    ``site_marginals`` call over the pool, and one reduction over the table
+    of their tail coordinates compares every site pair without listing the
+    pairs.  Each element counts one sample per site pair, and its witness
+    is the first failing pair in ``combinations`` order.
     """
     rng = random.Random(seed)
     pool = site_pool(phi.state)
@@ -325,8 +361,11 @@ def check_identically_distributed(
             sampling.test_element(rng) for _ in range(8)
         ]
     rec = _Recorder(tol)
-    marginals = [[engine.cond_expect(phi, embed(s, a)) for a in sample_elements] for s in pool]
-    table = np.array([[v for m in row for v in (m.x, m.y)] for row in marginals], dtype=complex)
+    marginals = [engine.site_marginals(phi, a, pool) for a in sample_elements]
+    table = np.array(
+        [[v for column in marginals for v in (column[i].x, column[i].y)] for i in range(len(pool))],
+        dtype=complex,
+    )
 
     def witness(e, i, k):
         return {
@@ -334,8 +373,8 @@ def check_identically_distributed(
             "site_i": pool[i],
             "site_k": pool[k],
             "element": sample_elements[e].to_json(),
-            "lhs": marginals[i][e].to_json(),
-            "rhs": marginals[k][e].to_json(),
+            "lhs": marginals[e][i].to_json(),
+            "rhs": marginals[e][k].to_json(),
         }
 
     _record_site_pairs(rec, table, 2, phi.psi_q, witness)
@@ -531,8 +570,7 @@ def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
 def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
     element = TestAlgebraElement.from_json(witness["element"])
     phi = preserving_phi(state)
-    lhs = cond_expect(phi, embed(witness["site_i"], element))
-    rhs = cond_expect(phi, embed(witness["site_k"], element))
+    lhs, rhs = site_marginals(phi, element, [witness["site_i"], witness["site_k"]])
     return lhs.x + lhs.y, rhs.x + rhs.y, phi.psi_q * lhs.max_diff(rhs)
 
 

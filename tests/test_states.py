@@ -4,12 +4,13 @@ import pytest
 
 from boolefock.algebra import (
     VACUUM,
+    check_site,
     identity,
     matrix_unit,
     site_vector,
     vacuum_vector,
 )
-from boolefock.fock import TestAlgebraElement, embed
+from boolefock.fock import TestAlgebraElement, embed, word_sites
 from boolefock.states import (
     BooleanState,
     TraceClassOperator,
@@ -17,6 +18,7 @@ from boolefock.states import (
     gram_schmidt,
     infinity_state,
     moment,
+    moments,
     symmetric_state,
     vacuum_state,
 )
@@ -184,9 +186,9 @@ def test_entry_memo_matches_eigen_sum():
             assert t.entry(m, n) == eigen_sum_entry(t, m, n)
         chosen = rng.sample(indices, rng.randint(1, 7))
         expected = [[eigen_sum_entry(t, m, n) for n in chosen] for m in chosen]
-        assert t.block(chosen) == expected
+        assert [[t.entry(m, n) for n in chosen] for m in chosen] == expected
         fresh = TraceClassOperator.from_json(t.to_json())
-        assert fresh.block(chosen) == expected
+        assert [[fresh.entry(m, n) for n in chosen] for m in chosen] == expected
 
 
 def test_entry_memo_is_invisible():
@@ -201,6 +203,108 @@ def test_entry_memo_is_invisible():
     assert (repr(t), t.to_json()) == before
     twin = TraceClassOperator.from_json(t.to_json())
     assert t == twin and BooleanState(0.5, t) == BooleanState(0.5, twin)
+
+
+def frozen_eigen_sum(t, m, n):
+    # the entry as the per-eigenpair amplitude maps summed it before rows
+    total = 0j
+    for w, xi in t.eigenpairs:
+        amps = {VACUUM: xi.vacuum_amp, **xi.wave} if xi.vacuum_amp != 0 else xi.wave
+        total += w * amps.get(m, 0j) * amps.get(n, 0j).conjugate()
+    return total
+
+
+def frozen_moment(state, word):
+    # the one-word kernel as it was before the plan was split from the
+    # column pass, reading its compression from frozen_eigen_sum
+    if not word:
+        raise ValueError("moment requires a non-empty word")
+    scalar = word[0][1].beta
+    for _, a in word[1:]:
+        scalar *= a.beta
+    sites = list(dict.fromkeys(check_site(j) for j, _ in word))
+    if state.gamma == 0.0:
+        return scalar
+    slot = {j: p for p, j in enumerate(sites, 1)}
+    pending = [1.0] * (len(sites) + 1)
+    plan = []
+    for j, a in reversed(word):
+        p = slot[j]
+        plan.append((p, pending[p], a))
+        pending = [z * a.beta for z in pending]
+        pending[0] = pending[p] = 1.0
+    live = [(p, ix) for p, ix in enumerate([VACUUM, *sites]) if ix in state.density._live]
+    indices = [ix for _, ix in live]
+    block = [[frozen_eigen_sum(state.density, m, n) for n in indices] for m in indices]
+    total = 0j
+    for col, (q, _) in enumerate(live):
+        v = [0j] * len(pending)
+        for row, (p, _) in enumerate(live):
+            v[p] = block[row][col]
+        for p, scale, a in plan:
+            v0, vp = v[0], scale * v[p]
+            v[0] = a.a * v0 + a.b * vp
+            v[p] = a.c * v0 + a.d * vp
+        total += pending[q] * v[q] - scalar * block[col][col]
+    return state.gamma * total + scalar
+
+
+def bits(z):
+    # both parts exactly, the sign of zero included
+    return z.real.hex(), z.imag.hex()
+
+
+def test_entries_match_the_frozen_sum_bit_for_bit():
+    rng = random.Random(33)
+    for trial in range(30):
+        rank = rng.randint(1, 20)
+        n_sites = rng.randint(rank, 36)
+        t = random_density(rng, trial, rank, range(1, n_sites + 1))
+        indices = [VACUUM, *range(1, n_sites + 3)]
+        for m, n in [(rng.choice(indices), rng.choice(indices)) for _ in range(60)]:
+            assert bits(t.entry(m, n)) == bits(frozen_eigen_sum(t, m, n))
+
+
+def test_moments_match_the_frozen_kernel_bit_for_bit():
+    # each assignment against the frozen kernel on the relabelled word:
+    # the word's own sites, its image under a random permutation, random
+    # distinct sites, and, for a length-one probe, every site of the range
+    rng = random.Random(32)
+    for trial in range(150):
+        rank = rng.randint(1, 20)
+        n_sites = rng.randint(max(rank, 2), 36)
+        t = random_density(rng, trial, rank, range(1, n_sites + 1))
+        state = BooleanState((0.0, 0.5, 1.0)[trial % 3], t)
+        # a narrow site range forces repeated sites, a wide one reaches
+        # sites outside the support, and one past it lies entirely outside
+        sites = (range(1, 3), range(1, n_sites + 6), range(n_sites + 1, n_sites + 4))[trial // 3 % 3]
+        word = sampling.word(rng, sites, 5)
+        own = word_sites(word)
+        pool = range(1, n_sites + 6)
+        perm = sampling.permutation(rng, pool)
+        assignments = [own, [perm(j) for j in own], rng.sample(pool, len(own))]
+        probe = [(1, sampling.test_element(rng))]
+        cases = [(word, assignments), (probe, [[i] for i in pool])]
+        for w, moved in cases:
+            labels = word_sites(w)
+            values = moments(state, w, moved)
+            assert len(values) == len(moved)
+            for value, target in zip(values, moved):
+                relabel = dict(zip(labels, target))
+                expected = frozen_moment(state, [(relabel[j], a) for j, a in w])
+                assert bits(value) == bits(expected), (trial, target)
+        assert bits(moment(state, word)) == bits(frozen_moment(state, word))
+
+
+def test_moments_reject_bad_assignments():
+    a, b = TestAlgebraElement(1, 2, 3, 4, 5), TestAlgebraElement(7, 1, 1, 2, -3)
+    word = [(1, a), (2, b), (1, b)]
+    for state in (vacuum_state(), infinity_state()):
+        assert moments(state, word, []) == []
+        assert len(moments(state, word, [[3, 4], (4, 3)])) == 2
+        for bad in ([1, 1], [0, 2], [True, 2], [VACUUM, 2], [1], [1, 2, 3], []):
+            with pytest.raises(ValueError):
+                moments(state, word, [[3, 4], bad])
 
 
 def test_moment_kernel_matches_product_and_dense():

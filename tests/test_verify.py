@@ -16,6 +16,7 @@ from boolefock.fock import (
     TestAlgebraElement,
     embed,
     permute_word,
+    word_sites,
     word_to_json,
 )
 from boolefock.jsonutil import decode_complex, encode_complex
@@ -288,8 +289,9 @@ def pairwise_check_exchangeable(
     rec = PairwiseRecorder(tol)
 
     def compare(word, perm):
-        lhs = engine.moment(state, word)
-        rhs = engine.moment(state, permute_word(perm, word))
+        lhs = engine.moments(state, word, [word_sites(word)])[0]
+        w = permute_word(perm, word)
+        rhs = engine.moments(state, w, [word_sites(w)])[0]
         rec.record(
             abs(lhs - rhs),
             lambda: {
@@ -521,6 +523,9 @@ def test_nan_deviation_fails():
 
 
 def counting_engine(base):
+    """An engine counting the calls of each op; ``counts[name, "sites"]`` also
+    sums the lengths of the site lists handed to ``moments`` and
+    ``site_marginals``."""
     counts = Counter()
 
     def counted(name):
@@ -528,6 +533,8 @@ def counting_engine(base):
 
         def call(*args):
             counts[name] += 1
+            if name in ("moments", "site_marginals"):
+                counts[name, "sites"] += len(args[2])
             return op(*args)
 
         return call
@@ -536,14 +543,16 @@ def counting_engine(base):
 
 
 def test_checkers_evaluate_each_site_once():
+    # one plan per probe over the pool and one per random word with its
+    # image; one marginal call per element over the pool
     state = wide_state()
     pool = site_pool(state)
     engine, counts = counting_engine(SPARSE_ENGINE)
     check_identically_distributed(preserving_phi(state), seed=61, engine=engine)
-    assert counts["cond_expect"] == 12 * len(pool)
+    assert counts == Counter({"site_marginals": 12, ("site_marginals", "sites"): 12 * len(pool)})
     counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
-    assert counts["moment"] == 4 * len(pool) + 2 * 25
+    assert counts == Counter({"moments": 4 + 25, ("moments", "sites"): 4 * len(pool) + 2 * 25})
 
 
 def chain_labels(n):
