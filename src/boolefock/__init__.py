@@ -39,7 +39,6 @@ from .states import (
     BooleanState,
     TraceClassOperator,
     evaluate,
-    gram_schmidt,
     infinity_state,
     moment,
     moments,
@@ -51,11 +50,9 @@ from .tail import (
     PhiState,
     RatioWitness,
     TailElement,
-    bimodule_property_holds,
     cond_expect,
     counterexample_ratio,
     is_expected,
-    preserving_cond_expect,
     preserving_phi,
     site_marginals,
 )

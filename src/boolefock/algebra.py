@@ -66,8 +66,8 @@ def index_from_key(key: str) -> Index:
     raise ValueError(f"expected '#' or a canonical site integer key, got {key!r}")
 
 
-def _chop_map(entries: Dict, chop: float = CHOP) -> Dict:
-    return {k: v for k, v in entries.items() if abs(v) >= chop}
+def _chop_map(entries: Dict) -> Dict:
+    return {k: v for k, v in entries.items() if abs(v) >= CHOP}
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def _report_lines(reports: Sequence[CheckReport]) -> List[str]:
             f"(max_deviation={format_float(report.max_deviation)}, samples={report.samples_run})"
         )
         if report.witness is not None:
-            lines.append(f"  witness: {jsonutil.dumps(report.witness, indent=2).strip()}")
+            lines.append(f"  witness: {jsonutil.dumps(report.witness).strip()}")
     return lines
 
 
@@ -224,7 +224,7 @@ def _report_lines(reports: Sequence[CheckReport]) -> List[str]:
 def cmd_relations(args, config: RunConfig) -> int:
     reports = [
         check_boolean_relations(n_samples=config.n_samples, seed=config.seed, tol=config.tolerance),
-        check_matrix_unit_dictionary(max_site=8),
+        check_matrix_unit_dictionary(),
         check_embedding_homomorphism(
             n_samples=config.n_samples, seed=config.seed + 1, tol=config.tolerance
         ),

@@ -42,10 +42,10 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with deterministic float formatting."""
+def dumps(obj: Any) -> str:
+    """Serialize to JSON, two spaces per level, with deterministic float formatting."""
     buf: list[str] = []
-    _emit(obj, buf, indent, 0)
+    _emit(obj, buf, 0)
     buf.append("\n")
     return "".join(buf)
 
@@ -66,9 +66,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _emit(obj: Any, buf: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj: Any, buf: list, level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         buf.append("null")
     elif isinstance(obj, bool):
@@ -80,7 +80,7 @@ def _emit(obj: Any, buf: list, indent: int, level: int) -> None:
     elif isinstance(obj, float):
         buf.append(format_float(obj))
     elif isinstance(obj, complex):
-        _emit(encode_complex(obj), buf, indent, level)
+        _emit(encode_complex(obj), buf, level)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             buf.append("[]")
@@ -88,7 +88,7 @@ def _emit(obj: Any, buf: list, indent: int, level: int) -> None:
         buf.append("[\n")
         for k, item in enumerate(obj):
             buf.append(pad)
-            _emit(item, buf, indent, level + 1)
+            _emit(item, buf, level + 1)
             buf.append(",\n" if k + 1 < len(obj) else "\n")
         buf.append(close_pad + "]")
     elif isinstance(obj, dict):
@@ -101,7 +101,7 @@ def _emit(obj: Any, buf: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             buf.append(pad + json.dumps(key) + ": ")
-            _emit(value, buf, indent, level + 1)
+            _emit(value, buf, level + 1)
             buf.append(",\n" if k + 1 < len(items) else "\n")
         buf.append(close_pad + "}")
     else:

@@ -21,8 +21,8 @@ from .tail import TailElement, is_expected
 SITE_POOL = tuple(range(1, 9))
 
 
-def complex_box(rng: random.Random, scale: float = 1.0) -> complex:
-    return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+def complex_box(rng: random.Random) -> complex:
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
 
 
 def test_element(rng: random.Random) -> TestAlgebraElement:

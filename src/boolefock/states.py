@@ -21,15 +21,16 @@ from .jsonutil import decode_float
 ORTHO_TOL = 1e-10
 
 
-def gram_schmidt(vectors: Sequence[FockVector], tol: float = 1e-12) -> List[FockVector]:
-    """Orthonormalize a family of vectors, dropping near-dependent ones."""
+def gram_schmidt(vectors: Sequence[FockVector]) -> List[FockVector]:
+    """Orthonormalize a family of vectors, dropping those whose remainder
+    has norm at most 1e-12."""
     frame: List[FockVector] = []
     for v in vectors:
         w = v
         for u in frame:
             w = w - w.inner(u) * u
         n = w.norm()
-        if n > tol:
+        if n > 1e-12:
             frame.append((1.0 / n) * w)
     return frame
 
@@ -109,23 +110,6 @@ class TraceClassOperator:
         if n == 0:
             raise ValueError("rank-one operator needs a nonzero vector")
         return cls(((1.0, (1.0 / n) * vec),))
-
-    @classmethod
-    def orthonormalized(
-        cls, weights: Sequence[float], vectors: Sequence[FockVector]
-    ) -> "TraceClassOperator":
-        """Build from raw data via a stable orthogonalization pass.
-
-        The vectors are Gram-Schmidt orthonormalized and the weights
-        rescaled to sum to one.
-        """
-        frame = gram_schmidt(vectors)
-        if len(frame) != len(weights):
-            raise ValueError("vectors are linearly dependent; cannot match weights")
-        total = sum(float(w) for w in weights)
-        if total <= 0:
-            raise ValueError("weights must have positive total")
-        return cls(tuple((float(w) / total, v) for w, v in zip(weights, frame)))
 
     @property
     def rank(self) -> int:

@@ -35,11 +35,10 @@ from .algebra import (
     VACUUM,
     BooleanElement,
     check_site,
-    matrix_unit,
     vacuum_expectation,
 )
 from .fock import TestAlgebraElement
-from .states import BooleanState, TraceClassOperator, evaluate
+from .states import BooleanState, TraceClassOperator
 
 
 class DecisionError(ValueError):
@@ -177,19 +176,6 @@ def site_marginals(
     return marginals
 
 
-def bimodule_property_holds(
-    phi: PhiState,
-    z: TailElement,
-    x: BooleanElement,
-    z2: TailElement,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Check ``F_phi(Z X Z') == Z F_phi(X) Z'`` with Z, Z' tail elements."""
-    lhs = cond_expect(phi, z.embed() * x * z2.embed())
-    rhs = z * cond_expect(phi, x) * z2
-    return lhs.max_diff(rhs) <= tol
-
-
 def is_expected(t: TraceClassOperator) -> bool:
     """True iff the vacuum vector is an eigenvector of ``t``.
 
@@ -263,25 +249,3 @@ def counterexample_ratio(state: BooleanState) -> RatioWitness:
     for i, amp in pivot_vec.wave.items():
         entries[(VACUUM, i)] = amp.conjugate()
     return RatioWitness(float(ratio), BooleanElement(entries))
-
-
-def preserving_cond_expect(state: BooleanState, x: BooleanElement) -> TailElement:
-    """Closed form of the expectation preserving ``state``.
-
-        F(X) = x_## * P + (psi(X) - psi(P) * x_##) / psi(Q) * (I - P)
-
-    with ``x_## = <X e_#, e_#>``: ``F`` must fix ``x_##`` on ``P`` and carry
-    the rest of ``psi(X)`` on ``I - P``.  ``psi(P)`` is read through
-    ``evaluate``, as every other value of the state is.  Agrees with
-    ``cond_expect(preserving_phi(state), x)`` everywhere.  Raises
-    ``DecisionError`` when the state is not expected or ``psi(Q) = 0``.
-    """
-    psi_q = preserving_phi(state).psi_q
-    if psi_q == 0.0:
-        raise DecisionError(
-            "psi(Q) is 0: the closed form degenerates (every conditional "
-            "expectation preserves the vacuum state)"
-        )
-    vac = vacuum_expectation(x)
-    psi_p = evaluate(state, matrix_unit(VACUUM, VACUUM))
-    return TailElement(vac, (evaluate(state, x) - psi_p * vac) / psi_q)

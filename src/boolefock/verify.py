@@ -164,10 +164,10 @@ class _Recorder:
         )
 
 
-def site_pool(state: BooleanState, base: Sequence[int] = SITE_POOL) -> List[int]:
-    """Sites a checker should probe: the base range, the support of the
+def site_pool(state: BooleanState) -> List[int]:
+    """Sites a checker should probe: ``SITE_POOL``, the support of the
     density, and one fresh site beyond both."""
-    sites = set(base) | set(state.density.site_support())
+    sites = set(SITE_POOL) | set(state.density.site_support())
     pool = sorted(sites)
     pool.append(pool[-1] + 1)
     return pool
@@ -556,8 +556,11 @@ def classify_definetti(
 # ---------------------------------------------------------------------------
 # Witness replay: each kind recomputes ``(lhs, rhs, deviation)`` through the
 # helpers of the checker that stored it, with ``phi`` or the contraction
-# ratio taken from the state, never from the witness.  Each reads its fields
-# first, so a DecisionError never hides a bad field.
+# ratio taken from the state, never from the witness.  Each reads every field
+# before it asks the state for its branch, so a DecisionError never hides a
+# bad field: the tail kinds compute their sides with ``PhiState(state)``,
+# which is what ``preserving_phi`` returns where it exists, and only then
+# call ``preserving_phi``.
 
 
 def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
@@ -569,8 +572,9 @@ def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
 
 def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
     element = TestAlgebraElement.from_json(witness["element"])
-    phi = preserving_phi(state)
+    phi = PhiState(state)
     lhs, rhs = site_marginals(phi, element, [witness["site_i"], witness["site_k"]])
+    preserving_phi(state)
     return lhs.x + lhs.y, rhs.x + rhs.y, phi.psi_q * lhs.max_diff(rhs)
 
 
@@ -579,15 +583,10 @@ def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
     step = witness["step"]
     if not isinstance(step, str):
         raise TypeError(f"step must be a string, got {step!r}")
-    lines = dict(nfold_telescoping_lines(preserving_phi(state), factors))
+    lines = dict(nfold_telescoping_lines(PhiState(state), factors))
     lhs, rhs = (lines[label.strip()] for label in step.split("->"))
+    preserving_phi(state)
     return lhs, rhs, abs(lhs - rhs)
-
-
-def _replay_pair_independence(state: BooleanState, witness: dict) -> tuple:
-    # older reports stored the two-block witness as x and y
-    pair = {"factors": [witness["x"], witness["y"]], "step": "product -> fully_factored"}
-    return _replay_nfold_factorization(state, pair)
 
 
 def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
@@ -599,7 +598,6 @@ def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
 _REPLAYS = {
     "exchangeability": _replay_exchangeability,
     "identical_distribution": _replay_identical_distribution,
-    "pair_independence": _replay_pair_independence,
     "nfold_factorization": _replay_nfold_factorization,
     "expectation_ratio": _replay_expectation_ratio,
 }
@@ -662,11 +660,12 @@ def check_boolean_relations(
     return rec.report("boolean_relations")
 
 
-def check_matrix_unit_dictionary(max_site: int = 8) -> CheckReport:
-    """The creator/annihilator dictionary holds exactly in matrix units."""
+def check_matrix_unit_dictionary() -> CheckReport:
+    """The creator/annihilator dictionary holds exactly in matrix units on
+    the sites of ``SITE_POOL``."""
     rec = _Recorder(0.0)
     vacuum_unit = matrix_unit(VACUUM, VACUUM)
-    for i in range(1, max_site + 1):
+    for i in SITE_POOL:
         b_dag = creator(site_vector(i))
         b = annihilator(site_vector(i))
         for lhs, rhs, label in (
@@ -678,7 +677,7 @@ def check_matrix_unit_dictionary(max_site: int = 8) -> CheckReport:
                 max_entry_diff(lhs, rhs),
                 lambda: {"kind": "matrix_unit_dictionary", "identity": label},
             )
-        for j in range(1, max_site + 1):
+        for j in SITE_POOL:
             lhs = creator(site_vector(i)) * annihilator(site_vector(j))
             rec.record(
                 max_entry_diff(lhs, matrix_unit(i, j)),

@@ -62,7 +62,7 @@ def test_criterion_02_matrix_unit_dictionary():
         for j in range(1, 9):
             b_j = annihilator(site_vector(j))
             ok = ok and (b_dag_i * b_j == matrix_unit(i, j))
-    report = check_matrix_unit_dictionary(max_site=8)
+    report = check_matrix_unit_dictionary()
     _verdict(2, "matrix-unit dictionary", ok and report.passed and report.max_deviation == 0)
 
 

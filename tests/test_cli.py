@@ -671,13 +671,12 @@ def test_outside_input_never_skips_validation():
         assert "_canonical" not in names, where
 
 
-def test_replay_keeps_the_kind_of_a_saved_pair_witness(tmp_path, capsys):
-    # older reports stored the pair witness as sites_x, sites_y, x and y; it
-    # replays to the same sides as the two-block n-fold witness now stored
+def test_replay_rejects_a_saved_pair_witness(tmp_path, capsys):
+    # older reports stored the pair witness as sites_x, sites_y, x and y under
+    # its own kind; replay no longer reads that form, on either tail branch
     xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
     state = BooleanState(1.0, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
     path = saved_report(tmp_path, capsys, state)
-    code, out, _ = run(capsys, ["replay", "--witness", str(path)])
     payload = json.loads(path.read_text())
     report = next(r for r in payload["reports"] if r["name"] == "pair_independence")
     witness = report["witness"]
@@ -691,8 +690,29 @@ def test_replay_keeps_the_kind_of_a_saved_pair_witness(tmp_path, capsys):
         "lhs": witness["lhs"],
         "rhs": witness["rhs"],
     }
-    path.write_text(jsonutil.dumps(payload))
-    line = "pair_independence [nfold_factorization]: "
-    assert code == 0 and line in out
-    saved = out.replace(line, "pair_independence [pair_independence]: ")
-    assert run(capsys, ["replay", "--witness", str(path)]) == (0, saved, "")
+    for saved in (state, rotated_nonexpected()):
+        payload["state"] = saved.to_json()
+        path.write_text(jsonutil.dumps(payload))
+        assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "unknown witness kind 'pair_independence'")
+
+
+def test_replay_rejects_a_malformed_tail_witness_on_either_branch(tmp_path, capsys):
+    # a bad site, unknown step labels, a step with no arrow and a single
+    # factor are parse errors whether or not the state poses tail identities
+    xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
+    expected = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
+    nfold = check_nfold_factorization(preserving_phi(expected), n=3, seed=1).witness
+    element = {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0], "d": [0.0, 0.0], "beta": [0.0, 0.0]}
+    malformed = [
+        {"kind": "identical_distribution", "site_i": 0, "site_k": 1, "element": element},
+        dict(nfold, step="foo -> bar"),
+        dict(nfold, step="product"),
+        dict(nfold, factors=nfold["factors"][:1], step="product -> fully_factored"),
+    ]
+    path = tmp_path / "malformed.json"
+    for state in (expected, rotated_nonexpected()):
+        for witness in malformed:
+            report = {"name": witness["kind"], "witness": witness}
+            path.write_text(jsonutil.dumps({"state": state.to_json(), "reports": [report]}))
+            result = run(capsys, ["replay", "--witness", str(path)])
+            assert_rejected(result, "malformed witness payload")

@@ -37,18 +37,6 @@ def test_trace_class_validation():
         TraceClassOperator(())
 
 
-def test_orthonormalized_constructor():
-    rng = random.Random(20)
-    raw = [sampling.fock_vector(rng, range(1, 6), 4) for _ in range(3)]
-    t = TraceClassOperator.orthonormalized([2.0, 1.0, 1.0], raw)
-    assert t.rank == 3
-    assert abs(sum(w for w, _ in t.eigenpairs) - 1.0) <= 1e-12
-    frame = [xi for _, xi in t.eigenpairs]
-    for i, u in enumerate(frame):
-        for j, v in enumerate(frame):
-            assert abs(u.inner(v) - (1.0 if i == j else 0.0)) <= 1e-10
-
-
 def test_state_constructors_and_gamma_range():
     assert vacuum_state().gamma == 1.0
     assert infinity_state().gamma == 0.0

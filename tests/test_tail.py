@@ -5,6 +5,7 @@ import random
 import pytest
 
 from boolefock.algebra import (
+    DEFAULT_TOL,
     VACUUM,
     BooleanElement,
     FockVector,
@@ -27,11 +28,9 @@ from boolefock.tail import (
     DecisionError,
     PhiState,
     TailElement,
-    bimodule_property_holds,
     cond_expect,
     counterexample_ratio,
     is_expected,
-    preserving_cond_expect,
     preserving_phi,
     site_marginals,
 )
@@ -208,15 +207,18 @@ def test_cond_expect_positive_on_squares():
 
 
 def test_bimodule_property():
+    # F_phi(Z X Z') == Z F_phi(X) Z' for tail elements Z, Z'
     rng = random.Random(33)
     for phi in BOTH_PHIS:
+        cases = []
         for _ in range(40):
-            z = sampling.tail_element(rng)
-            z2 = sampling.tail_element(rng)
-            x = sampling.boolean_element(rng)
-            assert bimodule_property_holds(phi, z, x, z2)
+            z, z2 = sampling.tail_element(rng), sampling.tail_element(rng)
+            cases.append((z, sampling.boolean_element(rng), z2))
         # unit case reduces to plain idempotence of the identity
-        assert bimodule_property_holds(phi, TailElement.unit(), identity(), TailElement.unit())
+        cases.append((TailElement.unit(), identity(), TailElement.unit()))
+        for z, x, z2 in cases:
+            lhs = cond_expect(phi, z.embed() * x * z2.embed())
+            assert lhs.max_diff(z * cond_expect(phi, x) * z2) <= DEFAULT_TOL
 
 
 def test_factors_through_corner_compression():
@@ -292,6 +294,28 @@ def test_preserving_phi_preservation_identity():
             x = sampling.boolean_element(rng, sites=range(1, 9))
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
+
+
+def preserving_cond_expect(state: BooleanState, x: BooleanElement) -> TailElement:
+    """Closed form of the expectation preserving ``state``.
+
+        F(X) = x_## * P + (psi(X) - psi(P) * x_##) / psi(Q) * (I - P)
+
+    with ``x_## = <X e_#, e_#>``: ``F`` must fix ``x_##`` on ``P`` and carry
+    the rest of ``psi(X)`` on ``I - P``.  ``psi(P)`` is read through
+    ``evaluate``, as every other value of the state is.  Agrees with
+    ``cond_expect(preserving_phi(state), x)`` everywhere.  Raises
+    ``DecisionError`` when the state is not expected or ``psi(Q) = 0``.
+    """
+    psi_q = preserving_phi(state).psi_q
+    if psi_q == 0.0:
+        raise DecisionError(
+            "psi(Q) is 0: the closed form degenerates (every conditional "
+            "expectation preserves the vacuum state)"
+        )
+    vac = vacuum_expectation(x)
+    psi_p = evaluate(state, matrix_unit(VACUUM, VACUUM))
+    return TailElement(vac, (evaluate(state, x) - psi_p * vac) / psi_q)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5, 1.0])
