@@ -79,8 +79,6 @@ def _emit(obj: Any, buf: list, level: int) -> None:
         buf.append(str(obj))
     elif isinstance(obj, float):
         buf.append(format_float(obj))
-    elif isinstance(obj, complex):
-        _emit(encode_complex(obj), buf, level)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             buf.append("[]")

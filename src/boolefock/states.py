@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, vacuum_vector
 from .fock import TestAlgebraElement, word_sites
@@ -39,9 +39,9 @@ def gram_schmidt(vectors: Sequence[FockVector]) -> List[FockVector]:
 class TraceClassOperator:
     """A finite-rank positive operator ``sum_k w_k |xi_k><xi_k|``, trace one.
 
-    Entries are computed on first use and memoised per ``(row, col)`` pair,
-    each summed from two per-index rows that are also built on first use,
-    so the memos grow only with the pairs and indices a state is asked for.
+    The per-index rows are built once, with the operator; each entry is
+    summed from two of them on first use and memoised per ``(row, col)``
+    pair, so only the entry memo grows after construction.
     """
 
     eigenpairs: Tuple[Tuple[float, FockVector], ...]
@@ -49,24 +49,12 @@ class TraceClassOperator:
     _entries: Dict[Tuple[Index, Index], complex] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    #: Per index ``m``, ``w_k * amp_k(m)`` over the eigenpairs; built on
-    #: first use as a row index.
-    _weighted: Dict[Index, List[complex]] = field(
+    #: Per index ``m`` where T has a nonzero row, the pair of lists
+    #: ``w_k * amp_k(m)`` and ``conj(amp_k(m))`` over the eigenpairs.
+    _rows: Dict[Index, Tuple[List[complex], List[complex]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    #: Per index ``n``, ``conj(amp_k(n))`` over the eigenpairs; built on
-    #: first use as a column index.
-    _conjugates: Dict[Index, List[complex]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    #: Per eigenpair, its weight and its nonzero amplitudes keyed by index,
-    #: the vacuum among them; the per-index rows are read from these maps.
-    _amplitudes: Tuple[Tuple[float, Dict[Index, complex]], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    #: Indices where T has a nonzero row: the keys of the amplitude maps.
-    _live: FrozenSet[Index] = field(init=False, repr=False, compare=False, default=frozenset())
-    #: The sites of ``_live``, sorted.
+    #: The sites of ``_rows``, sorted.
     _site_support: Tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -91,14 +79,16 @@ class TraceClassOperator:
                 if abs(u.inner(v) - expected) > ORTHO_TOL:
                     raise ValueError("eigenvectors must be orthonormal")
         object.__setattr__(self, "eigenpairs", tuple(pairs))
-        amplitudes = tuple(
+        amplitudes = [
             (w, {VACUUM: xi.vacuum_amp, **xi.wave} if xi.vacuum_amp != 0 else xi.wave)
             for w, xi in pairs
-        )
-        live = frozenset(ix for _, amps in amplitudes for ix in amps)
-        object.__setattr__(self, "_amplitudes", amplitudes)
-        object.__setattr__(self, "_live", live)
-        object.__setattr__(self, "_site_support", tuple(sorted(ix for ix in live if ix != VACUUM)))
+        ]
+        for ix in dict.fromkeys(ix for _, amps in amplitudes for ix in amps):
+            self._rows[ix] = (
+                [w * amps.get(ix, 0j) for w, amps in amplitudes],
+                [amps.get(ix, 0j).conjugate() for _, amps in amplitudes],
+            )
+        object.__setattr__(self, "_site_support", tuple(sorted(ix for ix in self._rows if ix != VACUUM)))
 
     @classmethod
     def vacuum_projection(cls) -> "TraceClassOperator":
@@ -116,26 +106,18 @@ class TraceClassOperator:
         return len(self.eigenpairs)
 
     def entry(self, m, n) -> complex:
-        """Matrix entry ``<T e_n, e_m>``, summed over the eigenpairs once per
-        pair and then read from the memo."""
+        """Matrix entry ``<T e_n, e_m>``: ``sum_k (w_k * amp_k(m)) *
+        conj(amp_k(n))`` in eigenpair order, summed from the rows once per
+        pair and then read from the memo; ``0j`` where either index has no
+        row."""
         value = self._entries.get((m, n))
         if value is None:
-            value = self._entries[(m, n)] = self._eigen_sum(m, n)
+            value, rows = 0j, self._rows
+            if m in rows and n in rows:
+                for wa, ca in zip(rows[m][0], rows[n][1]):
+                    value += wa * ca
+            self._entries[(m, n)] = value
         return value
-
-    def _eigen_sum(self, m, n) -> complex:
-        """``sum_k (w_k * amp_k(m)) * conj(amp_k(n))``, in eigenpair order,
-        from the two per-index rows."""
-        left = self._weighted.get(m)
-        if left is None:
-            left = self._weighted[m] = [w * amps.get(m, 0j) for w, amps in self._amplitudes]
-        right = self._conjugates.get(n)
-        if right is None:
-            right = self._conjugates[n] = [amps.get(n, 0j).conjugate() for _, amps in self._amplitudes]
-        total = 0j
-        for wa, ca in zip(left, right):
-            total += wa * ca
-        return total
 
     def site_weight(self) -> float:
         """``Tr(Q T Q)``, summed from the site amplitudes: ``1 - w`` cancels
@@ -278,10 +260,10 @@ def moments(
         pending = [z * a.beta for z in pending]
         pending[0] = pending[p] = 1.0
     density = state.density
-    memo, support = density._entries, density._live
+    memo, rows = density._entries, density._rows
     values = []
     for indices in indexed:
-        live = [(p, ix) for p, ix in enumerate(indices) if ix in support]
+        live = [(p, ix) for p, ix in enumerate(indices) if ix in rows]
         total = 0j
         for q, n in live:
             v = [0j] * len(pending)

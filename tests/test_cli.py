@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import pathlib
@@ -309,6 +310,35 @@ def test_sweep_json_consistency(capsys):
         "consistent",
         "max_deviation",
     }
+
+
+def test_sweep_stores_the_state_and_reports_of_an_inconsistent_row(tmp_path, capsys, monkeypatch):
+    # a counterexample to the theorem shows only as an inconsistent row,
+    # which carries what replay needs; state 3 fails its checks with witnesses
+    classify = boolefock.cli.classify_definetti
+    calls = []
+
+    def flagged(state, **kwargs):
+        result = classify(state, **kwargs)
+        calls.append(state)
+        return dataclasses.replace(result, consistent=False) if len(calls) == 4 else result
+
+    monkeypatch.setattr(boolefock.cli, "classify_definetti", flagged)
+    path = tmp_path / "sweep.json"
+    code, _, _ = run(capsys, ["sweep", "--seed", "5", "--samples", "10", "--format", "json", "--out", str(path)])
+    assert code == 1
+    payload = json.loads(path.read_text())
+    assert payload["all_consistent"] is False
+    assert [("state" in row, "reports" in row) for row in payload["rows"]] == [(k == 3, k == 3) for k in range(10)]
+    row = payload["rows"][3]
+    assert BooleanState.from_json(row["state"]) == calls[3]
+    witnesses = [(r["name"], r["witness"]["kind"]) for r in row["reports"] if r["witness"] is not None]
+    assert witnesses
+    code, out, _ = run(capsys, ["replay", "--witness", str(path), "--format", "json"])
+    replayed = json.loads(out)["rows"]
+    assert code == 0
+    assert [(r["report"], r["kind"]) for r in replayed] == witnesses
+    assert all(r["reproduced"] for r in replayed)
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):

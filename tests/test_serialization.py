@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -105,3 +106,20 @@ def test_loads_keeps_integers():
     big = 10**400
     assert jsonutil.loads("[3, %d, 0.5]" % big) == [3, big, 0.5]
     assert [type(x) for x in jsonutil.loads("[3, 1.0]")] == [int, float]
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        pytest.param(math.nan, ValueError, id="nan"),
+        pytest.param(-math.inf, ValueError, id="infinity"),
+        pytest.param({1: "one"}, TypeError, id="int_key"),
+        pytest.param({VACUUM: 0.5, (1, 2): 0.5}, TypeError, id="tuple_key"),
+        pytest.param(1 + 2j, TypeError, id="complex"),
+    ],
+)
+def test_dumps_rejects_what_json_cannot_hold(value, error):
+    # complex numbers go through encode_complex first; dumps takes none
+    for obj in (value, {"nested": [0.5, value]}):
+        with pytest.raises(error):
+            jsonutil.dumps(obj)

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock import oracle, sampling
+from boolefock import oracle, sampling, states
 
 
 def test_trace_class_validation():
@@ -193,6 +195,43 @@ def test_entry_memo_is_invisible():
     assert t == twin and BooleanState(0.5, t) == BooleanState(0.5, twin)
 
 
+def test_rows_are_built_once_with_the_density():
+    # the rows are complete at construction, and entries and moments only
+    # read them: after construction only the entry memo fills
+    rng = random.Random(34)
+    for trial in range(12):
+        rank = rng.randint(1, 8)
+        t = random_density(rng, trial, rank, range(1, rng.randint(rank, 12) + 1))
+        rows = t._rows
+        content = {ix: (list(left), list(right)) for ix, (left, right) in rows.items()}
+        assert content
+        assert tuple(sorted(ix for ix in rows if ix != VACUUM)) == t.site_support()
+        state = BooleanState(0.5, t)
+        for _ in range(40):
+            t.entry(rng.choice([VACUUM, *range(1, 16)]), rng.choice([VACUUM, *range(1, 16)]))
+            moment(state, sampling.word(rng, range(1, 16), 5))
+        assert t._rows is rows
+        assert {ix: (list(left), list(right)) for ix, (left, right) in rows.items()} == content
+
+
+def test_only_states_reads_the_density_tables():
+    # the entry memo, the rows and the sorted support are private to
+    # states.py; every other module goes through entry and site_support
+    private = {"_entries", "_rows", "_site_support"}
+    package = pathlib.Path(states.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in private)
+            or (isinstance(node, ast.Constant) and node.value in private)
+        ]
+        assert not reads, (path.name, reads)
+
+
 def frozen_eigen_sum(t, m, n):
     # the entry as the per-eigenpair amplitude maps summed it before rows
     total = 0j
@@ -221,7 +260,12 @@ def frozen_moment(state, word):
         plan.append((p, pending[p], a))
         pending = [z * a.beta for z in pending]
         pending[0] = pending[p] = 1.0
-    live = [(p, ix) for p, ix in enumerate([VACUUM, *sites]) if ix in state.density._live]
+    # an index is live iff some eigenvector has a nonzero amplitude there
+    live = [
+        (p, ix)
+        for p, ix in enumerate([VACUUM, *sites])
+        if any(xi.vacuum_amp != 0 if ix == VACUUM else ix in xi.wave for _, xi in state.density.eigenpairs)
+    ]
     indices = [ix for _, ix in live]
     block = [[frozen_eigen_sum(state.density, m, n) for n in indices] for m in indices]
     total = 0j
