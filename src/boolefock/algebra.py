@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple, Union
+from typing import Container, Dict, Mapping, Optional, Tuple, Union
 
 from .jsonutil import decode_complex, encode_complex
 
@@ -246,21 +246,7 @@ class BooleanElement:
 
     def __mul__(self, other):
         if isinstance(other, BooleanElement):
-            by_row: Dict[Index, list] = {}
-            for (p, q), amp in other.compact.items():
-                by_row.setdefault(p, []).append((q, amp))
-            prod: Dict[Tuple[Index, Index], complex] = {}
-            for (m, n), a in self.compact.items():
-                for q, b in by_row.get(n, ()):
-                    key = (m, q)
-                    prod[key] = prod.get(key, 0j) + a * b
-            if self.scalar != 0:
-                for key, b in other.compact.items():
-                    prod[key] = prod.get(key, 0j) + self.scalar * b
-            if other.scalar != 0:
-                for key, a in self.compact.items():
-                    prod[key] = prod.get(key, 0j) + a * other.scalar
-            return BooleanElement._canonical(_chop_map(prod), self.scalar * other.scalar)
+            return BooleanElement._canonical(product_entries(self, other), self.scalar * other.scalar)
         if isinstance(other, (int, float, complex)):
             return self._scaled(other)
         return NotImplemented
@@ -298,6 +284,35 @@ class BooleanElement:
             key = (check_index(item["row"]), check_index(item["col"]))
             entries[key] = decode_complex(item["amp"])
         return cls(entries, decode_complex(obj["scalar"]))
+
+
+def product_entries(
+    x: BooleanElement, y: BooleanElement, keep: Optional[Container[Index]] = None
+) -> Dict[Tuple[Index, Index], complex]:
+    """The compact part of ``x * y``, chopped; the one accumulation order
+    of every product.
+
+    With ``keep``, only the entries whose row and column both lie in
+    ``keep`` are formed; they come in the same order, with the same bits,
+    as in the full product, and the entries left out are never summed.
+    """
+    by_row: Dict[Index, list] = {}
+    for (p, q), amp in y.compact.items():
+        if keep is None or q in keep:
+            by_row.setdefault(p, []).append((q, amp))
+    prod: Dict[Tuple[Index, Index], complex] = {}
+    for (m, n), a in x.compact.items():
+        if keep is None or m in keep:
+            for q, b in by_row.get(n, ()):
+                key = (m, q)
+                prod[key] = prod.get(key, 0j) + a * b
+    # the scalar terms; a complex product commutes bit for bit
+    for c, other in ((x.scalar, y), (y.scalar, x)):
+        if c != 0:
+            for key, amp in other.compact.items():
+                if keep is None or (key[0] in keep and key[1] in keep):
+                    prod[key] = prod.get(key, 0j) + c * amp
+    return _chop_map(prod)
 
 
 def matrix_unit(m: Index, n: Index) -> BooleanElement:

@@ -22,11 +22,18 @@ SITE_POOL = tuple(range(1, 9))
 
 
 def complex_box(rng: random.Random) -> complex:
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    """Real, then imaginary part, each ``rng.uniform(-1.0, 1.0)`` bit for
+    bit: ``uniform(a, b)`` computes ``a + (b - a) * random()``."""
+    r = rng.random
+    return complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
 
 
 def test_element(rng: random.Random) -> TestAlgebraElement:
-    return TestAlgebraElement._canonical(*(complex_box(rng) for _ in range(5)))
+    """Five boxes, drawn as :func:`complex_box` draws them."""
+    r = rng.random
+    return TestAlgebraElement._canonical(
+        *[complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r()) for _ in range(5)]
+    )
 
 
 def site_vector(
@@ -169,8 +176,9 @@ def block_element(rng: random.Random, block: Sequence[int]) -> BooleanElement:
     outside the block.
     """
     indices = [VACUUM, *block]
-    entries = {(m, n): complex_box(rng) for m in indices for n in indices}
-    a = complex_box(rng)
+    r = rng.random  # each box drawn as complex_box draws it
+    entries = {(m, n): complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r()) for m in indices for n in indices}
+    a = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
     entries[(VACUUM, VACUUM)] -= a
     for i in block:
         entries[(i, i)] -= a

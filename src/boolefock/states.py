@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, vacuum_vector
+from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, product_entries, vacuum_vector
 from .fock import TestAlgebraElement, word_sites
 from .jsonutil import decode_float
 
@@ -199,6 +199,26 @@ def evaluate(state: BooleanState, x: BooleanElement) -> complex:
     if state.gamma == 0.0:
         return complex(x.scalar)
     return state.gamma * state.density.trace_against(x) + x.scalar
+
+
+def evaluate_product(state: BooleanState, x: BooleanElement, y: BooleanElement) -> complex:
+    """``evaluate(state, x * y)`` without forming ``x * y``.
+
+    T is traced against the entries of the product on T's rows alone
+    (``product_entries`` with ``keep``), which come in the full product's
+    order.  An entry off T's rows meets a ``0j`` of T, and a sum that
+    starts at ``0j`` never holds -0.0, so adding that ±0 changes nothing:
+    the value equals ``evaluate(state, x * y)`` bit for bit wherever the
+    product is finite.  An entry off T's rows is never formed, so it counts
+    as the zero it meets even where it would overflow, as in
+    :func:`moments`.
+    """
+    scalar = x.scalar * y.scalar
+    if state.gamma == 0.0:
+        return complex(scalar)
+    density = state.density
+    kept = BooleanElement._canonical(product_entries(x, y, density._rows), scalar)
+    return state.gamma * density.trace_against(kept) + scalar
 
 
 def moment(

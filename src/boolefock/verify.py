@@ -44,7 +44,7 @@ from .fock import (
 )
 from .jsonutil import decode_float, encode_complex
 from .sampling import SITE_POOL
-from .states import BooleanState, evaluate, moments
+from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
     DecisionError,
     PhiState,
@@ -62,14 +62,17 @@ CHECK_TOL = 1e-9
 class Engine(NamedTuple):
     """The kernel operations a checker needs, swappable for the oracle.
 
-    ``moments`` evaluates one word at each of several site assignments
-    (see :func:`boolefock.states.moments`), and ``site_marginals`` one
+    ``evaluate_product`` is the state on the product of two elements (see
+    :func:`boolefock.states.evaluate_product`), ``moments`` evaluates one
+    word at each of several site assignments (see
+    :func:`boolefock.states.moments`), and ``site_marginals`` one
     element's conditioned marginal at each of several sites (see
     :func:`boolefock.tail.site_marginals`).
     """
 
     mul: Callable[[BooleanElement, BooleanElement], BooleanElement]
     evaluate: Callable[[BooleanState, BooleanElement], complex]
+    evaluate_product: Callable[[BooleanState, BooleanElement, BooleanElement], complex]
     moments: Callable[[BooleanState, Sequence, Sequence[Sequence[int]]], List[complex]]
     cond_expect: Callable[[PhiState, BooleanElement], object]
     site_marginals: Callable[[PhiState, TestAlgebraElement, Sequence[int]], list]
@@ -92,6 +95,7 @@ def _dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> 
 SPARSE_ENGINE = Engine(
     mul=lambda x, y: x * y,
     evaluate=evaluate,
+    evaluate_product=evaluate_product,
     moments=moments,
     cond_expect=cond_expect,
     site_marginals=site_marginals,
@@ -100,6 +104,7 @@ SPARSE_ENGINE = Engine(
 DENSE_ENGINE = Engine(
     mul=oracle.dense_mul,
     evaluate=oracle.dense_evaluate,
+    evaluate_product=lambda s, x, y: oracle.dense_evaluate(s, oracle.dense_mul(x, y)),
     moments=_dense_moments,
     cond_expect=oracle.dense_cond_expect,
     site_marginals=_dense_site_marginals,
@@ -396,10 +401,12 @@ def nfold_telescoping_lines(
     t factorizes the pair ``F(x_1) ... F(x_{t-1}) x_t``, ``s_t`` of stage
     t-1, whose head has expectation F(x_1) ... F(x_t) by the bimodule
     property.  All lines are equal when the state is conditionally
-    independent over the tail algebra.  Each product and expectation is
-    computed once.
+    independent over the tail algebra.  Each line is the state on a
+    product of two elements, read through ``evaluate_product`` without
+    forming that product; ``mul`` builds only the suffixes ``s_t`` of
+    three or more factors.  Each expectation is computed once.
     """
-    ev = lambda el: engine.evaluate(phi.state, el)
+    ev = lambda x, y: engine.evaluate_product(phi.state, x, y)
     ex = lambda el: engine.cond_expect(phi, el)
     n = len(factors)
     if n < 2:
@@ -407,9 +414,9 @@ def nfold_telescoping_lines(
     # s_1 .. s_{n-1}, built right to left, and F(x_1) ... F(x_t) for t < n
     suffixes = list(accumulate(reversed(factors[1:]), lambda s, x: engine.mul(x, s)))[::-1]
     heads = accumulate((ex(x) for x in factors[:-1]), lambda head, fx: head * fx)
-    lines = [("product", ev(engine.mul(factors[0], suffixes[0])))]
+    lines = [("product", ev(factors[0], suffixes[0]))]
     for t, (head, suffix) in enumerate(zip(heads, suffixes), start=1):
-        lines.append((f"stage{t}_factorized", ev(engine.mul(head.embed(), ex(suffix).embed()))))
+        lines.append((f"stage{t}_factorized", ev(head.embed(), ex(suffix).embed())))
     lines[-1] = ("fully_factored", lines[-1][1])
     return lines
 
@@ -611,7 +618,10 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     recomputed ratio matches it within ``tol``.  A witness that ``state``
     cannot pose (a tail identity on a state that is not expected, a
     contraction ratio on one that is) does not reproduce; its sides are
-    ``None``.  Sides that overflow to a non-finite value raise ``ValueError``.
+    ``None``.  Sides that overflow to a non-finite value raise ``ValueError``;
+    an entry of a product off T's rows is never formed, so it counts as the
+    zero it meets and cannot overflow a side (see
+    :func:`boolefock.states.evaluate_product`).
     """
     kind = witness.get("kind")
     replay = _REPLAYS.get(kind) if isinstance(kind, str) else None

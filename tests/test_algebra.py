@@ -11,6 +11,7 @@ from boolefock.algebra import (
     matrix_unit,
     max_amp_diff,
     max_entry_diff,
+    product_entries,
     site_vector,
     vacuum_vector,
     zero,
@@ -138,3 +139,20 @@ def test_fock_vector_arithmetic():
     assert max_amp_diff(v - v, FockVector(0, {})) == 0
     w = vacuum_vector() + site_vector(1)
     assert w.inner(v) == 1  # only the e_1 components overlap
+
+
+def test_product_entries_keep_filters_the_full_product():
+    # the kept entries are the full product's, in its order and with its
+    # bits, whatever the scalars; chopped residue stays out either way
+    rng = random.Random(18)
+    bits = lambda items: [(key, z.real.hex(), z.imag.hex()) for key, z in items]
+    for trial in range(200):
+        x = sampling.boolean_element(rng, range(1, 5), max_entries=8, with_scalar=trial % 3 != 0)
+        y = sampling.boolean_element(rng, range(1, 5), max_entries=8, with_scalar=trial % 2 == 0)
+        full = x * y
+        assert bits(product_entries(x, y).items()) == bits(full.compact.items())
+        keep = set(rng.sample([VACUUM, 1, 2, 3, 4], rng.randint(0, 5)))
+        kept = [(k, z) for k, z in full.compact.items() if k[0] in keep and k[1] in keep]
+        assert bits(product_entries(x, y, keep).items()) == bits(kept)
+    tiny = BooleanElement({(1, 1): 1e-8})
+    assert product_entries(tiny, tiny) == product_entries(tiny, tiny, {1}) == {}

@@ -8,7 +8,7 @@ import pytest
 
 import boolefock.cli
 from boolefock import jsonutil
-from boolefock.algebra import FockVector, site_vector, vacuum_vector
+from boolefock.algebra import BooleanElement, FockVector, site_vector, vacuum_vector
 from boolefock.cli import SWEEP_CSV_HEADER, main
 from boolefock.states import BooleanState, TraceClassOperator, vacuum_state
 from boolefock.tail import preserving_phi
@@ -568,6 +568,43 @@ def test_replay_rejects_a_witness_that_overflows(tmp_path, capsys, d, length):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(payload))
     assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "exchangeability witness")
+
+
+def nfold_payload(tmp_path, state, site, amp):
+    """A saved pair witness on ``state`` whose two factors are
+    ``amp * eps(site, site)``, so their product reads ``amp**2`` there."""
+    factor = BooleanElement({(site, site): amp}).to_json()
+    witness = {
+        "kind": "nfold_factorization",
+        "blocks": [[site], [site]],
+        "factors": [factor, factor],
+        "step": "product -> fully_factored",
+        "lhs": [0.0, 0.0],
+        "rhs": [0.0, 0.0],
+    }
+    report = {"name": "pair_independence", "witness": witness}
+    path = tmp_path / "nfold.json"
+    path.write_text(jsonutil.dumps({"state": state.to_json(), "reports": [report]}))
+    return path
+
+
+def test_replay_rejects_an_nfold_witness_that_overflows_on_the_rows(tmp_path, capsys):
+    # T has a row at site 1, where the product of the factors overflows
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    path = nfold_payload(tmp_path, state, 1, 1e200)
+    assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "nfold_factorization witness")
+
+
+def test_replay_reads_an_overflow_off_the_rows_as_zero(tmp_path, capsys):
+    # T has no row at site 5: the overflowing product entry there is never
+    # formed, so it counts as the zero of T it meets, and both sides are 0
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    path = nfold_payload(tmp_path, state, 5, 1e200)
+    code, out, err = run(capsys, ["replay", "--witness", str(path), "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["rows"] == [{
+        "report": "pair_independence", "kind": "nfold_factorization", "lhs": 0, "rhs": 0, "reproduced": False,
+    }]
 
 
 def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys):

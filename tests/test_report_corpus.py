@@ -1,0 +1,30 @@
+"""``tools/report_corpus.py`` writes a deterministic corpus."""
+
+import filecmp
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("report_corpus", ROOT / "tools" / "report_corpus.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_corpus_is_complete_and_deterministic(tmp_path):
+    # a small corpus of the same layout, written twice
+    tool = load_tool()
+    sweep = ("--seed", "42", "--samples", "5", "--max-rank", "6", "--max-word-len", "5", "--tolerance", "1e-9")
+    runs = [tool.write_corpus(str(tmp_path / name), sweep, seeds=(1,), states_per_seed=2) for name in "ab"]
+    assert runs[0] == runs[1]
+    names = [name for name, _ in runs[0]]
+    assert names[:2] == ["sweep.json", "sweep.csv"]
+    assert len(names) == 2 + 2 * 2 * 2
+    assert all(code == 0 for _, code in runs[0])
+    files = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert len(files) == len(names) + 4 + 1  # the state files and exit_codes.txt
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", files, shallow=False)
+    assert (mismatch, errors) == ([], [])

@@ -17,6 +17,7 @@ from boolefock.states import (
     BooleanState,
     TraceClassOperator,
     evaluate,
+    evaluate_product,
     gram_schmidt,
     infinity_state,
     moment,
@@ -326,6 +327,39 @@ def test_moments_match_the_frozen_kernel_bit_for_bit():
                 expected = frozen_moment(state, [(relabel[j], a) for j, a in w])
                 assert bits(value) == bits(expected), (trial, target)
         assert bits(moment(state, word)) == bits(frozen_moment(state, word))
+
+
+def product_test_states():
+    """The vacuum, gamma 0, expected, non-expected, and a 20-site support
+    that blocks drawn from the base pool miss."""
+    rng = random.Random(34)
+    far = range(40, 60)
+    return [
+        vacuum_state(),
+        BooleanState(0.0, sampling.generic_density(rng, 3)),
+        BooleanState(0.7, sampling.expected_density(rng, 3, vacuum_weight=0.4)),
+        BooleanState(0.6, sampling.expected_density(rng, 2)),
+        BooleanState(1.0, sampling.nonexpected_density(rng, 2)),
+        BooleanState(0.8, sampling.nonexpected_density(rng, 3)),
+        BooleanState(0.9, sampling.generic_density(rng, 4, far)),
+        BooleanState(1.0, sampling.expected_density(rng, 3, far, vacuum_weight=0.5)),
+    ]
+
+
+def test_evaluate_product_matches_the_product_bit_for_bit():
+    # block elements and tail embeds in every order, against the state on
+    # the formed product, bit for bit, and against the dense oracle
+    rng = random.Random(35)
+    for state in product_test_states():
+        for _ in range(40):
+            blocks = sampling.disjoint_blocks(rng, sampling.SITE_POOL, 2, max_block=3)
+            x, y = (sampling.block_element(rng, block) for block in blocks)
+            fx, fy = (sampling.tail_element(rng).embed() for _ in range(2))
+            for a, b in ((x, y), (fx, fy), (fx, y), (x, fy), (y, x)):
+                value = evaluate_product(state, a, b)
+                assert bits(value) == bits(evaluate(state, a * b))
+                ref = oracle.dense_evaluate(state, oracle.dense_mul(a, b))
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_moments_reject_bad_assignments():

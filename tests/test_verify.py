@@ -572,7 +572,36 @@ def test_nfold_chain_computes_each_quantity_once():
         lines = nfold_telescoping_lines(phi, factors, engine)
         assert [label for label, _ in lines] == chain_labels(n)
         assert len(set(chain_labels(n))) == n
-        assert (counts["evaluate"], counts["cond_expect"], counts["mul"]) == (n, 2 * n - 2, 2 * n - 2)
+        # every line is one evaluate_product; mul builds only the suffixes s_1 .. s_{n-2}
+        assert (counts["evaluate_product"], counts["cond_expect"], counts["mul"]) == (n, 2 * n - 2, n - 2)
+        assert counts["evaluate"] == 0
+
+
+#: The chain of seeded block elements on ``expected_dependent()``, as the
+#: product-forming chain computed it, both parts of each value in hex.
+PINNED_CHAINS = {
+    (3, 81): [
+        ("product", "-0x1.16438dfe33a98p-3", "0x1.4c3c1131a63d5p-3"),
+        ("stage1_factorized", "-0x1.16438dfe33a9ap-3", "0x1.4c3c1131a63d4p-3"),
+        ("fully_factored", "-0x1.16438dfe33a99p-3", "0x1.4c3c1131a63d4p-3"),
+    ],
+    (4, 82): [
+        ("product", "-0x1.22287b072eea4p-3", "-0x1.b410713571114p-3"),
+        ("stage1_factorized", "-0x1.0ebd29071a5cbp-3", "-0x1.ad364a2630ab5p-3"),
+        ("stage2_factorized", "-0x1.0ebd29071a5cdp-3", "-0x1.ad364a2630ab5p-3"),
+        ("fully_factored", "-0x1.0ebd29071a5cdp-3", "-0x1.ad364a2630ab3p-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_CHAINS))
+def test_nfold_chain_values_are_pinned(n, seed):
+    state = expected_dependent()
+    rng = random.Random(seed)
+    blocks = sampling.disjoint_blocks(rng, site_pool(state), n, max_block=2)
+    factors = [sampling.block_element(rng, block) for block in blocks]
+    lines = nfold_telescoping_lines(preserving_phi(state), factors)
+    assert [(label, z.real.hex(), z.imag.hex()) for label, z in lines] == PINNED_CHAINS[n, seed]
 
 
 def reference_telescoping_lines(phi, factors, engine):

@@ -1,0 +1,96 @@
+"""Write the report corpus whose bytes a behaviour-preserving change must keep.
+
+Run from any directory; the corpus is built from the ``src`` of the
+checkout this script lives in:
+
+    python3 tools/report_corpus.py DIR
+
+``DIR`` receives
+
+* ``sweep.json`` and ``sweep.csv``: the criterion-8 sweep (seed 42, 1000
+  states, max rank 6, max word length 5, tolerance 1e-9);
+* ``<workload>/<seed>-<index>.state.json``, ``.report.json`` and
+  ``.replay.json`` for the generated inputs of the benchmark's
+  classify-wide and classify-deep workloads, seeds 1-4, 30 states each:
+  the state file, its ``classify`` report with the benchmark's flags and
+  ``--seed`` = seed * 1000 + index, and the json ``replay`` of that report;
+* ``exit_codes.txt``: one ``<file> <exit code>`` line per command above.
+
+Two trees' corpora then compare with one ``diff -r``.  The benchmark's
+files under ``perfbench/`` are only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import inputs  # noqa: E402
+from worker import CLASSIFY_FLAGS  # noqa: E402
+
+from boolefock import cli  # noqa: E402
+
+#: The criterion-8 sweep's flags, all explicit.
+SWEEP_FLAGS = (
+    "--seed", "42",
+    "--samples", "1000",
+    "--max-rank", "6",
+    "--max-word-len", "5",
+    "--tolerance", "1e-9",
+)
+CLASSIFY_WORKLOADS = ("classify-wide", "classify-deep")
+SEEDS = (1, 2, 3, 4)
+STATES_PER_SEED = 30
+
+
+def write_corpus(
+    out: str,
+    sweep_flags=SWEEP_FLAGS,
+    seeds=SEEDS,
+    states_per_seed: int = STATES_PER_SEED,
+) -> list:
+    """Write the corpus under ``out``; returns the ``(file, exit code)``
+    pairs, also written to ``exit_codes.txt``."""
+    codes = []
+
+    def run(name: str, argv) -> None:
+        codes.append((name, cli.main([*argv, "--out", os.path.join(out, name)])))
+
+    os.makedirs(out, exist_ok=True)
+    for fmt in ("json", "csv"):
+        run(f"sweep.{fmt}", ["sweep", *sweep_flags, "--format", fmt])
+    for workload in CLASSIFY_WORKLOADS:
+        os.makedirs(os.path.join(out, workload), exist_ok=True)
+        for seed in seeds:
+            for index in range(states_per_seed):
+                stem = os.path.join(workload, f"{seed}-{index}")
+                state, _ = inputs.make_state(workload, seed, index)
+                state_path = os.path.join(out, stem + ".state.json")
+                with open(state_path, "w", encoding="utf-8") as handle:
+                    json.dump(state, handle)
+                run(stem + ".report.json", [
+                    "classify", "--state", state_path, "--seed", str(seed * 1000 + index), *CLASSIFY_FLAGS,
+                ])
+                run(stem + ".replay.json", [
+                    "replay", "--witness", os.path.join(out, stem + ".report.json"), "--seed", "0",
+                    "--tolerance", "1e-9", "--format", "json",
+                ])
+    with open(os.path.join(out, "exit_codes.txt"), "w", encoding="utf-8") as handle:
+        handle.writelines(f"{name} {code}\n" for name, code in codes)
+    return codes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir", help="directory to write the corpus into")
+    write_corpus(parser.parse_args(argv).dir)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
