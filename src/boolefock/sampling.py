@@ -211,10 +211,8 @@ STATE_BRANCHES = (
 )
 
 
-def stratified_state(
-    rng: random.Random, slot: int, max_rank: int = 4, sites: Sequence[int] = SITE_POOL
-) -> Tuple[BooleanState, str]:
-    """Round-robin over the five state branches; parameters random.
+def stratified_state(rng: random.Random, slot: int, max_rank: int = 4) -> Tuple[BooleanState, str]:
+    """Round-robin over the five state branches; densities over ``SITE_POOL``.
 
     Cycling the branch with ``slot`` guarantees sweep coverage of every
     branch regardless of sample count.
@@ -231,9 +229,7 @@ def stratified_state(
     rank = rng.randint(1, max_rank)
     if branch == "expected_nonsymmetric":
         with_vacuum = rank > 1 and rng.random() < 0.5
-        t = expected_density(
-            rng, rank, sites, vacuum_weight=rng.uniform(0.1, 0.8) if with_vacuum else None
-        )
+        t = expected_density(rng, rank, vacuum_weight=rng.uniform(0.1, 0.8) if with_vacuum else None)
         return BooleanState(gamma, t), branch
-    t = nonexpected_density(rng, rank, sites)
+    t = nonexpected_density(rng, rank)
     return BooleanState(gamma, t), branch

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, product_entries, vacuum_vector
 from .fock import TestAlgebraElement, word_sites
@@ -127,11 +127,18 @@ class TraceClassOperator:
     def site_support(self) -> Tuple[int, ...]:
         return self._site_support
 
-    def trace_against(self, x: BooleanElement) -> complex:
-        """``Tr(T * compact(x))`` over the finite joint support."""
-        total = 0j
-        for (m, n), amp in x.compact.items():
-            total += amp * self.entry(n, m)
+    def trace_against(self, entries: Mapping[Tuple[Index, Index], complex]) -> complex:
+        """``Tr(T A)`` for the compact ``A`` with these ``(row, col)`` entries,
+        read in order and only where row and column both lie on T's rows.
+
+        An entry left out meets a ``0j`` of T, and a sum that starts at
+        ``0j`` never holds -0.0, so the value is the full sum bit for bit
+        wherever the entries are finite; one left out reads 0 even if not.
+        """
+        total, rows = 0j, self._rows
+        for (m, n), amp in entries.items():
+            if m in rows and n in rows:
+                total += amp * self.entry(n, m)
         return total
 
     def to_json(self) -> dict:
@@ -198,27 +205,20 @@ def evaluate(state: BooleanState, x: BooleanElement) -> complex:
     """Apply the state: ``gamma * Tr(T * compact(x)) + scalar(x)``."""
     if state.gamma == 0.0:
         return complex(x.scalar)
-    return state.gamma * state.density.trace_against(x) + x.scalar
+    return state.gamma * state.density.trace_against(x.compact) + x.scalar
 
 
 def evaluate_product(state: BooleanState, x: BooleanElement, y: BooleanElement) -> complex:
-    """``evaluate(state, x * y)`` without forming ``x * y``.
-
-    T is traced against the entries of the product on T's rows alone
-    (``product_entries`` with ``keep``), which come in the full product's
-    order.  An entry off T's rows meets a ``0j`` of T, and a sum that
-    starts at ``0j`` never holds -0.0, so adding that ±0 changes nothing:
-    the value equals ``evaluate(state, x * y)`` bit for bit wherever the
-    product is finite.  An entry off T's rows is never formed, so it counts
-    as the zero it meets even where it would overflow, as in
-    :func:`moments`.
+    """``evaluate(state, x * y)`` without forming ``x * y``: only the
+    product's entries on T's rows are formed, in its order, and traced by
+    :meth:`TraceClassOperator.trace_against`, so the value is the same bits
+    wherever the product is finite.
     """
     scalar = x.scalar * y.scalar
     if state.gamma == 0.0:
         return complex(scalar)
     density = state.density
-    kept = BooleanElement._canonical(product_entries(x, y, density._rows), scalar)
-    return state.gamma * density.trace_against(kept) + scalar
+    return state.gamma * density.trace_against(product_entries(x, y, density._rows)) + scalar
 
 
 def moment(
@@ -258,7 +258,8 @@ def moments(
     whatever the rank and support of ``T``; the columns are read through
     ``T``'s entry memo, so each of its entries costs O(rank) once per
     state.  No term relies on the weights summing to one, which holds only
-    to within ``ORTHO_TOL``.
+    to within ``ORTHO_TOL``.  As in :meth:`TraceClassOperator.trace_against`,
+    no entry off T's rows is read.
     """
     if not word:
         raise ValueError("moment requires a non-empty word")

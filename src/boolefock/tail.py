@@ -125,17 +125,14 @@ class PhiState:
     def corner_value(self, x: BooleanElement) -> complex:
         """``phi(Q X Q)`` for ``Q = I - eps(#,#)``.
 
-        The compact part of ``Q X Q`` is the site block of ``compact(x)``
-        and the identity coefficient passes through.
+        The compact part of ``Q X Q`` is the site block of ``compact(x)``,
+        traced against T by :meth:`TraceClassOperator.trace_against`, and
+        the identity coefficient passes through.
         """
         if self._divisor is None:
             return complex(x.scalar)
-        density = self.state.density
-        total = 0j
-        for (m, n), amp in x.compact.items():
-            if m != VACUUM and n != VACUUM:
-                total += amp * density.entry(n, m)
-        return total / self._divisor + x.scalar
+        site_block = {key: amp for key, amp in x.compact.items() if VACUUM not in key}
+        return self.state.density.trace_against(site_block) / self._divisor + x.scalar
 
 
 def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:

@@ -619,9 +619,9 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     cannot pose (a tail identity on a state that is not expected, a
     contraction ratio on one that is) does not reproduce; its sides are
     ``None``.  Sides that overflow to a non-finite value raise ``ValueError``;
-    an entry of a product off T's rows is never formed, so it counts as the
-    zero it meets and cannot overflow a side (see
-    :func:`boolefock.states.evaluate_product`).
+    an entry off T's rows is never read, so it cannot overflow a side, in a
+    witness of any length (see
+    :meth:`boolefock.states.TraceClassOperator.trace_against`).
     """
     kind = witness.get("kind")
     replay = _REPLAYS.get(kind) if isinstance(kind, str) else None

@@ -570,15 +570,16 @@ def test_replay_rejects_a_witness_that_overflows(tmp_path, capsys, d, length):
     assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "exchangeability witness")
 
 
-def nfold_payload(tmp_path, state, site, amp):
-    """A saved pair witness on ``state`` whose two factors are
-    ``amp * eps(site, site)``, so their product reads ``amp**2`` there."""
+def nfold_payload(tmp_path, state, site, amp, count=2, step="product -> fully_factored"):
+    """A saved n-fold witness on ``state`` whose ``count`` factors are
+    ``amp * eps(site, site)``, so a product of k of them reads ``amp**k``
+    there."""
     factor = BooleanElement({(site, site): amp}).to_json()
     witness = {
         "kind": "nfold_factorization",
-        "blocks": [[site], [site]],
-        "factors": [factor, factor],
-        "step": "product -> fully_factored",
+        "blocks": [[site]] * count,
+        "factors": [factor] * count,
+        "step": step,
         "lhs": [0.0, 0.0],
         "rhs": [0.0, 0.0],
     }
@@ -596,15 +597,22 @@ def test_replay_rejects_an_nfold_witness_that_overflows_on_the_rows(tmp_path, ca
 
 
 def test_replay_reads_an_overflow_off_the_rows_as_zero(tmp_path, capsys):
-    # T has no row at site 5: the overflowing product entry there is never
-    # formed, so it counts as the zero of T it meets, and both sides are 0
+    # T has no row at site 5: neither psi nor phi reads the overflowing
+    # entry there, so it counts as the zero of T it meets, and both sides
+    # are 0 on every line; three factors form the suffix x_2 x_3, whose
+    # conditional expectation feeds stage 1
     state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
-    path = nfold_payload(tmp_path, state, 5, 1e200)
-    code, out, err = run(capsys, ["replay", "--witness", str(path), "--format", "json"])
-    assert (code, err) == (1, "")
-    assert json.loads(out)["rows"] == [{
-        "report": "pair_independence", "kind": "nfold_factorization", "lhs": 0, "rhs": 0, "reproduced": False,
-    }]
+    for count, step in (
+        (2, "product -> fully_factored"),
+        (3, "product -> stage1_factorized"),
+        (3, "stage1_factorized -> fully_factored"),
+    ):
+        path = nfold_payload(tmp_path, state, 5, 1e200, count, step)
+        code, out, err = run(capsys, ["replay", "--witness", str(path), "--format", "json"])
+        assert (code, err) == (1, ""), (count, step)
+        assert json.loads(out)["rows"] == [{
+            "report": "pair_independence", "kind": "nfold_factorization", "lhs": 0, "rhs": 0, "reproduced": False,
+        }]
 
 
 def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys):

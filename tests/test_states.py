@@ -25,6 +25,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
+from boolefock.tail import PhiState, cond_expect
 from boolefock import oracle, sampling, states
 
 
@@ -360,6 +361,53 @@ def test_evaluate_product_matches_the_product_bit_for_bit():
                 assert bits(value) == bits(evaluate(state, a * b))
                 ref = oracle.dense_evaluate(state, oracle.dense_mul(a, b))
                 assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def frozen_evaluate(state, x):
+    # evaluate as it traced every entry of compact(x), T's zeros included
+    if state.gamma == 0.0:
+        return complex(x.scalar)
+    total = 0j
+    for (m, n), amp in x.compact.items():
+        total += amp * state.density.entry(n, m)
+    return state.gamma * total + x.scalar
+
+
+def frozen_corner_value(phi, x):
+    # phi(Q X Q) as it traced every site entry of compact(x), T's zeros included
+    if phi._divisor is None:
+        return complex(x.scalar)
+    total = 0j
+    for (m, n), amp in x.compact.items():
+        if m != VACUUM and n != VACUUM:
+            total += amp * phi.state.density.entry(n, m)
+    return total / phi._divisor + x.scalar
+
+
+def test_the_row_only_trace_matches_the_full_trace_bit_for_bit():
+    # densities on sites 1-6 and elements over sites 1-12, so many entries
+    # lie off T's rows: skipping them keeps every bit of psi and phi
+    rng = random.Random(36)
+    densities = [
+        TraceClassOperator.vacuum_projection(),
+        sampling.expected_density(rng, 3, range(1, 7)),
+        sampling.expected_density(rng, 3, range(1, 7), vacuum_weight=0.4),
+        sampling.nonexpected_density(rng, 2, range(1, 7)),
+        sampling.generic_density(rng, 3, range(1, 7)),
+    ]
+    for t in densities:
+        for gamma in (0.3, 1.0):
+            state = BooleanState(gamma, t)
+            phi = PhiState(state)
+            for _ in range(60):
+                x = sampling.boolean_element(rng, range(1, 13), max_entries=8)
+                value, corner = evaluate(state, x), cond_expect(phi, x).y
+                assert bits(value) == bits(frozen_evaluate(state, x))
+                assert bits(corner) == bits(frozen_corner_value(phi, x))
+                ref = oracle.dense_evaluate(state, x)
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+                ref = oracle.dense_cond_expect(phi, x).y
+                assert abs(corner - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_moments_reject_bad_assignments():

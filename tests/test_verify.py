@@ -604,6 +604,18 @@ def test_nfold_chain_values_are_pinned(n, seed):
     assert [(label, z.real.hex(), z.imag.hex()) for label, z in lines] == PINNED_CHAINS[n, seed]
 
 
+def test_nfold_chain_reads_an_overflow_off_the_rows_as_zero():
+    # T has no row at site 5, where a product of the factors overflows:
+    # neither psi nor phi reads that entry, so every line of every length
+    # reads 0, including the stages that take F of a formed suffix
+    phi = PhiState(BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1))))
+    factor = BooleanElement({(5, 5): 1e200})
+    for n in (2, 3, 4):
+        lines = nfold_telescoping_lines(phi, [factor] * n)
+        assert [label for label, _ in lines] == chain_labels(n)
+        assert all(z == 0j for _, z in lines), (n, lines)
+
+
 def reference_telescoping_lines(phi, factors, engine):
     """The chain with all 3n - 4 lines, including those the bimodule
     property and state preservation fix: ``stage{t}_factorized`` for t >= 2
@@ -811,6 +823,29 @@ def test_classify_matches_theory_on_the_delta_stratum():
         assert (result.symmetric, result.expected, result.iid) == (theory, True, theory), (k, scale)
     assert outside >= 120
     assert inconsistent == DELTA_INCONSISTENT
+
+
+#: Verdicts of T = |xi><xi|, xi = 0.6 e_# + 0.8 e_1, by gamma: a known
+#: inconsistency, pinned so that a boundary rule reading both verdicts on one
+#: scale must flip it.  Exchangeability deviates by about 1.76 gamma, which
+#: falls below the tolerance for gamma <= 1e-10, while expectedness reads
+#: ||(T e_#)_sites|| = 0.48 with no gamma.
+SMALL_GAMMA_VERDICTS = {
+    1e-6: (False, False, False, True),
+    1e-8: (False, False, False, True),
+    1e-9: (False, False, False, True),
+    1e-10: (True, False, False, False),
+    1e-12: (True, False, False, False),
+}
+
+
+def test_classify_a_coherent_rank_one_density_at_small_gamma():
+    t = TraceClassOperator.rank_one(FockVector(0.6, {1: 0.8}))
+    for gamma, verdicts in SMALL_GAMMA_VERDICTS.items():
+        result = classify_definetti(BooleanState(gamma, t), seed=0)
+        assert (result.symmetric, result.expected, result.iid, result.consistent) == verdicts, gamma
+        exch = next(r for r in result.reports if r.name == "exchangeability")
+        assert abs(exch.max_deviation / gamma - 1.76) <= 2e-3, gamma
 
 
 def epsilon_stratum(pattern, count=120, seed=5):
