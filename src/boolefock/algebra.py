@@ -17,7 +17,6 @@ rounding residue from inflating supports.
 from __future__ import annotations
 
 import cmath
-import re
 from dataclasses import dataclass, field
 from typing import Container, Dict, Mapping, Optional, Tuple, Union
 
@@ -61,7 +60,8 @@ def index_from_key(key: str) -> Index:
     """
     if key == VACUUM:
         return VACUUM
-    if isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key):
+    # ASCII digits without a leading zero: the strings ``[1-9][0-9]*`` matches
+    if isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0":
         return int(key)
     raise ValueError(f"expected '#' or a canonical site integer key, got {key!r}")
 
@@ -92,6 +92,14 @@ class FockVector:
             raise ValueError("vector amplitudes must be finite")
         object.__setattr__(self, "vacuum_amp", vac)
         object.__setattr__(self, "wave", cleaned)
+
+    @classmethod
+    def _canonical(cls, vacuum_amp: complex, wave: Dict[int, complex]) -> "FockVector":
+        """Wrap a finite ``complex`` vacuum amplitude and a fresh map of valid
+        sites to nonzero finite ``complex`` amplitudes, skipping the checks."""
+        v = object.__new__(cls)
+        v.__dict__.update(vacuum_amp=vacuum_amp, wave=wave)
+        return v
 
     def amp(self, ix: Index) -> complex:
         if ix == VACUUM:
@@ -135,6 +143,10 @@ class FockVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FockVector":
+        """The vector of a JSON object: each key is checked by
+        ``index_from_key`` and each amplitude by ``decode_complex``, once,
+        and zero site amplitudes are dropped in key order, as the
+        constructor would."""
         if not isinstance(obj, dict):
             raise ValueError(f"expected a vector object, got {obj!r}")
         vac = 0j
@@ -144,9 +156,9 @@ class FockVector:
             amp = decode_complex(pair)
             if ix == VACUUM:
                 vac = amp
-            else:
+            elif amp != 0:
                 wave[ix] = amp
-        return cls(vac, wave)
+        return cls._canonical(vac, wave)
 
 
 def vacuum_vector() -> FockVector:

@@ -20,6 +20,7 @@ seed falls back to the ``BOOLEFOCK_SEED`` environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -93,7 +94,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write the report to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built on the first call and shared by every later
+    ``main`` call of the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="boolefock",
         description="verification harness for Boolean exchangeability and conditional independence",

@@ -12,6 +12,11 @@ import math
 import sys
 from typing import Any
 
+_FLOAT_MAX = sys.float_info.max
+
+#: What ``json.dumps`` writes for a string: ASCII, with JSON's escapes.
+_quote = json.encoder.encode_basestring_ascii
+
 
 def encode_complex(z: complex) -> list:
     z = complex(z)
@@ -29,7 +34,7 @@ def decode_float(obj: Any) -> float:
     """A JSON number as a finite float: not a boolean, NaN or an infinity,
     and not an integer too large for a float.  The message shows at most
     40 characters of the rejected value."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= _FLOAT_MAX:
         text = repr(obj)
         raise ValueError(f"expected a finite number, got {text if len(text) <= 40 else text[:37] + '...'}")
     return float(obj)
@@ -45,7 +50,7 @@ def format_float(x: float) -> str:
 def dumps(obj: Any) -> str:
     """Serialize to JSON, two spaces per level, with deterministic float formatting."""
     buf: list[str] = []
-    _emit(obj, buf, 0)
+    _emit(obj, buf, "")
     buf.append("\n")
     return "".join(buf)
 
@@ -54,53 +59,86 @@ def loads(text: str) -> Any:
     """Parse JSON, rejecting an object that repeats a key (which ``json``
     would keep the last of) and a non-finite number, overflow included."""
     return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=decode_float,
-                      parse_float=lambda literal: decode_float(float(literal)))
+                      parse_float=_finite_float)
+
+
+def _finite_float(literal: str) -> float:
+    """The value of a float literal, which ``decode_float`` rejects if it
+    overflows to an infinity."""
+    value = float(literal)
+    return value if abs(value) <= _FLOAT_MAX else decode_float(value)
 
 
 def _unique_keys(pairs: list) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate object key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate object key {key!r}")
+            seen.add(key)
     return obj
 
 
-def _emit(obj: Any, buf: list, level: int) -> None:
-    pad = "  " * (level + 1)
-    close_pad = "  " * level
-    if obj is None:
+def _emit(obj: Any, buf: list, indent: str) -> None:
+    """Append ``obj`` to ``buf``; ``indent`` is the indentation of the line it
+    starts on.  A plain float, list or dict is found by its exact type; any
+    other value goes through the ``isinstance`` tests, which order booleans
+    before ints and take subclasses, tuples and every error."""
+    kind = type(obj)
+    if kind is float:
+        buf.append(format_float(obj))
+    elif kind is list:
+        _emit_items(obj, buf, indent)
+    elif kind is dict:
+        _emit_members(obj, buf, indent)
+    elif obj is None:
         buf.append("null")
     elif isinstance(obj, bool):
         buf.append("true" if obj else "false")
     elif isinstance(obj, str):
-        buf.append(json.dumps(obj))
+        buf.append(_quote(obj))
     elif isinstance(obj, int):
         buf.append(str(obj))
     elif isinstance(obj, float):
         buf.append(format_float(obj))
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            buf.append("[]")
-            return
-        buf.append("[\n")
-        for k, item in enumerate(obj):
-            buf.append(pad)
-            _emit(item, buf, level + 1)
-            buf.append(",\n" if k + 1 < len(obj) else "\n")
-        buf.append(close_pad + "]")
+        _emit_items(obj, buf, indent)
     elif isinstance(obj, dict):
-        if not obj:
-            buf.append("{}")
-            return
-        buf.append("{\n")
-        items = list(obj.items())
-        for k, (key, value) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            buf.append(pad + json.dumps(key) + ": ")
-            _emit(value, buf, level + 1)
-            buf.append(",\n" if k + 1 < len(items) else "\n")
-        buf.append(close_pad + "}")
+        _emit_members(obj, buf, indent)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+
+
+def _emit_items(items, buf: list, indent: str) -> None:
+    if not items:
+        buf.append("[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    buf.append("[\n" + inner)
+    for k, item in enumerate(items):
+        if k:
+            buf.append(sep)
+        if type(item) is float:
+            buf.append(format_float(item))
+        else:
+            _emit(item, buf, inner)
+    buf.append("\n" + indent + "]")
+
+
+def _emit_members(obj: dict, buf: list, indent: str) -> None:
+    if not obj:
+        buf.append("{}")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    buf.append("{\n" + inner)
+    for k, (key, value) in enumerate(obj.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        if k:
+            buf.append(sep)
+        buf.append(_quote(key) + ": ")
+        _emit(value, buf, inner)
+    buf.append("\n" + indent + "}")

@@ -152,10 +152,14 @@ class TraceClassOperator:
     def from_json(cls, obj: dict) -> "TraceClassOperator":
         if not isinstance(obj, dict) or "eigenpairs" not in obj:
             raise ValueError(f"expected an object with eigenpairs, got {obj!r}")
-        pairs = []
-        for item in obj["eigenpairs"]:
-            pairs.append((decode_float(item["weight"]), FockVector.from_json(item["vector"])))
-        return cls(tuple(pairs))
+        items = obj["eigenpairs"]
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and "weight" in item and "vector" in item for item in items
+        ):
+            raise ValueError("expected a list of eigenpairs, each an object with weight and vector")
+        return cls(tuple(
+            (decode_float(item["weight"]), FockVector.from_json(item["vector"])) for item in items
+        ))
 
 
 @dataclass(frozen=True)

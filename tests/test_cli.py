@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -159,12 +162,21 @@ def test_classify_formats_render_the_json_report(tmp_path, capsys, gamma):
     assert outs["human"] == "\n".join(human + report_lines(outs["json"])) + "\n"
 
 
+#: Eigenpair lists of the wrong shape; each used to surface a raw Python error.
+MALFORMED_EIGENPAIRS = ("null", "3", '"ab"', '{"a": 1}', "[[1, 2]]", '[{"weight": 1}]', '[{"vector": {}}]')
+
+
 def test_classify_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"gamma": 0.5, "T": {"eigenpairs": [')
     code, _, err = run(capsys, ["classify", "--state", str(path)])
     assert code == 2
     assert "parse" in err
+    for eigenpairs in MALFORMED_EIGENPAIRS:
+        path.write_text('{"gamma": 0.5, "T": {"eigenpairs": %s}}' % eigenpairs)
+        result = run(capsys, ["classify", "--state", str(path)])
+        assert_rejected(result, "expected a list of eigenpairs, each an object with weight and vector")
+        assert "Traceback" not in result[2]
 
 
 def test_classify_invariant_violation(tmp_path, capsys):
@@ -365,6 +377,54 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; no flag or default leaks between calls
+    argv = ["classify", "--state", write_state(tmp_path, vacuum_state()), "--format", "json"]
+    configs = []
+    for extra, env_seed in (
+        (["--seed", "3", "--samples", "40", "--tolerance", "1e-8", "--max-rank", "2"], None),
+        ([], "11"),
+        (["--samples", "50"], None),
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("BOOLEFOCK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BOOLEFOCK_SEED", env_seed)
+        code, out, err = run(capsys, argv + extra)
+        assert (code, err) == (0, "")
+        configs.append(json.loads(out)["config"])
+    defaults = {"tolerance": 1e-9, "n_samples": 200, "max_word_len": 5, "max_rank": 4, "output_format": "json"}
+    assert configs == [
+        {**defaults, "seed": 3, "n_samples": 40, "tolerance": 1e-8, "max_rank": 2},
+        {**defaults, "seed": 11},
+        {**defaults, "seed": 0, "n_samples": 50},
+    ]
+
+
+def test_a_warm_parser_still_exits_on_help_and_unknown_input(capsys):
+    assert main(["relations", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert main(["-h"]) == 0
+    assert "classify" in capsys.readouterr().out
+    assert main(["classify", "-h"]) == 0
+    assert "--state" in capsys.readouterr().out
+    for argv in (["relations", "--frobnicate"], ["frobnicate"], [], ["classify"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+    assert boolefock.cli.build_parser.cache_info().currsize == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(boolefock.cli.__file__).parents[1]
+    probe = "import boolefock.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "0\n"
 
 
 def test_bad_env_seed(capsys, monkeypatch):
@@ -722,28 +782,42 @@ def test_cli_imports_no_checker_math():
     assert imported <= {"jsonutil", "sampling", "states", "verify"}, imported
 
 
+#: Parsers that check every field themselves and then wrap the checked
+#: values canonically; ``test_serialization.py`` holds each to what the
+#: validating constructor builds and rejects.
+SELF_CHECKING_PARSERS = {"algebra.py:FockVector.from_json"}
+
+
 def test_outside_input_never_skips_validation():
     # the canonical constructors trust their fields; whatever parses input
-    # from outside the program must go through the validating ones
+    # from outside the program must go through the validating ones, or
+    # check each field itself and be named in SELF_CHECKING_PARSERS
     package = pathlib.Path(boolefock.cli.__file__).parent
     boundaries = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name in ("cli.py", "jsonutil.py"):
             boundaries.append((path.name, tree))
+        owners = {
+            method: f"{node.name}." for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for method in node.body
+        }
         boundaries += [
-            (f"{path.name}:{node.name}", node)
+            (f"{path.name}:{owners.get(node, '')}{node.name}", node)
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name.endswith("from_json")
         ]
     assert len(boundaries) > 2  # the two modules and at least one parser
+    canonical = set()
     for where, tree in boundaries:
         names = {
             node.attr if isinstance(node, ast.Attribute) else node.id
             for node in ast.walk(tree)
             if isinstance(node, (ast.Attribute, ast.Name))
         }
-        assert "_canonical" not in names, where
+        if "_canonical" in names:
+            canonical.add(where)
+    assert canonical == SELF_CHECKING_PARSERS
 
 
 def test_replay_rejects_a_saved_pair_witness(tmp_path, capsys):

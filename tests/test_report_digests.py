@@ -2,7 +2,7 @@
 
 Pins the SHA-256 of the JSON bytes of a small criterion-8 sweep and of
 ``classify`` and ``replay`` on a handful of fixed state files, one per tail
-branch.  A refactor that must not move any report keeps these digests; a
+branch, and of the csv and human ``classify`` reports of one of them.  A refactor that must not move any report keeps these digests; a
 change that alters reports on purpose updates them and says so in
 CHANGES.md, together with what moved and why.
 """
@@ -68,6 +68,13 @@ CLASSIFY_DIGESTS = {
     "wide_20_sites": "572c56b067439ec3cd8e937c17a81f2513fcc7224c00af14f33dbcad66b2bc63",
 }
 
+#: The csv and human classify reports of one state; the human one renders
+#: every witness through ``jsonutil.dumps``.
+TEXT_CLASSIFY_DIGESTS = {
+    "csv": "c6d89ee2d8cb3a5e26418c027c0079cda2768be528578341b10ecd501ebc8a08",
+    "human": "ed322e6fd449dcd69879e5c6278f4d25b993eb667558aa2a5971bd981e5e2782",
+}
+
 # the vacuum and the near-vacuum state store no witness: their replays agree
 REPLAY_DIGESTS = {
     "expected_vacuum_eigenvalue": "e7c830cacfe276a6eff8107ca3d1804dff66fe038125d2aa8d31e30edb222b49",
@@ -99,3 +106,13 @@ def test_classify_and_replay_digests(tmp_path, name):
     assert main(argv + ["--out", str(report)]) == 0
     assert main(["replay", "--witness", str(report), "--seed", "0", "--format", "json", "--out", str(replay)]) == 0
     assert (digest(report), digest(replay)) == (CLASSIFY_DIGESTS[name], REPLAY_DIGESTS[name])
+
+
+@pytest.mark.parametrize("output_format", sorted(TEXT_CLASSIFY_DIGESTS))
+def test_classify_text_format_digests(tmp_path, output_format):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(STATES["expected_vacuum_in_kernel"]))
+    report = tmp_path / "report.txt"
+    argv = ["classify", "--state", str(state), "--seed", "5", "--samples", "60", "--format", output_format]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert digest(report) == TEXT_CLASSIFY_DIGESTS[output_format]
