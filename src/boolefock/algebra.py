@@ -20,7 +20,7 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Container, Dict, Mapping, Optional, Tuple, Union
 
-from .jsonutil import decode_complex, encode_complex
+from .jsonutil import decode_complex, encode_complex, shown
 
 #: The distinguished vacuum index.
 VACUUM = "#"
@@ -38,7 +38,7 @@ DEFAULT_TOL = 1e-10
 def check_site(ix: Index) -> int:
     if isinstance(ix, int) and not isinstance(ix, bool) and ix >= 1:
         return ix
-    raise ValueError(f"site labels are integers >= 1, got {ix!r}")
+    raise ValueError(f"site labels are integers >= 1, got {shown(ix)}")
 
 
 def check_index(ix: Index) -> Index:
@@ -63,7 +63,7 @@ def index_from_key(key: str) -> Index:
     # ASCII digits without a leading zero: the strings ``[1-9][0-9]*`` matches
     if isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0":
         return int(key)
-    raise ValueError(f"expected '#' or a canonical site integer key, got {key!r}")
+    raise ValueError(f"expected '#' or a canonical site integer key, got {shown(key)}")
 
 
 def _chop_map(entries: Dict) -> Dict:
@@ -148,7 +148,7 @@ class FockVector:
         and zero site amplitudes are dropped in key order, as the
         constructor would."""
         if not isinstance(obj, dict):
-            raise ValueError(f"expected a vector object, got {obj!r}")
+            raise ValueError(f"expected a vector object, got {shown(obj)}")
         vac = 0j
         wave = {}
         for key, pair in obj.items():
@@ -290,7 +290,7 @@ class BooleanElement:
     @classmethod
     def from_json(cls, obj: dict) -> "BooleanElement":
         if not isinstance(obj, dict) or "scalar" not in obj or "compact" not in obj:
-            raise ValueError(f"expected an element object with scalar/compact, got {obj!r}")
+            raise ValueError(f"expected an element object with scalar/compact, got {shown(obj)}")
         entries = {}
         for item in obj["compact"]:
             key = (check_index(item["row"]), check_index(item["col"]))

@@ -217,7 +217,9 @@ def _report_lines(reports: Sequence[CheckReport]) -> List[str]:
             f"(max_deviation={format_float(report.max_deviation)}, samples={report.samples_run})"
         )
         if report.witness is not None:
-            lines.append(f"  witness: {jsonutil.dumps(report.witness).strip()}")
+            # the witness's later lines nest under its check line, two spaces in
+            witness = jsonutil.dumps(report.witness).strip().replace("\n", "\n  ")
+            lines.append(f"  witness: {witness}")
     return lines
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, check_site, index_from_key
-from .jsonutil import decode_complex, encode_complex
+from .jsonutil import decode_complex, encode_complex, shown
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class TestAlgebraElement:
         try:
             return cls(*(decode_complex(obj[k]) for k in ("a", "b", "c", "d", "beta")))
         except (KeyError, TypeError):
-            raise ValueError(f"expected a/b/c/d/beta fields, got {obj!r}") from None
+            raise ValueError(f"expected a/b/c/d/beta fields, got {shown(obj)}") from None
 
 
 def creator(f: FockVector) -> BooleanElement:
@@ -183,7 +183,7 @@ class FinitePermutation:
     @classmethod
     def from_json(cls, obj: dict) -> "FinitePermutation":
         if not isinstance(obj, dict) or not isinstance(obj.get("map"), dict):
-            raise ValueError(f"expected a permutation object with a map, got {obj!r}")
+            raise ValueError(f"expected a permutation object with a map, got {shown(obj)}")
         return cls({index_from_key(k): v for k, v in obj["map"].items()})
 
 

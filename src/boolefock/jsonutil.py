@@ -23,20 +23,26 @@ def encode_complex(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def shown(obj: Any) -> str:
+    """``repr(obj)`` cut to at most 40 characters, for a message about a
+    loaded value: a rejected value of any size fits on one short line."""
+    text = repr(obj)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def decode_complex(obj: Any) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {obj!r}")
+        raise ValueError(f"expected a [re, im] pair, got {shown(obj)}")
     re, im = obj
     return complex(decode_float(re), decode_float(im))
 
 
 def decode_float(obj: Any) -> float:
     """A JSON number as a finite float: not a boolean, NaN or an infinity,
-    and not an integer too large for a float.  The message shows at most
-    40 characters of the rejected value."""
+    and not an integer too large for a float.  The message shows the
+    rejected value through :func:`shown`."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= _FLOAT_MAX:
-        text = repr(obj)
-        raise ValueError(f"expected a finite number, got {text if len(text) <= 40 else text[:37] + '...'}")
+        raise ValueError(f"expected a finite number, got {shown(obj)}")
     return float(obj)
 
 
@@ -75,7 +81,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate object key {key!r}")
+                raise ValueError(f"duplicate object key {shown(key)}")
             seen.add(key)
     return obj
 

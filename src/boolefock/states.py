@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, product_entries, vacuum_vector
 from .fock import TestAlgebraElement, word_sites
-from .jsonutil import decode_float
+from .jsonutil import decode_float, shown
 
 #: Tolerance for validating weights and eigenvector orthonormality.
 ORTHO_TOL = 1e-10
@@ -151,7 +151,7 @@ class TraceClassOperator:
     @classmethod
     def from_json(cls, obj: dict) -> "TraceClassOperator":
         if not isinstance(obj, dict) or "eigenpairs" not in obj:
-            raise ValueError(f"expected an object with eigenpairs, got {obj!r}")
+            raise ValueError(f"expected an object with eigenpairs, got {shown(obj)}")
         items = obj["eigenpairs"]
         if not isinstance(items, list) or not all(
             isinstance(item, dict) and "weight" in item and "vector" in item for item in items
@@ -185,7 +185,7 @@ class BooleanState:
     @classmethod
     def from_json(cls, obj: dict) -> "BooleanState":
         if not isinstance(obj, dict) or "gamma" not in obj or "T" not in obj:
-            raise ValueError(f"expected an object with gamma and T, got {obj!r}")
+            raise ValueError(f"expected an object with gamma and T, got {shown(obj)}")
         return cls(decode_float(obj["gamma"]), TraceClassOperator.from_json(obj["T"]))
 
 
@@ -313,5 +313,5 @@ def _site_indices(sites: Sequence[int], count: int) -> Tuple[Index, ...]:
     if len(indices) != count + 1:
         raise ValueError(f"expected {count} sites, got {len(indices) - 1}")
     if len(set(indices)) != len(indices):
-        raise ValueError(f"sites must be distinct, got {list(sites)!r}")
+        raise ValueError(f"sites must be distinct, got {shown(list(sites))}")
     return indices

@@ -42,7 +42,7 @@ from .fock import (
     word_sites,
     word_to_json,
 )
-from .jsonutil import decode_float, encode_complex
+from .jsonutil import decode_float, encode_complex, shown
 from .sampling import SITE_POOL
 from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
@@ -311,6 +311,12 @@ def check_exchangeable(
     table of site values compares every pair without listing the pairs.
     Each probe counts one sample per site pair, and its witness is the
     first failing pair in ``combinations`` order.
+
+    A state with gamma 0, or whose density has no site rows, draws no
+    word: ``moments`` then returns the scalar, or reads T only at
+    ``(#, #)`` by the same operations for a word and its image, so every
+    word would deviate by exactly 0.  The ``n_words`` samples are recorded
+    as that one 0.0.
     """
     rng = random.Random(seed)
     pool = site_pool(state)
@@ -334,6 +340,9 @@ def check_exchangeable(
         return witness(word, FinitePermutation.swap(pool[i], pool[j]), values[i][c], values[j][c])
 
     _record_site_pairs(rec, np.array(values, dtype=complex), 1, 1.0, probe_witness)
+    if state.gamma == 0.0 or not state.density.site_support():
+        rec.record(0.0, lambda: {}, samples=n_words)
+        return rec.report("exchangeability")
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
         perm = sampling.permutation(rng, pool)
@@ -589,7 +598,7 @@ def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
     factors = [BooleanElement.from_json(f) for f in witness["factors"]]
     step = witness["step"]
     if not isinstance(step, str):
-        raise TypeError(f"step must be a string, got {step!r}")
+        raise TypeError(f"step must be a string, got {shown(step)}")
     lines = dict(nfold_telescoping_lines(PhiState(state), factors))
     lhs, rhs = (lines[label.strip()] for label in step.split("->"))
     preserving_phi(state)
@@ -626,7 +635,7 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     kind = witness.get("kind")
     replay = _REPLAYS.get(kind) if isinstance(kind, str) else None
     if replay is None:
-        raise ValueError(f"unknown witness kind {kind!r}")
+        raise ValueError(f"unknown witness kind {shown(kind)}")
     try:
         lhs, rhs, deviation = replay(state, witness)
         finite = all(math.isfinite(abs(value)) for value in (lhs, rhs, deviation))

@@ -72,7 +72,9 @@ def report_lines(text):
             f"(max_deviation={report['max_deviation']}, samples={report['samples_run']})"
         )
         if parsed["witness"] is not None:
-            lines.append("  witness: " + jsonutil.dumps(parsed["witness"]).strip())
+            # the witness JSON starts on the check's line and nests under it
+            first, *rest = jsonutil.dumps(parsed["witness"]).strip().splitlines()
+            lines += ["  witness: " + first, *("  " + line for line in rest)]
     return lines
 
 
@@ -162,6 +164,31 @@ def test_classify_formats_render_the_json_report(tmp_path, capsys, gamma):
     assert outs["human"] == "\n".join(human + report_lines(outs["json"])) + "\n"
 
 
+def test_human_witness_lines_nest_under_their_check_line(tmp_path, capsys):
+    # each witness opens on the line below its check, closes two spaces in,
+    # and every line between is indented deeper than both
+    state = BooleanState(0.4, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
+    argv = ["classify", "--state", write_state(tmp_path, state), "--seed", "3", "--samples", "40"]
+    outs = run_formats(capsys, argv)
+    reports = {r["name"]: r for r in json.loads(outs["json"])["reports"]}
+    lines = outs["human"].splitlines()
+    witnesses = {}
+    k = 0
+    while k < len(lines):
+        line = lines[k]
+        k += 1
+        if not line.startswith(" "):
+            continue
+        assert line == "  witness: {", line
+        name = lines[k - 2].split(":")[0]
+        end = lines.index("  }", k)
+        assert all(inner.startswith("    ") for inner in lines[k:end])
+        witnesses[name] = json.loads("{" + "\n".join(lines[k:end]) + "}")
+        k = end + 1
+    assert witnesses == {name: r["witness"] for name, r in reports.items() if r["witness"] is not None}
+    assert len(witnesses) >= 2
+
+
 #: Eigenpair lists of the wrong shape; each used to surface a raw Python error.
 MALFORMED_EIGENPAIRS = ("null", "3", '"ab"', '{"a": 1}', "[[1, 2]]", '[{"weight": 1}]', '[{"vector": {}}]')
 
@@ -177,6 +204,72 @@ def test_classify_malformed_file(tmp_path, capsys):
         result = run(capsys, ["classify", "--state", str(path)])
         assert_rejected(result, "expected a list of eigenpairs, each an object with weight and vector")
         assert "Traceback" not in result[2]
+
+
+#: The longest stderr line a rejected input may produce: a loaded value is
+#: shown with at most 40 characters.
+MESSAGE_BOUND = 200
+
+HUGE = list(range(100_000))
+LONG_KEY = "x" * 100_000
+
+
+def _eigenvector(vector):
+    return {"gamma": 1.0, "T": {"eigenpairs": [{"weight": 1.0, "vector": vector}]}}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({"gamma": 1.0, "T": list(range(200_000))}), "expected an object with eigenpairs"),
+        (json.dumps(_eigenvector(HUGE)), "expected a vector object"),
+        (json.dumps(_eigenvector({"#": HUGE})), "expected a [re, im] pair"),
+        (json.dumps(_eigenvector({"#": [1.0, 0.0], LONG_KEY: [0.0, 0.0]})), "canonical site integer key"),
+        (json.dumps(_eigenvector({"#": [1.0, 0.0], "1" * 100_000: [0.0, 0.0]})), "cannot parse state file"),
+        (json.dumps(HUGE), "expected an object with gamma and T"),
+        ('{"%s": 1, "%s": 2}' % (LONG_KEY, LONG_KEY), "duplicate object key"),
+    ],
+    ids=["T-list", "vector-list", "amplitude-list", "site-key", "digit-key", "top-level-list", "repeated-key"],
+)
+def test_classify_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, text, message):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    result = run(capsys, ["classify", "--state", str(path)])
+    assert_rejected(result, message)
+    assert len(result[2]) <= MESSAGE_BOUND, result[2][:200]
+
+
+def _exchangeability_witness(**fields):
+    element = {k: [0.0, 0.0] for k in ("a", "b", "c", "d", "beta")}
+    return {"kind": "exchangeability", "word": [[1, element]], "permutation": {"map": {}}, **fields}
+
+
+def _nfold_witness(**fields):
+    factor = BooleanElement({(1, 1): 1.0}).to_json()
+    return {"kind": "nfold_factorization", "factors": [factor, factor], "step": "product -> fully_factored",
+            **fields}
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({"kind": LONG_KEY}, "unknown witness kind"),
+        (_nfold_witness(step=HUGE), "step must be a string"),
+        (_nfold_witness(factors=[HUGE, HUGE]), "expected an element object"),
+        (_exchangeability_witness(word=[[LONG_KEY, {}]]), "site labels are integers"),
+        (_exchangeability_witness(word=[[1, HUGE]]), "expected a/b/c/d/beta fields"),
+        (_exchangeability_witness(permutation=HUGE), "expected a permutation object"),
+        (_exchangeability_witness(permutation={"map": {LONG_KEY: 1}}), "canonical site integer key"),
+    ],
+    ids=["kind", "step", "factor", "word-site", "word-element", "permutation", "permutation-key"],
+)
+def test_replay_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, witness, message):
+    state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"state": state.to_json(), "reports": [{"name": "x", "witness": witness}]}))
+    result = run(capsys, ["replay", "--witness", str(path)])
+    assert_rejected(result, message)
+    assert len(result[2]) <= MESSAGE_BOUND, result[2][:200]
 
 
 def test_classify_invariant_violation(tmp_path, capsys):

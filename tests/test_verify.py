@@ -555,6 +555,60 @@ def test_checkers_evaluate_each_site_once():
     assert counts == Counter({"moments": 4 + 25, ("moments", "sites"): 4 * len(pool) + 2 * 25})
 
 
+def assert_every_word_deviates_by_zero(state, n_words, max_len, seed, engine):
+    """Draw the words and permutations the exchangeability check drew from
+    ``random.Random(seed)`` when it evaluated every word, and compare the
+    moments of each word and its image bit for bit."""
+    rng = random.Random(seed)
+    pool = site_pool(state)
+    for _ in range(n_words):
+        word = sampling.word(rng, pool, max_len)
+        perm = sampling.permutation(rng, pool)
+        lhs, rhs = verify._permuted_moments(state, word, perm, engine)
+        assert abs(lhs - rhs) == 0.0 and repr(lhs) == repr(rhs), (word_to_json(word), perm.to_json())
+
+
+def gamma_zero_with_site_rows():
+    t = TraceClassOperator(((0.5, vacuum_vector()), (0.5, FockVector(0j, {2: 0.6, 5: 0.8j}))))
+    return BooleanState(0.0, t)
+
+
+def test_every_word_of_a_site_free_sweep_state_deviates_by_exactly_zero():
+    # the criterion-8 sweep's states and checker seeds (see cli.run_sweep):
+    # where the density has no site rows or gamma is 0, each word the old
+    # loop drew gives lhs == rhs bit for bit, so skipping them moves nothing
+    rng = random.Random(42)
+    site_free = 0
+    for index in range(1000):
+        state, _ = sampling.stratified_state(rng, index, max_rank=6)
+        if state.gamma == 0.0 or not state.density.site_support():
+            site_free += 1
+            assert_every_word_deviates_by_zero(state, 40, 5, 42 + 101 * index, SPARSE_ENGINE)
+    assert site_free == 600
+
+
+@pytest.mark.parametrize(
+    "state",
+    [vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows()],
+    ids=["vacuum", "symmetric", "infinity", "gamma_zero_with_site_rows"],
+)
+def test_site_free_words_deviate_by_exactly_zero_on_both_engines(state):
+    for engine in (SPARSE_ENGINE, DENSE_ENGINE):
+        assert_every_word_deviates_by_zero(state, 40, 5, 17, engine)
+
+
+def test_a_site_free_state_draws_no_word():
+    # the four probes run over the pool; the words are recorded as one exact 0
+    for state in (vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows()):
+        n = len(site_pool(state))
+        engine, counts = counting_engine(SPARSE_ENGINE)
+        report = check_exchangeable(state, n_words=40, seed=5, engine=engine)
+        assert counts["moments"] == len(PROBE_ELEMENTS)
+        assert report.samples_run == len(PROBE_ELEMENTS) * n * (n - 1) // 2 + 40
+        probes = check_exchangeable(state, n_words=0, seed=5)
+        assert (report.passed, report.max_deviation, report.witness) == (True, probes.max_deviation, None)
+
+
 def chain_labels(n):
     """The labels of the n-fold telescoping chain, in order."""
     return ["product"] + [f"stage{t}_factorized" for t in range(1, n - 1)] + ["fully_factored"]
