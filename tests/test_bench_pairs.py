@@ -29,7 +29,7 @@ def untraced(side, workload, seed, rate, p50, failed=0):
         "setup_s": {"value": 0.2, "unit": "s"},
         "peak_rss_mib": {"value": 35.0, "unit": "MiB"},
     }}
-    return {"side": side, "workload": workload, "seed": seed, "trace": 0, "seconds": 30.0, "result": result}
+    return {"side": side, "workload": workload, "seed": seed, "trace": 0, "result": result}
 
 
 def traced(side, seed, calls, incl_s):
@@ -37,7 +37,7 @@ def traced(side, seed, calls, incl_s):
         "tail.cond_expect.calls": {"value": calls, "unit": "count"},
         "verify.check_exchangeable.incl_s": {"value": incl_s, "unit": "s"},
     }}
-    return {"side": side, "workload": "sweep-c8", "seed": seed, "trace": 1, "seconds": 10.0, "result": result}
+    return {"side": side, "workload": "sweep-c8", "seed": seed, "trace": 1, "result": result}
 
 
 def canned_records():
@@ -111,25 +111,26 @@ def test_clear_bytecode_removes_every_cache_and_nothing_else(tmp_path):
     assert left == ["a/src/pkg/m.py", "b/src/pkg/m.py"]
 
 
-def test_a_resumed_series_skips_the_logged_runs(tmp_path, monkeypatch):
+def test_a_series_runs_each_pair_for_the_benchmark_run_length(tmp_path, monkeypatch):
     tool = load_tool()
-    log = tmp_path / "runs.jsonl"
-    log.write_text("".join(json.dumps(r) + "\n" for r in canned_records()[:2]))
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     calls = []
 
     def fake_run(tree, workload, seed, seconds, trace):
-        calls.append((tree, seed))
+        calls.append((tree, seed, seconds, trace))
         return untraced("parent", workload, seed, 100.0, 10.0)["result"]
 
     monkeypatch.setattr(tool, "run_side", fake_run)
     monkeypatch.setattr(tool, "clear_bytecode", lambda trees: None)
     out = tmp_path / "bench.json"
-    argv = ["P", "C", "--pairs", "sweep-c8:3-4", "--claim", "sweep-c8:states_per_s",
-            "--log", str(log), "--out", str(out)]
+    argv = ["P", "C", "--pairs", "sweep-c8:3-4", "--traced", "sweep-c8:5",
+            "--claim", "sweep-c8:states_per_s", "--out", str(out)]
     assert tool.main(argv) == 0
-    # seed 3 was logged on both sides; seed 4 runs the change first
-    assert calls == [("C", 4), ("P", 4)]
+    # seed 4 runs the change first
+    assert calls == [("P", 3, run_seconds, 0), ("C", 3, run_seconds, 0),
+                     ("C", 4, run_seconds, 0), ("P", 4, run_seconds, 0),
+                     ("P", 5, tool.TRACED_SECONDS, 1), ("C", 5, tool.TRACED_SECONDS, 1)]
     summary = json.loads(out.read_text())
     assert summary["claimed"] == {"workload": "sweep-c8", "metric": "states_per_s"}
     assert summary["seeds"] == {"sweep-c8": [3, 4]}
-    assert len(log.read_text().splitlines()) == 4
+    assert summary["traced"]["sweep-c8"]["seeds"] == [5]

@@ -5,19 +5,18 @@ Run from any directory:
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE \\
         --pairs sweep-c8:21101-21110 --pairs classify-wide:21111-21115 \\
-        --traced sweep-c8:7 --seconds 30 --traced-seconds 10 \\
-        --claim sweep-c8:states_per_s --parent-rev aba6c44 \\
-        --log runs.jsonl --out BENCH.json
+        --traced sweep-c8:7 --claim sweep-c8:states_per_s \\
+        --parent-rev aba6c44 --out BENCH.json
 
 For each seed of ``--pairs`` it runs ``python3 perfbench/run.py --workload
 W --seed N --seconds S --trace 0`` once in each tree, the parent first on
-odd seeds and the change first on even ones; ``--traced`` runs the same
-with ``--trace 1``.  Every ``__pycache__`` under both trees is removed
-before each run, so neither side imports bytecode the other lacks.  Each
-run's result line (the last line ``run.py`` prints) is appended to the
-``--log`` file as it finishes; a run already in the log is not repeated,
-so an interrupted series resumes.  The summary is built from the log
-alone, in the layout of the repository's ``BENCH_<n>.json`` files.
+odd seeds and the change first on even ones; S is ``run_seconds`` of
+``BENCHMARK.json``.  ``--traced`` runs the same with ``--trace 1`` for
+``TRACED_SECONDS``.  Every ``__pycache__`` under both trees is removed
+before each run, so neither side imports bytecode the other lacks.  The
+series runs in one go, and its summary is built from each run's result
+line (the last line ``run.py`` prints) in the layout of the repository's
+``BENCH_<n>.json`` files.
 
 The trees are only read, apart from what ``run.py`` itself writes under
 each tree's ``perfbench/_runs/``.
@@ -36,6 +35,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+TRACED_SECONDS = 10
 
 
 def parse_seeds(spec: str) -> tuple:
@@ -83,10 +83,10 @@ def wins(parent: list, change: list, better: str) -> int:
 
 
 def aggregate(records: list, end_to_end: list) -> dict:
-    """The pair summary of logged runs.
+    """The pair summary of a series of runs.
 
-    Each record holds ``side``, ``workload``, ``seed``, ``trace``,
-    ``seconds`` and the run's ``result`` line; ``end_to_end`` is the ``BENCHMARK.json`` list
+    Each record holds ``side``, ``workload``, ``seed``, ``trace`` and the
+    run's ``result`` line; ``end_to_end`` is the ``BENCHMARK.json`` list
     of metrics with their ``unit`` and ``better``.  Untraced runs pair up
     by workload and seed, in seed order; a seed that lacks either side is
     left out.
@@ -102,10 +102,9 @@ def aggregate(records: list, end_to_end: list) -> dict:
             results = {side: [runs[(workload, trace, s, side)]["result"] for s in seeds] for side in SIDES}
             if trace:
                 names = results["parent"][0]["metrics"]
-                seconds = runs[(workload, trace, seeds[0], "parent")]["seconds"]
                 summary["traced"][workload] = {
                     "command": f"python3 perfbench/run.py --workload {workload} --seed N "
-                               f"--seconds {seconds:g} --trace 1",
+                               f"--seconds {TRACED_SECONDS} --trace 1",
                     "seeds": seeds,
                     "metrics": {name: {
                         "unit": names[name]["unit"],
@@ -134,13 +133,6 @@ def aggregate(records: list, end_to_end: list) -> dict:
     return summary
 
 
-def read_log(path: str) -> list:
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree")
@@ -149,38 +141,27 @@ def main(argv=None) -> int:
                         help="untraced pairs of one workload, seeds as A-B or A,B,...")
     parser.add_argument("--traced", action="append", default=[], metavar="W:SEEDS",
                         help="traced pairs (--trace 1) of one workload")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--traced-seconds", type=float, default=10.0)
     parser.add_argument("--claim", metavar="W:METRIC", help="the workload and metric the change claims")
     parser.add_argument("--parent-rev", default="unknown", help="the parent's commit, for the summary")
     parser.add_argument("--description", default="", help="how the runs were made, for the summary")
-    parser.add_argument("--log", required=True, help="JSON lines file the runs are appended to")
     parser.add_argument("--out", required=True, help="summary file to write")
     args = parser.parse_args(argv)
 
-    trees = {"parent": args.parent_tree, "change": args.change_tree}
-    records = read_log(args.log)
-    done = {(r["workload"], r["trace"], r["seed"], r["side"]) for r in records}
-    plan = [(w, 0, s, args.seconds) for spec in args.pairs for w, seeds in [parse_seeds(spec)] for s in seeds]
-    plan += [(w, 1, s, args.traced_seconds) for spec in args.traced for w, seeds in [parse_seeds(spec)] for s in seeds]
-    with open(args.log, "a", encoding="utf-8") as log:
-        for workload, trace, seed, seconds in plan:
-            for side in order(seed):
-                if (workload, trace, seed, side) in done:
-                    continue
-                clear_bytecode(trees.values())
-                result = run_side(trees[side], workload, seed, seconds, trace)
-                record = {"side": side, "workload": workload, "seed": seed, "trace": trace,
-                          "seconds": seconds, "result": result}
-                log.write(json.dumps(record) + "\n")
-                log.flush()
-                records.append(record)
-                print(f"{workload} seed {seed} trace {trace} {side}: "
-                      f"{result['metrics'].get('states_per_s', {}).get('value', '-')}", flush=True)
-
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        end_to_end = json.load(handle)["end_to_end"]
-    summary = aggregate(records, end_to_end)
+        benchmark = json.load(handle)
+    trees = {"parent": args.parent_tree, "change": args.change_tree}
+    plan = [(w, 0, s, benchmark["run_seconds"]) for spec in args.pairs for w, seeds in [parse_seeds(spec)] for s in seeds]
+    plan += [(w, 1, s, TRACED_SECONDS) for spec in args.traced for w, seeds in [parse_seeds(spec)] for s in seeds]
+    records = []
+    for workload, trace, seed, seconds in plan:
+        for side in order(seed):
+            clear_bytecode(trees.values())
+            result = run_side(trees[side], workload, seed, seconds, trace)
+            records.append({"side": side, "workload": workload, "seed": seed, "trace": trace, "result": result})
+            print(f"{workload} seed {seed} trace {trace} {side}: "
+                  f"{result['metrics'].get('states_per_s', {}).get('value', '-')}", flush=True)
+
+    summary = aggregate(records, benchmark["end_to_end"])
     out = {
         "description": args.description,
         "parent": args.parent_rev,
