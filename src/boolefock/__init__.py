@@ -59,7 +59,6 @@ from .tail import (
 from .verify import (
     CheckReport,
     Classification,
-    DENSE_ENGINE,
     SPARSE_ENGINE,
     check_boolean_relations,
     check_embedding_homomorphism,

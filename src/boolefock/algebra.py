@@ -56,13 +56,17 @@ def index_from_key(key: str) -> Index:
     """Parse an index that was used as a JSON object key.
 
     Only the canonical spelling ``str(site)`` is accepted, so that no two
-    keys of one object can name the same site.
+    keys of one object can name the same site, and only with as many
+    digits as ``int`` converts.
     """
     if key == VACUUM:
         return VACUUM
     # ASCII digits without a leading zero: the strings ``[1-9][0-9]*`` matches
     if isinstance(key, str) and key.isascii() and key.isdigit() and key[0] != "0":
-        return int(key)
+        try:
+            return int(key)
+        except ValueError:  # beyond the interpreter's integer string limit
+            pass
     raise ValueError(f"expected '#' or a canonical site integer key, got {shown(key)}")
 
 
@@ -291,8 +295,15 @@ class BooleanElement:
     def from_json(cls, obj: dict) -> "BooleanElement":
         if not isinstance(obj, dict) or "scalar" not in obj or "compact" not in obj:
             raise ValueError(f"expected an element object with scalar/compact, got {shown(obj)}")
+        compact = obj["compact"]
+        if not isinstance(compact, list) or not all(
+            isinstance(item, dict) and {"row", "col", "amp"} <= item.keys() for item in compact
+        ):
+            raise ValueError(
+                f"expected compact as a list of row/col/amp objects, got {shown(compact)}"
+            )
         entries = {}
-        for item in obj["compact"]:
+        for item in compact:
             key = (check_index(item["row"]), check_index(item["col"]))
             entries[key] = decode_complex(item["amp"])
         return cls(entries, decode_complex(obj["scalar"]))

@@ -3,8 +3,10 @@
 Each checker samples identities, reports the worst deviation, and carries
 a serialized witness for the first failure so a run can be replayed.  The
 checkers route all kernel arithmetic through an :class:`Engine`, which
-lets the test suite substitute the dense-truncation oracle for the sparse
-kernel and compare verdicts.
+lets the test suite substitute its dense-truncation oracle for the sparse
+kernel and compare verdicts.  The per-site scans compare every site pair
+exactly, in plain Python, without a pair list; the package needs nothing
+beyond the standard library.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
 state: exchangeable if and only if conditionally independent and
@@ -14,16 +16,15 @@ recomputes a stored witness through the same helpers its checker used.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations, product, starmap
+from operator import attrgetter, itemgetter, sub
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import oracle, sampling
+from . import sampling
 from .algebra import (
     VACUUM,
     BooleanElement,
@@ -60,7 +61,8 @@ CHECK_TOL = 1e-9
 
 
 class Engine(NamedTuple):
-    """The kernel operations a checker needs, swappable for the oracle.
+    """The kernel operations a checker needs; the test suite swaps in a
+    dense-truncation engine to cross-check the sparse one.
 
     ``evaluate_product`` is the state on the product of two elements (see
     :func:`boolefock.states.evaluate_product`), ``moments`` evaluates one
@@ -78,20 +80,6 @@ class Engine(NamedTuple):
     site_marginals: Callable[[PhiState, TestAlgebraElement, Sequence[int]], list]
 
 
-def _dense_moments(state: BooleanState, word: Sequence, assignments) -> List[complex]:
-    """The oracle's moment of the word relabelled by each assignment."""
-    sites, values = word_sites(word), []
-    for moved in assignments:
-        relabel = dict(zip(sites, moved))
-        values.append(oracle.dense_moment(state, [(relabel[j], a) for j, a in word]))
-    return values
-
-
-def _dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> list:
-    """The oracle's conditional expectation of the element embedded at each site."""
-    return [oracle.dense_cond_expect(phi, embed(s, element)) for s in sites]
-
-
 SPARSE_ENGINE = Engine(
     mul=lambda x, y: x * y,
     evaluate=evaluate,
@@ -100,16 +88,6 @@ SPARSE_ENGINE = Engine(
     cond_expect=cond_expect,
     site_marginals=site_marginals,
 )
-
-DENSE_ENGINE = Engine(
-    mul=oracle.dense_mul,
-    evaluate=oracle.dense_evaluate,
-    evaluate_product=lambda s, x, y: oracle.dense_evaluate(s, oracle.dense_mul(x, y)),
-    moments=_dense_moments,
-    cond_expect=oracle.dense_cond_expect,
-    site_marginals=_dense_site_marginals,
-)
-
 
 @dataclass
 class CheckReport:
@@ -178,99 +156,156 @@ def site_pool(state: BooleanState) -> List[int]:
     return pool
 
 
-#: Values in one temporary of a site-pair reduction: rows are compared in
-#: blocks that stay near this size, so memory does not grow with the
-#: square of the support.
-_PAIR_BLOCK = 1 << 14
+#: Values per block of the site-pair scan's prune (see ``_pruned_spread``).
+_SCAN_BLOCK = 32
+
+#: Relative slack on a bound of ``abs`` for the rounding of ``abs`` itself.
+_BOUND_MARGIN = 1 + 2 ** -50
 
 
-@lru_cache(maxsize=16)
-def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row indices of the pairs i < j of ``n`` rows, in ``combinations`` order;
-    read-only, since every caller shares them."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf where the parts are finite but the modulus is not,
+    which ``abs`` raises on."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
-def _moduli(z: np.ndarray) -> np.ndarray:
-    # the libm hypot that Python's abs() of a complex calls; np.abs can
-    # differ from abs() in the last bit
-    return np.hypot(z.real, z.imag)
+def _every_pair_spread(values: Sequence[complex]) -> float:
+    """The largest ``|a - b|`` over every pair of ``values``: NaN if some
+    pair deviates by NaN."""
+    worst = 0.0
+    for a, b in combinations(values, 2):
+        deviation = _modulus(a - b)
+        if math.isnan(deviation):
+            return deviation
+        worst = max(worst, deviation)
+    return worst
 
 
-@np.errstate(invalid="ignore", over="ignore")  # NaN and inf propagate, as with Python complex
-def _pair_maxima(table: np.ndarray) -> np.ndarray:
-    """The largest ``|table[i, c] - table[j, c]|`` over row pairs i < j,
-    per column c: NaN where some pair deviates by NaN, 0 with fewer than
-    two rows.
+def _block_spread(block_p: List[complex], block_q: List[complex]) -> float:
+    """The largest ``|a - b|`` over a in ``block_p`` and b in ``block_q``;
+    over the pairs of one block when both are the same list."""
+    pairs = combinations(block_p, 2) if block_p is block_q else product(block_p, block_q)
+    return max(map(abs, starmap(sub, pairs)), default=0.0)
 
-    No pair list is built: each temporary holds about ``_PAIR_BLOCK``
-    values, or one row against every other if that is more.  Equal finite
-    values deviate by exactly 0, so when every value is finite, columns
-    constant over the rows are skipped and bitwise-equal rows merged; two
-    equal infinite values deviate by NaN, so a table with a non-finite
-    value is scanned whole.
+
+def _box(values: Sequence[complex]) -> Tuple[float, float, float, float]:
+    """The bounding box of some values: the least and the largest real
+    part, then the least and the largest imaginary part."""
+    re = [v.real for v in values]
+    im = [v.imag for v in values]
+    return min(re), max(re), min(im), max(im)
+
+
+def _box_bound(box_p: tuple, box_q: tuple) -> float:
+    """No ``|a - b|`` with a in ``box_p`` and b in ``box_q`` exceeds this.
+
+    Rounded subtraction is monotone, so the parts of ``a - b`` are no
+    larger, in modulus, than the widest parts between the boxes, and
+    ``_BOUND_MARGIN`` covers the rounding of ``abs``.
     """
-    widest = np.zeros(table.shape[1])
-    if len(table) < 2:
-        return widest
-    live = slice(None)
-    rows = table
-    if np.isfinite(table).all():
-        live = np.flatnonzero((table != table[0]).any(axis=0))
-        first = {row.tobytes(): i for i, row in enumerate(table[:, live])}
-        rows = table[np.ix_(list(first.values()), live)]
-    n, k = rows.shape
-    block = max(1, _PAIR_BLOCK // max(1, n * k))
-    maxima = np.zeros(k)
-    for start in range(0, n - 1, block):
-        head, rest = rows[start:start + block], rows[start + block:]
-        i, j = _upper_pairs(len(head))
-        maxima = np.maximum(maxima, _moduli(head[i] - head[j]).max(axis=0, initial=0.0))
-        if len(rest):
-            maxima = np.maximum(maxima, _moduli(head[:, None] - rest).max(axis=(0, 1)))
-    widest[live] = maxima
-    return widest
+    re_lo_p, re_hi_p, im_lo_p, im_hi_p = box_p
+    re_lo_q, re_hi_q, im_lo_q, im_hi_q = box_q
+    re = max(re_hi_p - re_lo_q, re_hi_q - re_lo_p)
+    im = max(im_hi_p - im_lo_q, im_hi_q - im_lo_p)
+    return abs(complex(re, im)) * _BOUND_MARGIN
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def _first_failing_pair(table: np.ndarray, weight: float, tol: float) -> Tuple[int, int]:
-    """The first row pair i < j, in ``combinations`` order, whose deviation
-    ``weight * max_c |table[i, c] - table[j, c]|`` is not within ``tol``."""
-    for i in range(len(table) - 1):
-        deviations = weight * _moduli(table[i] - table[i + 1:]).max(axis=1)
-        failing = np.flatnonzero(~(deviations <= tol))
-        if len(failing):
-            return i, i + 1 + int(failing[0])
+def _pruned_spread(values: List[complex]) -> float:
+    """The largest ``|a - b|`` over the pairs of distinct finite values,
+    exactly, without comparing every pair.
+
+    The values that attain the sides of their bounding box give a first
+    spread, and a value whose bound against the whole box is within it
+    takes no further part.  Of the rest, at most ``_SCAN_BLOCK`` are
+    compared pair by pair.  More are sorted by phase and then distance
+    about the box's centre and cut into blocks of ``_SCAN_BLOCK``, and
+    block pairs are scanned in decreasing order of their bound until it is
+    no larger than the worst deviation found.  Raises ``OverflowError``
+    where a modulus overflows.
+    """
+    sides = [ends(values, key=attrgetter(part)) for part in ("real", "imag") for ends in (min, max)]
+    box = (sides[0].real, sides[1].real, sides[2].imag, sides[3].imag)
+    worst = _block_spread(sides, sides)
+    values = [v for v in values if _box_bound((v.real, v.real, v.imag, v.imag), box) > worst]
+    if len(values) <= _SCAN_BLOCK:
+        return max(worst, _block_spread(values, values))
+    centre = complex(box[0] / 2 + box[1] / 2, box[2] / 2 + box[3] / 2)
+    values.sort(key=lambda v: (cmath.phase(v - centre), abs(v - centre)))
+    blocks = [values[start:start + _SCAN_BLOCK] for start in range(0, len(values), _SCAN_BLOCK)]
+    boxes = [_box(block) for block in blocks]
+    bounds = [
+        (_box_bound(boxes[p], boxes[q]), blocks[p], blocks[q])
+        for p in range(len(blocks))
+        for q in range(p, len(blocks))
+    ]
+    bounds.sort(key=itemgetter(0), reverse=True)
+    for bound, block_p, block_q in bounds:
+        if bound <= worst:
+            break
+        worst = max(worst, _block_spread(block_p, block_q))
+    return worst
+
+
+def _column_spread(column: Sequence[complex]) -> float:
+    """The largest ``|a - b|`` over the pairs of ``column``, exactly: NaN
+    where some pair deviates by NaN, 0 with fewer than two values.
+
+    Equal finite values deviate by exactly 0, so a finite column is
+    reduced to its distinct values and pruned; two equal infinite values
+    deviate by NaN, so a column with a non-finite value compares every
+    pair.
+    """
+    if not all(map(cmath.isfinite, column)):
+        return _every_pair_spread(column)
+    values = list(set(column))
+    if len(values) < 2:
+        return 0.0
+    try:
+        return _pruned_spread(values)
+    except OverflowError:
+        return _every_pair_spread(values)
+
+
+def _worst(deviations: Sequence[float]) -> float:
+    """The largest of some deviations; NaN if any is."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+
+
+def _first_failing_pair(
+    group: Sequence[Sequence[complex]], weight: float, tol: float
+) -> Tuple[int, int]:
+    """The first site pair i < j, in ``combinations`` order, whose deviation
+    ``weight * max_c |group[c][i] - group[c][j]|`` is not within ``tol``."""
+    for (i, row_i), (j, row_j) in combinations(enumerate(zip(*group)), 2):
+        if not weight * _worst([_modulus(a - b) for a, b in zip(row_i, row_j)]) <= tol:
+            return i, j
     raise ValueError("no site pair fails the tolerance")
 
 
 def _record_site_pairs(
     rec: _Recorder,
-    table: np.ndarray,
-    width: int,
+    groups: Sequence[Sequence[Sequence[complex]]],
     weight: float,
     witness_at: Callable[[int, int, int], dict],
 ) -> None:
-    """Record a per-site scan for each group of ``width`` columns of ``table``.
+    """Record a per-site scan for each group of columns.
 
-    Row i of ``table`` holds the values at the i-th site of the pool.  For
+    Entry i of a column holds a value at the i-th site of the pool.  For
     the element of group e, the deviation of sites i < j is ``weight``
     times the largest modulus of their difference over its columns; the
     scan records the worst over all pairs, counts every pair as a sample,
-    and calls ``witness_at(e, i, j)`` with the first failing pair.
-    Multiplying by ``weight >= 0`` is monotone, so it is applied to the
-    maximum.
+    and calls ``witness_at(e, i, j)`` with the first failing pair.  Each
+    column is reduced on its own, and multiplying by ``weight >= 0`` is
+    monotone, so it is applied to the maximum.
     """
-    n = len(table)
-    worst = _pair_maxima(table).reshape(-1, width).max(axis=1)
-    for e, deviation in enumerate(worst.tolist()):
-        columns = table[:, e * width:(e + 1) * width]
+    for e, group in enumerate(groups):
+        n = len(group[0])
         rec.record(
-            weight * deviation,
-            lambda: witness_at(e, *_first_failing_pair(columns, weight, rec.tol)),
+            weight * _worst([_column_spread(column) for column in group]),
+            lambda: witness_at(e, *_first_failing_pair(group, weight, rec.tol)),
             samples=n * (n - 1) // 2,
         )
 
@@ -307,8 +342,9 @@ def check_exchangeable(
     requested number of random words against random permutations, each
     word and its image evaluated from one plan.  The swap ``(i j)`` maps
     the probe word ``[(i, probe)]`` to ``[(j, probe)]``, so each probe is
-    planned once and evaluated once per site, and one reduction over the
-    table of site values compares every pair without listing the pairs.
+    planned once and evaluated once per site, and an exact scan of each
+    probe's column of site values compares every pair without listing the
+    pairs (see ``_record_site_pairs``).
     Each probe counts one sample per site pair, and its witness is the
     first failing pair in ``combinations`` order.
 
@@ -324,7 +360,6 @@ def check_exchangeable(
     # the probe word's one site is a label: each assignment moves it
     sites = [[i] for i in pool]
     columns = [engine.moments(state, [(pool[0], probe)], sites) for probe in PROBE_ELEMENTS]
-    values = list(zip(*columns))
 
     def witness(word, perm, lhs, rhs):
         return {
@@ -337,9 +372,9 @@ def check_exchangeable(
 
     def probe_witness(c, i, j):
         word = [(pool[i], PROBE_ELEMENTS[c])]
-        return witness(word, FinitePermutation.swap(pool[i], pool[j]), values[i][c], values[j][c])
+        return witness(word, FinitePermutation.swap(pool[i], pool[j]), columns[c][i], columns[c][j])
 
-    _record_site_pairs(rec, np.array(values, dtype=complex), 1, 1.0, probe_witness)
+    _record_site_pairs(rec, [[column] for column in columns], 1.0, probe_witness)
     if state.gamma == 0.0 or not state.density.site_support():
         rec.record(0.0, lambda: {}, samples=n_words)
         return rec.report("exchangeability")
@@ -363,9 +398,9 @@ def check_identically_distributed(
     The state is ``phi.state``.  Each deviation is weighted by its mass on
     the site corner, ``psi(I - P)``, so that it is measured in the state's
     units rather than in ``phi``'s.  Each element's marginals come from one
-    ``site_marginals`` call over the pool, and one reduction over the table
-    of their tail coordinates compares every site pair without listing the
-    pairs.  Each element counts one sample per site pair, and its witness
+    ``site_marginals`` call over the pool, and an exact scan of the columns
+    of their two tail coordinates compares every site pair without listing
+    the pairs.  Each element counts one sample per site pair, and its witness
     is the first failing pair in ``combinations`` order.
     """
     rng = random.Random(seed)
@@ -376,10 +411,7 @@ def check_identically_distributed(
         ]
     rec = _Recorder(tol)
     marginals = [engine.site_marginals(phi, a, pool) for a in sample_elements]
-    table = np.array(
-        [[v for column in marginals for v in (column[i].x, column[i].y)] for i in range(len(pool))],
-        dtype=complex,
-    )
+    groups = [[[m.x for m in column], [m.y for m in column]] for column in marginals]
 
     def witness(e, i, k):
         return {
@@ -391,7 +423,7 @@ def check_identically_distributed(
             "rhs": marginals[e][k].to_json(),
         }
 
-    _record_site_pairs(rec, table, 2, phi.psi_q, witness)
+    _record_site_pairs(rec, groups, phi.psi_q, witness)
     return rec.report("identical_distribution")
 
 

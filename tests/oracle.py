@@ -6,7 +6,7 @@ computation with plain dense linear algebra, and converts back.  Products
 of finitely supported operators never leave that basis, so the truncation
 is exact; the only arithmetic shared with the sparse kernel is complex
 multiplication itself.  Tests substitute these for the kernel to cross
-check every operation.
+check every operation, and ``DENSE_ENGINE`` runs the checkers on them.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import CHOP, VACUUM, BooleanElement, FockVector, Index
-from .fock import TestAlgebraElement
-from .states import BooleanState, TraceClassOperator
-from .tail import PhiState, TailElement
+from boolefock.algebra import CHOP, VACUUM, BooleanElement, FockVector, Index
+from boolefock.fock import TestAlgebraElement, embed, word_sites
+from boolefock.states import BooleanState, TraceClassOperator
+from boolefock.tail import PhiState, TailElement
+from boolefock.verify import Engine
 
 
 def truncation_basis(*site_groups: Sequence[int]) -> List[Index]:
@@ -158,3 +159,28 @@ def dense_cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     psi_q = mass + 1.0 - state.gamma
     psi_corner = complex(np.trace(s @ (q @ dense_compact(x, basis) @ q))) + x.scalar * psi_q
     return TailElement(vac, psi_corner / psi_q)
+
+
+def dense_moments(state: BooleanState, word: Sequence, assignments) -> List[complex]:
+    """The dense moment of the word relabelled by each assignment."""
+    sites, values = word_sites(word), []
+    for moved in assignments:
+        relabel = dict(zip(sites, moved))
+        values.append(dense_moment(state, [(relabel[j], a) for j, a in word]))
+    return values
+
+
+def dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> list:
+    """The dense conditional expectation of the element embedded at each site."""
+    return [dense_cond_expect(phi, embed(s, element)) for s in sites]
+
+
+#: The checkers' kernel operations, computed densely.
+DENSE_ENGINE = Engine(
+    mul=dense_mul,
+    evaluate=dense_evaluate,
+    evaluate_product=lambda s, x, y: dense_evaluate(s, dense_mul(x, y)),
+    moments=dense_moments,
+    cond_expect=dense_cond_expect,
+    site_marginals=dense_site_marginals,
+)

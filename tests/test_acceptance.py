@@ -7,7 +7,7 @@ Tolerances are pinned per criterion; none are calibrated at runtime.
 import math
 import random
 
-from boolefock import oracle, sampling
+from boolefock import sampling
 from boolefock.algebra import (
     VACUUM,
     FockVector,
@@ -33,6 +33,8 @@ from boolefock.verify import (
     check_nfold_factorization,
     nfold_telescoping_lines,
 )
+
+import oracle
 
 
 def _verdict(number, name, ok):

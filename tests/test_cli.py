@@ -226,10 +226,15 @@ def _eigenvector(vector):
         (json.dumps(_eigenvector({"#": HUGE})), "expected a [re, im] pair"),
         (json.dumps(_eigenvector({"#": [1.0, 0.0], LONG_KEY: [0.0, 0.0]})), "canonical site integer key"),
         (json.dumps(_eigenvector({"#": [1.0, 0.0], "1" * 100_000: [0.0, 0.0]})), "cannot parse state file"),
+        # more digits than int() converts, but fewer than the JSON reader's limit
+        (json.dumps(_eigenvector({"#": [1.0, 0.0], "1" * 5000: [0.0, 0.0]})), "canonical site integer key"),
         (json.dumps(HUGE), "expected an object with gamma and T"),
         ('{"%s": 1, "%s": 2}' % (LONG_KEY, LONG_KEY), "duplicate object key"),
     ],
-    ids=["T-list", "vector-list", "amplitude-list", "site-key", "digit-key", "top-level-list", "repeated-key"],
+    ids=[
+        "T-list", "vector-list", "amplitude-list", "site-key", "digit-key", "long-digit-key", "top-level-list",
+        "repeated-key",
+    ],
 )
 def test_classify_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, text, message):
     path = tmp_path / "huge.json"
@@ -256,12 +261,17 @@ def _nfold_witness(**fields):
         ({"kind": LONG_KEY}, "unknown witness kind"),
         (_nfold_witness(step=HUGE), "step must be a string"),
         (_nfold_witness(factors=[HUGE, HUGE]), "expected an element object"),
+        (_nfold_witness(factors=[{"scalar": [0.0, 0.0], "compact": {"row": 1}}] * 2), "expected compact"),
+        (_nfold_witness(factors=[{"scalar": [0.0, 0.0], "compact": [{"row": 1}]}] * 2), "expected compact"),
         (_exchangeability_witness(word=[[LONG_KEY, {}]]), "site labels are integers"),
         (_exchangeability_witness(word=[[1, HUGE]]), "expected a/b/c/d/beta fields"),
         (_exchangeability_witness(permutation=HUGE), "expected a permutation object"),
         (_exchangeability_witness(permutation={"map": {LONG_KEY: 1}}), "canonical site integer key"),
     ],
-    ids=["kind", "step", "factor", "word-site", "word-element", "permutation", "permutation-key"],
+    ids=[
+        "kind", "step", "factor", "compact-object", "compact-item", "word-site", "word-element", "permutation",
+        "permutation-key",
+    ],
 )
 def test_replay_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, witness, message):
     state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
@@ -518,6 +528,33 @@ def test_importing_the_cli_builds_no_parser():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "0\n"
+
+
+def test_the_package_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: importing the package and the CLI,
+    # and classifying a state whose site scans have distinct values to
+    # compare, load no numpy
+    src = pathlib.Path(boolefock.cli.__file__).parents[1]
+    state = write_state(tmp_path, expected_two_point())
+    probe = (
+        "import sys, boolefock, boolefock.cli; "
+        "code = boolefock.cli.main(['classify', '--state', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, state, str(tmp_path / "report.txt")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "0 False\n"
+
+
+def test_no_module_of_the_package_imports_numpy():
+    package = pathlib.Path(boolefock.cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [m for m in modules if m.split(".")[0] == "numpy"], path.name
 
 
 def test_bad_env_seed(capsys, monkeypatch):

@@ -2,10 +2,12 @@
 
 import random
 
-from boolefock import oracle, sampling
+from boolefock import sampling
 from boolefock.algebra import VACUUM, max_amp_diff, max_entry_diff
 from boolefock.states import BooleanState, TraceClassOperator, evaluate, infinity_state, moment
 from boolefock.tail import PhiState, cond_expect
+
+import oracle
 
 
 def rand_state(rng):

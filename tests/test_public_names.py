@@ -11,7 +11,7 @@ import boolefock
 
 PUBLIC_NAMES = [
     'BooleanElement', 'BooleanState', 'CHOP', 'CheckReport', 'Classification', 'DEFAULT_TOL',
-    'DENSE_ENGINE', 'DecisionError', 'FinitePermutation', 'FockVector', 'Index', 'PhiState',
+    'DecisionError', 'FinitePermutation', 'FockVector', 'Index', 'PhiState',
     'RatioWitness', 'SPARSE_ENGINE', 'TailElement', 'TestAlgebraElement', 'TraceClassOperator',
     'VACUUM', 'annihilator', 'basis_vector', 'check_boolean_relations',
     'check_embedding_homomorphism', 'check_exchangeable', 'check_identically_distributed',

@@ -26,7 +26,9 @@ from boolefock.states import (
     vacuum_state,
 )
 from boolefock.tail import PhiState, cond_expect
-from boolefock import oracle, sampling, states
+from boolefock import sampling, states
+
+import oracle
 
 
 def test_trace_class_validation():

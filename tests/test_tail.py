@@ -34,7 +34,9 @@ from boolefock.tail import (
     preserving_phi,
     site_marginals,
 )
-from boolefock import oracle, sampling
+from boolefock import sampling
+
+import oracle
 
 
 def site_phi(*sites, gamma=1.0):

@@ -32,7 +32,6 @@ from boolefock.states import (
 from boolefock.tail import PhiState, TailElement, cond_expect, preserving_phi
 from boolefock.verify import (
     CHECK_TOL,
-    DENSE_ENGINE,
     PROBE_ELEMENTS,
     SPARSE_ENGINE,
     CheckReport,
@@ -50,6 +49,8 @@ from boolefock.verify import (
     site_pool,
 )
 from boolefock import sampling, verify
+
+from oracle import DENSE_ENGINE
 
 
 def expected_nonsymmetric():
@@ -368,6 +369,14 @@ def test_per_site_checkers_match_pairwise_reference():
             )
 
 
+def modulus(z):
+    """``abs(z)``, or inf where finite parts have too large a modulus."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def listed_site_pairs(rows, width, weight, tol):
     """The per-site scan over a pair list, as the checkers ran it before the
     reduction: one list of deviations per column group, in combinations
@@ -377,7 +386,7 @@ def listed_site_pairs(rows, width, weight, tol):
     worst_seen, witness = 0.0, None
     for e in range(n_groups):
         if width == 1:
-            deviations = [weight * abs(rows[i][e] - rows[j][e]) for i, j in pairs]
+            deviations = [weight * modulus(rows[i][e] - rows[j][e]) for i, j in pairs]
         else:
             tail = [TailElement(*row[2 * e:2 * e + 2]) for row in rows]
             deviations = [weight * tail[i].max_diff(tail[j]) for i, j in pairs]
@@ -392,9 +401,10 @@ def listed_site_pairs(rows, width, weight, tol):
 
 def reduced_site_pairs(rows, width, weight, tol):
     rec = verify._Recorder(tol)
-    table = np.array(rows, dtype=complex)
+    columns = [[complex(v) for v in column] for column in zip(*rows)]
+    groups = [columns[e:e + width] for e in range(0, len(columns), width)]
     verify._record_site_pairs(
-        rec, table, width, weight, lambda e, i, j: {"element": e, "i": i, "j": j}
+        rec, groups, weight, lambda e, i, j: {"element": e, "i": i, "j": j}
     )
     return rec.report("scan")
 
@@ -402,6 +412,8 @@ def reduced_site_pairs(rows, width, weight, tol):
 # a pair whose difference np.abs takes to a different last bit than abs()
 ABS_SPLIT = (complex(-2.17, 3.562), complex(3.211, -3.755))
 INF, NAN = math.inf, math.nan
+# finite values whose difference has finite parts but too large a modulus
+HUGE = complex(0.8e308, 0.8e308)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 5])
@@ -422,12 +434,14 @@ INF, NAN = math.inf, math.nan
         ("abs split", [[ABS_SPLIT[0]], [ABS_SPLIT[1]], [ABS_SPLIT[0]]], 1, 1.0),
         ("one site", [[1j, 2j]], 2, 1.0),
         ("no elements", [[], [], []], 2, 1.0),
+        ("finite overflow", [[1e308 + 0j], [0j], [-1e308 + 0j]], 1, 1.0),
+        ("finite modulus overflow", [[HUGE, 1j], [-HUGE, 1j], [0j, 2j]], 1, 0.5),
     ],
 )
 def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, width, weight):
     a, b = ABS_SPLIT
     assert float(np.abs(np.complex128(a - b))) != abs(a - b)
-    monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
     # the case itself, then with 20 more sites, which spans several blocks
     rng = random.Random(len(name))
     values = (0, 1, 2.5, 1j, 1 + 0.5j, complex(rng.random(), rng.random()))
@@ -443,6 +457,33 @@ def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, w
                 math.isnan(got.max_deviation) and math.isnan(want.max_deviation)
             ), (name, tol)
             assert type(got.max_deviation) is float
+    if "overflow" in name:
+        assert got.max_deviation == math.inf
+
+
+def column_of_shape(shape, n, rng):
+    """``n`` values on a ring, an ellipse, a line with a complex slope (as
+    the identical-distribution columns lie), or a Gaussian cloud."""
+    if shape == "ring":
+        return [cmath.rect(0.3, rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+    if shape == "ellipse":
+        return [complex(2 * math.cos(t), 0.1 * math.sin(t)) for t in (rng.uniform(0, 7) for _ in range(n))]
+    if shape == "collinear":
+        slope = complex(0.37, -0.81)
+        return [slope * rng.random() / 0.3 + complex(0.2, 0.5) for _ in range(n)]
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+@pytest.mark.parametrize("shape", ["ring", "ellipse", "collinear", "cloud"])
+def test_site_pair_scan_finds_the_brute_force_maximum(shape, n):
+    # many values, so that the pruned block-pair scan runs; the maximum is
+    # the one abs() gives for some pair, bit for bit
+    column = column_of_shape(shape, n, random.Random(n))
+    want = max(abs(a - b) for a, b in combinations(column, 2))
+    assert verify._column_spread(column) == want
+    # with an exact duplicate of every value, and in reverse order
+    assert verify._column_spread(column[::-1] + column) == want
 
 
 def reference_check_pair_independence(
@@ -768,6 +809,21 @@ def test_classify_large_support_matches_closed_form():
         assert peak < 64 * 2 ** 20, (n_sites, peak)
     assert samples["exchangeability"] == 8_004_060
     assert samples["identical_distribution"] == 24_012_000
+
+    # rank one with a vacuum amplitude and |T_i#| the same at every site:
+    # the coherence probe's values lie on a ring, the scan's hardest shape
+    n_sites = 2000
+    xi = FockVector(0.6, {i: cmath.rect(1.0, rng.uniform(-math.pi, math.pi)) for i in range(1, n_sites + 1)})
+    state = BooleanState(0.9, TraceClassOperator.rank_one((1.0 / xi.norm()) * xi))
+    tracemalloc.start()
+    try:
+        result = classify_definetti(state, seed=65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.symmetric, result.expected, result.iid, result.consistent) == (False, False, False, True)
+    assert result.reports[0].samples_run == len(PROBE_ELEMENTS) * (n_sites + 1) * n_sites // 2 + 60
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_pair_check_conditions_on_the_state_preserving_phi():
