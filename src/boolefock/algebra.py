@@ -305,6 +305,8 @@ class BooleanElement:
         entries = {}
         for item in compact:
             key = (check_index(item["row"]), check_index(item["col"]))
+            if key in entries:
+                raise ValueError(f"repeated compact entry {shown(item)}")
             entries[key] = decode_complex(item["amp"])
         return cls(entries, decode_complex(obj["scalar"]))
 

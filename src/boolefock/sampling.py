@@ -10,6 +10,7 @@ identities being checked.
 from __future__ import annotations
 
 import random
+from math import ceil, log
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, vacuum_vector
@@ -19,6 +20,52 @@ from .tail import TailElement, is_expected
 
 #: Default site range for words, permutations, and supports.
 SITE_POOL = tuple(range(1, 9))
+
+
+def _below(getrandbits, n: int) -> int:
+    """A random int in ``range(n)``, drawn as ``Random._randbelow(n)`` draws
+    it: ``n.bit_length()`` bits at a time until one is below ``n``.
+
+    ``randint(a, b)`` is ``a + _randbelow(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``, so the samplers that draw through this
+    read exactly the stream of those calls, without the argument handling
+    of ``randrange``.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, population: list, k: int) -> list:
+    """``Random.sample(population, k)`` bit for bit, with both of its
+    branches: a shrinking pool list when ``population`` is no larger than
+    the set ``sample`` would otherwise keep, else a set of the picked
+    indices with redraws."""
+    n = len(population)
+    setsize = 21  # sample's own switch: a small set's size less an empty list's
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = population[:]
+        result = []
+        for i in range(n - 1, n - 1 - k, -1):
+            j = _below(getrandbits, i + 1)
+            result.append(pool[j])
+            pool[j] = pool[i]
+        return result
+    selected = set()
+    result = []
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in selected:
+            j = _below(getrandbits, n)
+        selected.add(j)
+        result.append(population[j])
+    return result
 
 
 def complex_box(rng: random.Random) -> complex:
@@ -70,17 +117,26 @@ def boolean_element(
 def word(
     rng: random.Random, sites: Sequence[int], max_len: int = 5
 ) -> List[Tuple[int, TestAlgebraElement]]:
-    length = rng.randint(1, max_len)
+    """``randint(1, max_len)`` letters, each a ``choice`` of site and a
+    :func:`test_element`, drawn through :func:`_below` with their stream."""
+    bits = rng.getrandbits
     pool = list(sites)
-    return [(rng.choice(pool), test_element(rng)) for _ in range(length)]
+    n = len(pool)
+    return [(pool[_below(bits, n)], test_element(rng)) for _ in range(1 + _below(bits, max_len))]
 
 
 def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
+    """``sample`` of ``randint(2, len(pool))`` sites, mapped to a ``shuffle``
+    of themselves; drawn through :func:`_below` with the stream of those
+    calls."""
+    bits = rng.getrandbits
     pool = list(sites)
-    k = rng.randint(2, len(pool)) if len(pool) >= 2 else len(pool)
-    chosen = rng.sample(pool, k)
+    k = 2 + _below(bits, len(pool) - 1) if len(pool) >= 2 else len(pool)
+    chosen = _sample(bits, pool, k)
     images = chosen[:]
-    rng.shuffle(images)
+    for i in range(k - 1, 0, -1):
+        j = _below(bits, i + 1)
+        images[i], images[j] = images[j], images[i]
     return FinitePermutation._canonical({s: d for s, d in zip(chosen, images) if s != d})
 
 
@@ -188,11 +244,15 @@ def block_element(rng: random.Random, block: Sequence[int]) -> BooleanElement:
 def disjoint_blocks(
     rng: random.Random, pool: Sequence[int], n_blocks: int, max_block: int = 2
 ) -> List[List[int]]:
-    sizes = [rng.randint(1, max_block) for _ in range(n_blocks)]
+    """``n_blocks`` sorted blocks of ``randint(1, max_block)`` sites each,
+    the largest shrunk until they fit, cut from one ``sample`` of the pool;
+    drawn through :func:`_below` with the stream of those calls."""
+    bits = rng.getrandbits
+    sizes = [1 + _below(bits, max_block) for _ in range(n_blocks)]
     while sum(sizes) > len(pool):
         k = max(range(n_blocks), key=lambda i: sizes[i])
         sizes[k] -= 1
-    chosen = rng.sample(list(pool), sum(sizes))
+    chosen = _sample(bits, list(pool), sum(sizes))
     blocks = []
     at = 0
     for size in sizes:

@@ -386,6 +386,17 @@ def check_exchangeable(
     return rec.report("exchangeability")
 
 
+#: Random elements the identical-distribution check draws after the probes.
+_DRAWN_ELEMENTS = 8
+
+
+def _finite_marginal(element: TestAlgebraElement) -> bool:
+    """Whether ``(a - beta + beta, beta)``, the marginal a singular ``phi``
+    gives ``element`` at every site, is finite."""
+    beta = element.beta
+    return cmath.isfinite(element.a - beta + beta) and cmath.isfinite(beta)
+
+
 def check_identically_distributed(
     phi: PhiState,
     sample_elements: Optional[Sequence[TestAlgebraElement]] = None,
@@ -402,14 +413,23 @@ def check_identically_distributed(
     of their two tail coordinates compares every site pair without listing
     the pairs.  Each element counts one sample per site pair, and its witness
     is the first failing pair in ``combinations`` order.
+
+    A singular ``phi`` (gamma 0, or no site weight) gives every site the
+    marginal ``(a - beta + beta, beta)``, so a column is constant and, where
+    that marginal is finite, deviates by exactly 0: the checker then draws
+    and scans nothing, and records its samples as that one 0.0.
     """
-    rng = random.Random(seed)
     pool = site_pool(phi.state)
-    if sample_elements is None:
-        sample_elements = list(PROBE_ELEMENTS) + [
-            sampling.test_element(rng) for _ in range(8)
-        ]
     rec = _Recorder(tol)
+    if phi._divisor is None and (sample_elements is None or all(map(_finite_marginal, sample_elements))):
+        count = len(PROBE_ELEMENTS) + _DRAWN_ELEMENTS if sample_elements is None else len(sample_elements)
+        rec.record(0.0, lambda: {}, samples=count * len(pool) * (len(pool) - 1) // 2)
+        return rec.report("identical_distribution")
+    if sample_elements is None:
+        rng = random.Random(seed)
+        sample_elements = list(PROBE_ELEMENTS) + [
+            sampling.test_element(rng) for _ in range(_DRAWN_ELEMENTS)
+        ]
     marginals = [engine.site_marginals(phi, a, pool) for a in sample_elements]
     groups = [[[m.x for m in column], [m.y for m in column]] for column in marginals]
 
@@ -507,7 +527,15 @@ def check_pair_independence(
     The two-block case of :func:`check_nfold_factorization`, with blocks of
     up to three sites: psi(x y) against psi(F(x) F(y)).  Its witness is an
     n-fold witness with two factors.
+
+    At gamma 0 both sides are ``complex(x.scalar * y.scalar)``, reached by
+    the same operations, so every sample deviates by exactly 0: no block is
+    drawn, and the ``n_samples`` samples are recorded as that one 0.0.
     """
+    if phi.state.gamma == 0.0:
+        rec = _Recorder(tol)
+        rec.record(0.0, lambda: {}, samples=n_samples)
+        return rec.report("pair_independence")
     report = check_nfold_factorization(
         phi, n=2, n_samples=n_samples, seed=seed, block_size=3, tol=tol, engine=engine
     )

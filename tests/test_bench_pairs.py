@@ -123,7 +123,7 @@ def test_a_series_runs_each_pair_for_the_benchmark_run_length(tmp_path, monkeypa
     monkeypatch.setattr(tool, "run_side", fake_run)
     monkeypatch.setattr(tool, "clear_bytecode", lambda trees: None)
     out = tmp_path / "bench.json"
-    argv = ["P", "C", "--pairs", "sweep-c8:3-4", "--traced", "sweep-c8:5",
+    argv = ["P", "C", "--pairs", "sweep-c8:3-4", "--traced", "classify-deep:5",
             "--claim", "sweep-c8:states_per_s", "--out", str(out)]
     assert tool.main(argv) == 0
     # seed 4 runs the change first
@@ -133,4 +133,28 @@ def test_a_series_runs_each_pair_for_the_benchmark_run_length(tmp_path, monkeypa
     summary = json.loads(out.read_text())
     assert summary["claimed"] == {"workload": "sweep-c8", "metric": "states_per_s"}
     assert summary["seeds"] == {"sweep-c8": [3, 4]}
-    assert summary["traced"]["sweep-c8"]["seeds"] == [5]
+    assert summary["traced"]["classify-deep"]["seeds"] == [5]
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [
+        ("sweep-c9:states_per_s", "workload 'sweep-c9'"),
+        ("classify-wide:states_per_s", "workload 'classify-wide'"),
+        ("sweep-c8:state_per_s", "metric 'state_per_s'"),
+        ("sweep-c8:fock.embed.calls", "metric 'fock.embed.calls'"),
+        ("sweep-c8", "metric ''"),
+    ],
+)
+def test_a_claim_off_the_series_exits_2_before_any_run(tmp_path, monkeypatch, capsys, claim, message):
+    tool = load_tool()
+    calls = []
+    monkeypatch.setattr(tool, "run_side", lambda *args: calls.append(args))
+    monkeypatch.setattr(tool, "clear_bytecode", lambda trees: calls.append(trees))
+    out = tmp_path / "bench.json"
+    argv = ["P", "C", "--pairs", "sweep-c8:3-4", "--traced", "classify-wide:5", "--claim", claim, "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()

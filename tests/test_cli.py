@@ -212,6 +212,7 @@ MESSAGE_BOUND = 200
 
 HUGE = list(range(100_000))
 LONG_KEY = "x" * 100_000
+REPEATED_ENTRY = {"scalar": [0.0, 0.0], "compact": [{"row": 1, "col": 1, "amp": [1.0, 0.0]}] * 100_000}
 
 
 def _eigenvector(vector):
@@ -263,14 +264,15 @@ def _nfold_witness(**fields):
         (_nfold_witness(factors=[HUGE, HUGE]), "expected an element object"),
         (_nfold_witness(factors=[{"scalar": [0.0, 0.0], "compact": {"row": 1}}] * 2), "expected compact"),
         (_nfold_witness(factors=[{"scalar": [0.0, 0.0], "compact": [{"row": 1}]}] * 2), "expected compact"),
+        (_nfold_witness(factors=[REPEATED_ENTRY, REPEATED_ENTRY]), "repeated compact entry"),
         (_exchangeability_witness(word=[[LONG_KEY, {}]]), "site labels are integers"),
         (_exchangeability_witness(word=[[1, HUGE]]), "expected a/b/c/d/beta fields"),
         (_exchangeability_witness(permutation=HUGE), "expected a permutation object"),
         (_exchangeability_witness(permutation={"map": {LONG_KEY: 1}}), "canonical site integer key"),
     ],
     ids=[
-        "kind", "step", "factor", "compact-object", "compact-item", "word-site", "word-element", "permutation",
-        "permutation-key",
+        "kind", "step", "factor", "compact-object", "compact-item", "compact-repeat", "word-site", "word-element",
+        "permutation", "permutation-key",
     ],
 )
 def test_replay_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, witness, message):

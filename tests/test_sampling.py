@@ -1,6 +1,10 @@
-"""The samplers draw exactly the stream of their ``rng.uniform`` form."""
+"""The samplers draw exactly the stream of their ``rng.uniform`` form, and
+the integer draws that of ``randint``, ``choice``, ``sample`` and
+``shuffle``."""
 
 import random
+
+import pytest
 
 from boolefock import sampling
 from boolefock.algebra import VACUUM, BooleanElement
@@ -50,4 +54,69 @@ def test_box_draws_match_the_uniform_stream():
                 (lambda r: sampling.block_element(r, block), lambda r: reference_block_element(r, block)),
             ):
                 assert element_bits(draw(rng)) == element_bits(reference(ref))
+                assert rng.getstate() == ref.getstate()
+
+
+def reference_word(rng, sites, max_len):
+    length = rng.randint(1, max_len)
+    pool = list(sites)
+    return [(rng.choice(pool), reference_test_element(rng)) for _ in range(length)]
+
+
+def reference_permutation(rng, sites):
+    pool = list(sites)
+    k = rng.randint(2, len(pool)) if len(pool) >= 2 else len(pool)
+    chosen = rng.sample(pool, k)
+    images = chosen[:]
+    rng.shuffle(images)
+    return {s: d for s, d in zip(chosen, images) if s != d}
+
+
+def reference_disjoint_blocks(rng, pool, n_blocks, max_block):
+    sizes = [rng.randint(1, max_block) for _ in range(n_blocks)]
+    while sum(sizes) > len(pool):
+        k = max(range(n_blocks), key=lambda i: sizes[i])
+        sizes[k] -= 1
+    chosen = rng.sample(list(pool), sum(sizes))
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(sorted(chosen[at : at + size]))
+        at += size
+    return blocks
+
+
+#: Pool sizes on both sides of ``sample``'s switch from its list to its set
+#: branch: past 21 values for k <= 5, and past 85 for 6 <= k <= 21.
+POOL_SIZES = (1, 2, 9, 21, 22, 35, 85, 86)
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_integer_draws_match_the_random_stream(size):
+    # sites that are not 1..n, so a drawn index is never mistaken for a site
+    pool = [3 * s + 7 for s in range(size)]
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for step in range(12):
+            max_len = 1 + step % 6
+            got = sampling.word(rng, pool, max_len)
+            want = reference_word(ref, pool, max_len)
+            assert [(s, element_bits(a)) for s, a in got] == [(s, element_bits(a)) for s, a in want]
+            assert rng.getstate() == ref.getstate()
+            assert list(sampling.permutation(rng, pool).mapping.items()) == list(reference_permutation(ref, pool).items())
+            assert rng.getstate() == ref.getstate()
+            n_blocks, max_block = 1 + step % 4, 1 + step % 7
+            got = sampling.disjoint_blocks(rng, pool, n_blocks, max_block)
+            assert got == reference_disjoint_blocks(ref, pool, n_blocks, max_block)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_sample_switches_branch_where_random_does():
+    # a draw of k sites from the pool sizes around each switch, for every k
+    # that the pool admits up to 22, against Random.sample itself
+    for size in POOL_SIZES:
+        pool = list(range(100, 100 + size))
+        for k in range(min(size, 22) + 1):
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert sampling._sample(rng.getrandbits, pool, k) == ref.sample(pool, k)
                 assert rng.getstate() == ref.getstate()

@@ -88,6 +88,11 @@ def test_decode_errors():
             item = {"row": 1, "col": VACUUM, "amp": [1, 0], key: bad}
             with pytest.raises(ValueError, match="site labels"):
                 BooleanElement.from_json({"scalar": [0, 0], "compact": [item]})
+    # two items for one entry, even with equal amplitudes, spell no element
+    for second in ([2, 0], [1, 0]):
+        compact = [{"row": 1, "col": 1, "amp": [1, 0]}, {"row": 1, "col": 1, "amp": second}]
+        with pytest.raises(ValueError, match="repeated compact entry"):
+            BooleanElement.from_json({"scalar": [0, 0], "compact": compact})
     with pytest.raises(ValueError):
         BooleanState.from_json({"gamma": "high", "T": {"eigenpairs": []}})
 

@@ -29,7 +29,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import PhiState, TailElement, cond_expect, preserving_phi
+from boolefock.tail import DecisionError, PhiState, TailElement, cond_expect, preserving_phi
 from boolefock.verify import (
     CHECK_TOL,
     PROBE_ELEMENTS,
@@ -648,6 +648,89 @@ def test_a_site_free_state_draws_no_word():
         assert report.samples_run == len(PROBE_ELEMENTS) * n * (n - 1) // 2 + 40
         probes = check_exchangeable(state, n_words=0, seed=5)
         assert (report.passed, report.max_deviation, report.witness) == (True, probes.max_deviation, None)
+
+
+def assert_every_marginal_deviates_by_zero(phi, seed, engine):
+    """Draw the elements the identical-distribution check drew from
+    ``random.Random(seed)`` when it scanned every column, and compare each
+    element's marginal at every site of the pool with its first, bit for
+    bit."""
+    rng = random.Random(seed)
+    elements = list(PROBE_ELEMENTS) + [sampling.test_element(rng) for _ in range(8)]
+    for element in elements:
+        marginals = engine.site_marginals(phi, element, site_pool(phi.state))
+        assert cmath.isfinite(marginals[0].x) and cmath.isfinite(marginals[0].y)
+        column = [(repr(m.x), repr(m.y)) for m in marginals]
+        assert column == column[:1] * len(column), element.to_json()
+
+
+def assert_every_pair_deviates_by_zero(phi, n_samples, seed, engine):
+    """Draw the blocks and factors the pair check drew from
+    ``random.Random(seed)`` when it evaluated every pair, and compare its
+    two lines bit for bit."""
+    rng = random.Random(seed)
+    pool = site_pool(phi.state)
+    for _ in range(n_samples):
+        factors = [sampling.block_element(rng, block) for block in sampling.disjoint_blocks(rng, pool, 2, max_block=3)]
+        (_, lhs), (_, rhs) = nfold_telescoping_lines(phi, factors, engine)
+        assert abs(lhs - rhs) == 0.0 and repr(lhs) == repr(rhs), [f.to_json() for f in factors]
+
+
+@pytest.mark.parametrize("engine", [SPARSE_ENGINE, DENSE_ENGINE], ids=["sparse", "dense"])
+def test_every_sample_of_a_singular_sweep_state_deviates_by_exactly_zero(engine):
+    # the criterion-8 sweep's states and checker seeds (see cli.run_sweep and
+    # classify_definetti): where phi is singular, every marginal the old scan
+    # compared is one value, and at gamma 0 every pair the old check drew
+    # gives equal lines, so recording those samples as one 0.0 moves nothing
+    rng = random.Random(42)
+    singular = gamma_zero = 0
+    for index in range(1000):
+        state, _ = sampling.stratified_state(rng, index, max_rank=6)
+        seed = 42 + 101 * index
+        try:
+            phi = preserving_phi(state)
+        except DecisionError:
+            continue
+        if phi._divisor is None:
+            singular += 1
+            assert_every_marginal_deviates_by_zero(phi, seed + 1, engine)
+        if state.gamma == 0.0:
+            gamma_zero += 1
+            assert_every_pair_deviates_by_zero(phi, 24, seed + 2, engine)
+    assert (singular, gamma_zero) == (600, 200)
+
+
+def test_a_singular_phi_scans_no_marginal():
+    # the identical-distribution report of a singular phi is the scan's,
+    # samples and all, without a site_marginals call
+    for n, state in enumerate((vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows())):
+        phi = preserving_phi(state)
+        assert phi._divisor is None
+        engine, counts = counting_engine(SPARSE_ENGINE)
+        report = check_identically_distributed(phi, seed=51 + n, engine=engine)
+        assert counts["site_marginals"] == 0
+        assert_same_report(report, pairwise_check_identically_distributed(phi, seed=51 + n))
+        assert (report.passed, report.max_deviation) == (True, 0.0)
+    # a marginal that is not finite is still scanned, and fails with its pair
+    overflow = TestAlgebraElement(1e308, 0, 0, 0, -1e308)
+    engine, counts = counting_engine(SPARSE_ENGINE)
+    report = check_identically_distributed(PhiState(vacuum_state()), sample_elements=[PROBE_ELEMENTS[0], overflow], engine=engine)
+    assert counts["site_marginals"] == 2
+    assert math.isnan(report.max_deviation)
+    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 2)
+
+
+def test_a_pair_check_at_gamma_zero_evaluates_no_pair():
+    # at gamma 0 the report is the chain's, samples and all, with no
+    # evaluate_product call; a site-free state with gamma > 0 still runs
+    for n, state in enumerate((infinity_state(), gamma_zero_with_site_rows(), vacuum_state())):
+        phi = preserving_phi(state)
+        engine, counts = counting_engine(SPARSE_ENGINE)
+        report = check_pair_independence(phi, n_samples=24, seed=81 + n, engine=engine)
+        assert counts["evaluate_product"] == (0 if state.gamma == 0.0 else 2 * 24)
+        chain = check_nfold_factorization(phi, n=2, n_samples=24, seed=81 + n, block_size=3)
+        assert_same_report(report, chain)
+        assert (report.name, report.max_deviation) == ("pair_independence", 0.0)
 
 
 def chain_labels(n):

@@ -16,7 +16,9 @@ odd seeds and the change first on even ones; S is ``run_seconds`` of
 before each run, so neither side imports bytecode the other lacks.  The
 series runs in one go, and its summary is built from each run's result
 line (the last line ``run.py`` prints) in the layout of the repository's
-``BENCH_<n>.json`` files.
+``BENCH_<n>.json`` files.  A ``--claim`` must name a workload of
+``--pairs`` and an ``end_to_end`` metric of ``BENCHMARK.json``; otherwise
+the tool exits 2 before any run.
 
 The trees are only read, apart from what ``run.py`` itself writes under
 each tree's ``perfbench/_runs/``.
@@ -151,6 +153,14 @@ def main(argv=None) -> int:
         benchmark = json.load(handle)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     plan = [(w, 0, s, benchmark["run_seconds"]) for spec in args.pairs for w, seeds in [parse_seeds(spec)] for s in seeds]
+    claimed = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in {w for w, *_ in plan}:
+            parser.error(f"--claim names workload {workload!r}, which no --pairs runs")
+        if metric not in {m["name"] for m in benchmark["end_to_end"]}:
+            parser.error(f"--claim names metric {metric!r}, which is not an end_to_end metric of BENCHMARK.json")
+        claimed = {"workload": workload, "metric": metric}
     plan += [(w, 1, s, TRACED_SECONDS) for spec in args.traced for w, seeds in [parse_seeds(spec)] for s in seeds]
     records = []
     for workload, trace, seed, seconds in plan:
@@ -169,9 +179,8 @@ def main(argv=None) -> int:
         "seeds": summary["seeds"],
         "pairs": summary["pairs"],
     }
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        out["claimed"] = {"workload": workload, "metric": metric}
+    if claimed:
+        out["claimed"] = claimed
     out.update(workloads=summary["workloads"], failed=summary["failed"], traced=summary["traced"])
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)
