@@ -212,8 +212,6 @@ def word_to_json(word: Sequence[Tuple[int, TestAlgebraElement]]) -> list:
 
 
 def word_from_json(obj) -> list:
-    word = []
-    for item in obj:
-        j, a = item
-        word.append((check_site(j), TestAlgebraElement.from_json(a)))
-    return word
+    if not isinstance(obj, list) or not all(isinstance(item, list) and len(item) == 2 for item in obj):
+        raise ValueError(f"expected a word as a list of [site, element] pairs, got {shown(obj)}")
+    return [(check_site(j), TestAlgebraElement.from_json(a)) for j, a in obj]

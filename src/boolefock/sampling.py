@@ -44,7 +44,8 @@ def _sample(getrandbits, population: list, k: int) -> list:
     """``Random.sample(population, k)`` bit for bit, with both of its
     branches: a shrinking pool list when ``population`` is no larger than
     the set ``sample`` would otherwise keep, else a set of the picked
-    indices with redraws."""
+    indices with redraws.  Each pick reads ``getrandbits`` inline by
+    :func:`_below`'s rejection rule."""
     n = len(population)
     setsize = 21  # sample's own switch: a small set's size less an empty list's
     if k > 5:
@@ -53,16 +54,22 @@ def _sample(getrandbits, population: list, k: int) -> list:
         pool = population[:]
         result = []
         for i in range(n - 1, n - 1 - k, -1):
-            j = _below(getrandbits, i + 1)
+            width = (i + 1).bit_length()
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
             result.append(pool[j])
             pool[j] = pool[i]
         return result
+    width = n.bit_length()
     selected = set()
     result = []
     for _ in range(k):
-        j = _below(getrandbits, n)
-        while j in selected:
-            j = _below(getrandbits, n)
+        # a redraw for an index out of range or already picked, as _below
+        # and then sample's own loop redraw
+        j = getrandbits(width)
+        while j >= n or j in selected:
+            j = getrandbits(width)
         selected.add(j)
         result.append(population[j])
     return result
@@ -118,25 +125,47 @@ def word(
     rng: random.Random, sites: Sequence[int], max_len: int = 5
 ) -> List[Tuple[int, TestAlgebraElement]]:
     """``randint(1, max_len)`` letters, each a ``choice`` of site and a
-    :func:`test_element`, drawn through :func:`_below` with their stream."""
+    :func:`test_element`; the integers read ``getrandbits`` inline by
+    :func:`_below`'s rejection rule, with the stream of those calls."""
     bits = rng.getrandbits
     pool = list(sites)
+    if not pool:
+        raise ValueError("a word needs a non-empty site pool")
     n = len(pool)
-    return [(pool[_below(bits, n)], test_element(rng)) for _ in range(1 + _below(bits, max_len))]
+    width = n.bit_length()
+    letters = []
+    for _ in range(1 + _below(bits, max_len)):
+        j = bits(width)
+        while j >= n:
+            j = bits(width)
+        letters.append((pool[j], test_element(rng)))
+    return letters
 
 
-def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
-    """``sample`` of ``randint(2, len(pool))`` sites, mapped to a ``shuffle``
-    of themselves; drawn through :func:`_below` with the stream of those
-    calls."""
+def _permutation_lists(rng: random.Random, sites: Sequence[int]) -> Tuple[list, list]:
+    """The list form of :func:`permutation`: the ``sample`` of
+    ``randint(2, len(pool))`` sites, and their ``shuffle``, which is the
+    image of each picked site in turn; every site not picked stays put.
+    The integers read ``getrandbits`` inline by :func:`_below`'s rejection
+    rule, with the stream of those calls."""
     bits = rng.getrandbits
     pool = list(sites)
     k = 2 + _below(bits, len(pool) - 1) if len(pool) >= 2 else len(pool)
     chosen = _sample(bits, pool, k)
     images = chosen[:]
     for i in range(k - 1, 0, -1):
-        j = _below(bits, i + 1)
+        width = (i + 1).bit_length()
+        j = bits(width)
+        while j > i:
+            j = bits(width)
         images[i], images[j] = images[j], images[i]
+    return chosen, images
+
+
+def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
+    """``sample`` of ``randint(2, len(pool))`` sites, mapped to a ``shuffle``
+    of themselves: :func:`_permutation_lists` without its fixed points."""
+    chosen, images = _permutation_lists(rng, sites)
     return FinitePermutation._canonical({s: d for s, d in zip(chosen, images) if s != d})
 
 

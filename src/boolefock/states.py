@@ -255,7 +255,7 @@ def moments(
     is applied right to left to each such column without forming ``X``: a
     factor at site ``j`` mixes the ``e_#`` and ``e_j`` coordinates by its
     2x2 block and scales every other coordinate by its ``beta``.  The plan,
-    built once per word, holds each factor's slot and the betas its
+    built once per word, holds each factor's slot, its block and the betas its
     coordinate gathered since last mixed, so the scalings wait until a
     coordinate is next mixed; it does not depend on the sites, which only
     pick the columns.  One column costs O(len) and a moment O(len^2),
@@ -275,13 +275,13 @@ def moments(
     if state.gamma == 0.0:
         return [scalar] * len(indexed)
     # per factor, right to left: its slot, the betas its site's coordinate
-    # gathered since last mixed, and its element; the vacuum coordinate is
-    # mixed by every factor, so it never gathers any
+    # gathered since last mixed, and its block's four entries; the vacuum
+    # coordinate is mixed by every factor, so it never gathers any
     pending = [1.0] * (len(slot) + 1)
     plan = []
     for j, a in reversed(word):
         p = slot[j]
-        plan.append((p, pending[p], a))
+        plan.append((p, pending[p], a.a, a.b, a.c, a.d))
         pending = [z * a.beta for z in pending]
         pending[0] = pending[p] = 1.0
     density = state.density
@@ -296,10 +296,10 @@ def moments(
                 entry = memo.get((m, n))
                 v[p] = entry if entry is not None else density.entry(m, n)
             diagonal = v[q]
-            for p, scale, a in plan:
+            for p, scale, a, b, c, d in plan:
                 v0, vp = v[0], scale * v[p]
-                v[0] = a.a * v0 + a.b * vp
-                v[p] = a.c * v0 + a.d * vp
+                v[0] = a * v0 + b * vp
+                v[p] = c * v0 + d * vp
             # pending[q] holds the betas gathered since coordinate q was last mixed
             total += pending[q] * v[q] - scalar * diagonal
         values.append(state.gamma * total + scalar)
@@ -308,8 +308,9 @@ def moments(
 
 def _site_indices(sites: Sequence[int], count: int) -> Tuple[Index, ...]:
     """``(VACUUM, *sites)``, once ``sites`` is checked to be ``count``
-    distinct valid sites."""
-    indices = (VACUUM, *map(check_site, sites))
+    distinct valid sites; a plain ``int`` site >= 1 needs no call of
+    ``check_site``, which every other value goes through."""
+    indices = (VACUUM, *[s if type(s) is int and s >= 1 else check_site(s) for s in sites])
     if len(indices) != count + 1:
         raise ValueError(f"expected {count} sites, got {len(indices) - 1}")
     if len(set(indices)) != len(indices):

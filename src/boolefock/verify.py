@@ -348,6 +348,13 @@ def check_exchangeable(
     Each probe counts one sample per site pair, and its witness is the
     first failing pair in ``combinations`` order.
 
+    Each permutation is drawn as its two lists, and only the image of the
+    word's sites is read from them.  A word whose sites the permutation
+    leaves in place is evaluated once: its image would repeat the same
+    float operations on the same entries, so its deviation is ``|lhs -
+    lhs|``, 0.0 or NaN, either way.  The witness's permutation is built
+    only for a failing word.
+
     A state with gamma 0, or whose density has no site rows, draws no
     word: ``moments`` then returns the scalar, or reads T only at
     ``(#, #)`` by the same operations for a word and its image, so every
@@ -380,9 +387,20 @@ def check_exchangeable(
         return rec.report("exchangeability")
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
-        perm = sampling.permutation(rng, pool)
-        lhs, rhs = _permuted_moments(state, word, perm, engine)
-        rec.record(abs(lhs - rhs), lambda: witness(word, perm, lhs, rhs))
+        chosen, images = sampling._permutation_lists(rng, pool)
+        moved = dict(zip(chosen, images))
+        sites = word_sites(word)
+        image = [moved.get(j, j) for j in sites]
+        if image == sites:
+            # the image's assignment would repeat the word's float
+            # operations on the same entries: rhs is lhs bit for bit
+            lhs = rhs = engine.moments(state, word, [sites])[0]
+        else:
+            lhs, rhs = engine.moments(state, word, [sites, image])
+        rec.record(
+            abs(lhs - rhs),
+            lambda: witness(word, FinitePermutation._canonical({s: d for s, d in moved.items() if s != d}), lhs, rhs),
+        )
     return rec.report("exchangeability")
 
 

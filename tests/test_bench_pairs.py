@@ -9,8 +9,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 END_TO_END = [
-    {"name": "states_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "state_ms.p50", "unit": "ms", "better": "lower"},
+    {"name": "states_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+    {"name": "state_ms.p50", "unit": "ms", "better": "lower", "bound": 0.2},
 ]
 
 
@@ -91,6 +91,63 @@ def test_aggregate_keeps_a_single_pair_and_the_traced_runs():
     assert "classify-deep" not in summary["traced"]
 
 
+def series(rates, p50s=None):
+    """Untraced sweep-c8 pairs, one per ``(parent, change)`` rate, seeds
+    from 1; p50s default to 1000 / rate."""
+    records = []
+    for seed, (parent, change) in enumerate(rates, 1):
+        p50 = p50s[seed - 1] if p50s else (1000.0 / parent, 1000.0 / change)
+        records.append(untraced("parent", "sweep-c8", seed, parent, p50[0]))
+        records.append(untraced("change", "sweep-c8", seed, change, p50[1]))
+    return records
+
+
+CLAIM = {"workload": "sweep-c8", "metric": "states_per_s"}
+
+
+def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_past_the_parent_iqr():
+    tool = load_tool()
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+    # parent q1 102.25, median 104.5, q3 106.75: an IQR of 4.5
+    nine_wins = [(p, p + 10.0) for p in parent[:9]] + [(parent[9], parent[9] - 1.0)]
+    verdict = tool.aggregate(series(nine_wins), END_TO_END, CLAIM)["claimed"]
+    assert verdict["change_wins"] == 9 and verdict["pairs"] == 10
+    assert verdict["parent_iqr"] == pytest.approx(4.5)
+    assert verdict["median_gap"] > verdict["parent_iqr"]
+    assert verdict == dict(verdict, **CLAIM, meets_claim_rule=True)
+    # eight wins in ten fail, however wide the gap
+    eight_wins = nine_wins[:8] + [(parent[8], parent[8] - 1.0), nine_wins[9]]
+    verdict = tool.aggregate(series(eight_wins), END_TO_END, CLAIM)["claimed"]
+    assert (verdict["change_wins"], verdict["meets_claim_rule"]) == (8, False)
+    # ten wins fail where the median gap is within the parent's IQR
+    narrow = [(p, p + 0.5) for p in parent]
+    verdict = tool.aggregate(series(narrow), END_TO_END, CLAIM)["claimed"]
+    assert verdict["change_wins"] == 10
+    assert verdict["median_gap"] == pytest.approx(0.5)
+    assert not verdict["meets_claim_rule"]
+    # a lower-is-better claim reads its gap downwards
+    p50s = [(10.0 + k, 5.0 + k) for k in range(10)]
+    verdict = tool.aggregate(series(narrow, p50s), END_TO_END, {"workload": "sweep-c8", "metric": "state_ms.p50"})["claimed"]
+    assert (verdict["change_wins"], verdict["median_gap"], verdict["meets_claim_rule"]) == (10, 5.0, True)
+    # no claim, no verdict
+    assert "claimed" not in tool.aggregate(series(narrow), END_TO_END)
+
+
+def test_each_metric_records_whether_the_change_is_within_its_bound():
+    tool = load_tool()
+    # a higher-is-better rate may fall by 20% of the parent's median, and a
+    # lower-is-better latency rise by 20%, and no further
+    for change, p50, rate_within, p50_within in (
+        (81.0, 11.9, True, True),
+        (80.0, 12.0, True, True),
+        (79.0, 12.5, False, False),
+        (150.0, 5.0, True, True),
+    ):
+        table = tool.aggregate(series([(100.0, change)] * 3, [(10.0, p50)] * 3), END_TO_END)["workloads"]["sweep-c8"]
+        assert (table["states_per_s"]["within_bound"], table["state_ms.p50"]["within_bound"]) == (rate_within, p50_within)
+        assert table["states_per_s"]["bound"] == 0.2
+
+
 def test_the_parent_runs_first_on_odd_seeds():
     tool = load_tool()
     assert tool.order(21101) == ("parent", "change")
@@ -131,7 +188,9 @@ def test_a_series_runs_each_pair_for_the_benchmark_run_length(tmp_path, monkeypa
                      ("C", 4, run_seconds, 0), ("P", 4, run_seconds, 0),
                      ("P", 5, tool.TRACED_SECONDS, 1), ("C", 5, tool.TRACED_SECONDS, 1)]
     summary = json.loads(out.read_text())
-    assert summary["claimed"] == {"workload": "sweep-c8", "metric": "states_per_s"}
+    assert {key: summary["claimed"][key] for key in ("workload", "metric", "pairs", "meets_claim_rule")} == {
+        "workload": "sweep-c8", "metric": "states_per_s", "pairs": 2, "meets_claim_rule": False,
+    }
     assert summary["seeds"] == {"sweep-c8": [3, 4]}
     assert summary["traced"]["classify-deep"]["seeds"] == [5]
 

@@ -628,6 +628,18 @@ def _permutation_map_list(witness):
     witness["permutation"]["map"] = []
 
 
+def _word_number(witness):
+    witness["word"] = 5
+
+
+def _word_triple(witness):
+    witness["word"] = [[1, witness["word"][0][1], 3]]
+
+
+def _word_object(witness):
+    witness["word"] = {"1": witness["word"][0][1]}
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -636,6 +648,9 @@ def _permutation_map_list(witness):
         (_fractional_permutation_site, "site"),
         (_non_canonical_permutation_key, "canonical"),
         (_permutation_map_list, "permutation"),
+        (_word_number, "list of [site, element] pairs, got 5"),
+        (_word_triple, "list of [site, element] pairs, got [[1, {"),
+        (_word_object, "list of [site, element] pairs, got {'1': {"),
     ],
 )
 def test_replay_rejects_malformed_exchangeability_witness(tmp_path, capsys, corrupt, message):

@@ -354,8 +354,19 @@ def assert_same_report(new, ref):
     assert new.passed == ref.passed
 
 
+def sweep_state(index):
+    """State ``index`` of the criterion-8 sweep (seed 42, max rank 6) and its
+    branch, as ``cli.run_sweep`` draws them."""
+    rng = random.Random(42)
+    for slot in range(index + 1):
+        state, branch = sampling.stratified_state(rng, slot, max_rank=6)
+    return state, branch
+
+
 def test_per_site_checkers_match_pairwise_reference():
     states = [vacuum_state(), symmetric_state(0.4), expected_nonsymmetric(), nonexpected(), wide_state()]
+    sweep_three, branch = sweep_state(3)
+    assert branch == "expected_nonsymmetric"
     for engine in (SPARSE_ENGINE, DENSE_ENGINE):
         for n, state in enumerate(states):
             phi = PhiState(state)
@@ -367,6 +378,12 @@ def test_per_site_checkers_match_pairwise_reference():
                 check_identically_distributed(phi, seed=41 + n, engine=engine),
                 pairwise_check_identically_distributed(phi, seed=41 + n, engine=engine),
             )
+        # at the probes' own maximum no probe fails, so a random word
+        # supplies the witness: its word, permutation and sides must match
+        tol = check_exchangeable(sweep_three, n_words=0, engine=engine).max_deviation
+        report = check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine)
+        assert_same_report(report, pairwise_check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine))
+        assert (len(report.witness["word"]), len(report.witness["permutation"]["map"])) == (3, 7)
 
 
 def modulus(z):
@@ -584,8 +601,9 @@ def counting_engine(base):
 
 
 def test_checkers_evaluate_each_site_once():
-    # one plan per probe over the pool and one per random word with its
-    # image; one marginal call per element over the pool
+    # one plan per probe over the pool, and one per random word: at the
+    # word's sites, and at their image unless the word's permutation leaves
+    # each of them in place; one marginal call per element over the pool
     state = wide_state()
     pool = site_pool(state)
     engine, counts = counting_engine(SPARSE_ENGINE)
@@ -593,7 +611,15 @@ def test_checkers_evaluate_each_site_once():
     assert counts == Counter({"site_marginals": 12, ("site_marginals", "sites"): 12 * len(pool)})
     counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
-    assert counts == Counter({"moments": 4 + 25, ("moments", "sites"): 4 * len(pool) + 2 * 25})
+    rng = random.Random(62)
+    in_place = 0
+    for _ in range(25):
+        word = sampling.word(rng, pool, 5)
+        perm = sampling.permutation(rng, pool)
+        in_place += all(perm(j) == j for j in word_sites(word))
+    assert 0 < in_place < 25
+    moved = 25 - in_place
+    assert counts == Counter({"moments": 4 + 25, ("moments", "sites"): 4 * len(pool) + in_place + 2 * moved})
 
 
 def assert_every_word_deviates_by_zero(state, n_words, max_len, seed, engine):
@@ -1287,6 +1313,10 @@ def test_replay_witness_not_reproduced():
         ({"step": "foo -> bar"}, KeyError),
         ({"step": "product"}, ValueError),
         ({"factors": [identity().to_json()], "step": "product -> fully_factored"}, ValueError),
+        # words that are not lists of [site, element] pairs
+        ({"kind": "exchangeability", "word": 5}, ValueError),
+        ({"kind": "exchangeability", "word": [[1, PROBE_ELEMENTS[0].to_json(), 3]]}, ValueError),
+        ({"kind": "exchangeability", "word": {"1": PROBE_ELEMENTS[0].to_json()}}, ValueError),
     ],
 )
 def test_replay_witness_rejects_malformed_witness(change, error):

@@ -20,6 +20,13 @@ line (the last line ``run.py`` prints) in the layout of the repository's
 ``--pairs`` and an ``end_to_end`` metric of ``BENCHMARK.json``; otherwise
 the tool exits 2 before any run.
 
+The summary gives two verdicts.  Each workload's metric records
+``within_bound``: whether the change's median is worse than the parent's
+by no more than the metric's ``bound``, a share of the parent's median.
+The claim records ``meets_claim_rule``: whether the change wins at least
+9 of every 10 pairs, and its median is better than the parent's by more
+than the parent's interquartile range.
+
 The trees are only read, apart from what ``run.py`` itself writes under
 each tree's ``perfbench/_runs/``.
 """
@@ -34,6 +41,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -84,14 +92,41 @@ def wins(parent: list, change: list, better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
-def aggregate(records: list, end_to_end: list) -> dict:
+def within_bound(parent_median: float, change_median: float, better: str, bound: float) -> bool:
+    """Whether the change is worse than the parent by no more than ``bound``
+    of the parent's median."""
+    worse = parent_median - change_median if better == "higher" else change_median - parent_median
+    return worse <= bound * abs(parent_median)
+
+
+def claim_verdict(entry: dict, claimed: dict) -> dict:
+    """``claimed`` with the claim rule's terms and verdict for its metric's
+    summary ``entry``: at least 9 wins in 10 pairs, and a median gap in the
+    better direction wider than the parent's q3 - q1."""
+    sign = 1 if entry["better"] == "higher" else -1
+    pairs = len(entry["parent_runs"])
+    gap = sign * (entry["change"]["median"] - entry["parent"]["median"])
+    iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
+    return {
+        **claimed,
+        "pairs": pairs,
+        "change_wins": entry["change_wins"],
+        "median_gap": gap,
+        "parent_iqr": iqr,
+        "meets_claim_rule": 10 * entry["change_wins"] >= 9 * pairs and gap > iqr,
+    }
+
+
+def aggregate(records: list, end_to_end: list, claimed: Optional[dict] = None) -> dict:
     """The pair summary of a series of runs.
 
     Each record holds ``side``, ``workload``, ``seed``, ``trace`` and the
     run's ``result`` line; ``end_to_end`` is the ``BENCHMARK.json`` list
-    of metrics with their ``unit`` and ``better``.  Untraced runs pair up
-    by workload and seed, in seed order; a seed that lacks either side is
-    left out.
+    of metrics with their ``unit``, ``better`` and ``bound``.  Untraced
+    runs pair up by workload and seed, in seed order; a seed that lacks
+    either side is left out.  With ``claimed``, a ``workload`` and
+    ``metric``, the summary's ``claimed`` adds its verdict (see
+    :func:`claim_verdict`).
     """
     runs = {(r["workload"], r["trace"], r["seed"], r["side"]): r for r in records}
     summary = {"seeds": {}, "pairs": {}, "workloads": {}, "failed": {}, "traced": {}}
@@ -131,7 +166,11 @@ def aggregate(records: list, end_to_end: list) -> dict:
                     "change_runs": values["change"],
                     "change_wins": wins(values["parent"], values["change"], metric["better"]),
                     "relative_change": change["median"] / parent["median"] - 1,
+                    "bound": metric["bound"],
+                    "within_bound": within_bound(parent["median"], change["median"], metric["better"], metric["bound"]),
                 }
+    if claimed:
+        summary["claimed"] = claim_verdict(summary["workloads"][claimed["workload"]][claimed["metric"]], claimed)
     return summary
 
 
@@ -171,7 +210,7 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} trace {trace} {side}: "
                   f"{result['metrics'].get('states_per_s', {}).get('value', '-')}", flush=True)
 
-    summary = aggregate(records, benchmark["end_to_end"])
+    summary = aggregate(records, benchmark["end_to_end"], claimed)
     out = {
         "description": args.description,
         "parent": args.parent_rev,
@@ -180,7 +219,7 @@ def main(argv=None) -> int:
         "pairs": summary["pairs"],
     }
     if claimed:
-        out["claimed"] = claimed
+        out["claimed"] = summary["claimed"]
     out.update(workloads=summary["workloads"], failed=summary["failed"], traced=summary["traced"])
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)
