@@ -10,8 +10,8 @@ such state.
 """
 
 from .algebra import (
+    CHECK_TOL,
     CHOP,
-    DEFAULT_TOL,
     VACUUM,
     BooleanElement,
     FockVector,
@@ -50,9 +50,9 @@ from .tail import (
     PhiState,
     RatioWitness,
     TailElement,
+    coherence,
     cond_expect,
     counterexample_ratio,
-    is_expected,
     preserving_phi,
     site_marginals,
 )

@@ -31,8 +31,10 @@ Index = Union[str, int]
 #: Amplitudes below this magnitude are treated as rounding residue.
 CHOP = 1e-14
 
-#: Default comparison tolerance for float-valued identities.
-DEFAULT_TOL = 1e-10
+#: Pass/fail tolerance of the checkers and of the verdicts they decide;
+#: looser than the kernel's rounding, to absorb accumulation over length-5
+#: words.
+CHECK_TOL = 1e-9
 
 
 def check_site(ix: Index) -> int:

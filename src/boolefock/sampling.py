@@ -13,10 +13,10 @@ import random
 from math import ceil, log
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import VACUUM, BooleanElement, FockVector, vacuum_vector
+from .algebra import CHECK_TOL, VACUUM, BooleanElement, FockVector, vacuum_vector
 from .fock import FinitePermutation, TestAlgebraElement
 from .states import BooleanState, TraceClassOperator, gram_schmidt
-from .tail import TailElement, is_expected
+from .tail import TailElement, coherence
 
 #: Default site range for words, permutations, and supports.
 SITE_POOL = tuple(range(1, 9))
@@ -237,7 +237,7 @@ def nonexpected_density(
     mixed = FockVector(alpha, {}) + beta * frame[0]
     vectors = [mixed] + frame[1:]
     t = TraceClassOperator(tuple(zip(positive_weights(rng, rank), vectors)))
-    if is_expected(t):
+    if coherence(BooleanState(1.0, t)) <= CHECK_TOL:
         raise RuntimeError("drew a density whose vacuum vector is an eigenvector")
     return t
 

@@ -15,14 +15,16 @@ on its site corner, ``phi(Q X Q) = psi(Q X Q) / psi(Q)``.  For
 the identity coefficient alone.  When ``psi(Q) > 0`` no other ``phi`` can
 make ``F_phi`` preserve ``psi``.
 
-Whether some ``F_phi`` preserves the trace state of a density ``T`` is
-decidable: it happens exactly when the vacuum vector is an eigenvector of
-``T``.  Every tail-branch decision reads that one rule: the state is expected
-iff the site part of ``T e_#`` has norm at most ``DEFAULT_TOL``.  On that
-branch ``psi``'s own ``phi`` preserves it; that ``phi`` is singular exactly
-for gamma 0 or site weight ``Tr(Q T Q) = 0``.  The negative branch is
-settled for every ``phi`` at once because the witness ``X`` below satisfies
-``Q X Q = 0``, so the phi-dependent term drops out of ``F_phi(X)``.
+Whether some ``F_phi`` preserves ``psi`` is decidable: it happens exactly
+when gamma is 0 or the vacuum vector is an eigenvector of ``T``, that is
+when ``gamma * T e_#`` has no site part.  Every tail-branch decision reads
+that one rule through :func:`coherence`, ``max_i |gamma * T_i#|``, the
+vacuum column of ``gamma * T`` in the state's own units: the state is
+expected iff it is within the caller's tolerance.  On that branch ``psi``'s
+own ``phi`` preserves it; that ``phi`` is singular exactly for gamma 0 or
+site weight ``Tr(Q T Q) = 0``.  The negative branch is settled for every
+``phi`` at once because the witness ``X`` below satisfies ``Q X Q = 0``, so
+the phi-dependent term drops out of ``F_phi(X)``.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .algebra import (
-    DEFAULT_TOL,
+    CHECK_TOL,
     VACUUM,
     BooleanElement,
     check_site,
     vacuum_expectation,
 )
 from .fock import TestAlgebraElement
-from .states import BooleanState, TraceClassOperator
+from .states import BooleanState
 
 
 class DecisionError(ValueError):
@@ -173,32 +175,26 @@ def site_marginals(
     return marginals
 
 
-def is_expected(t: TraceClassOperator) -> bool:
-    """True iff the vacuum vector is an eigenvector of ``t``.
+def coherence(state: BooleanState) -> float:
+    """``max_i |gamma * T_i#|`` over the density's site support: how far
+    the vacuum vector is from an eigenvector of ``T``, in the state's units.
 
-    Exactly the condition under which some conditional expectation onto
-    the tail algebra preserves the trace state of ``t``.  Decided by the
-    residual ``||(T e_#)_sites|| <= DEFAULT_TOL``, read from the vacuum
-    column of ``t``'s entry memo over its site support.
+    0 for gamma 0, where the state reads no compact.  Each term is
+    ``abs(gamma * t.entry(i, VACUUM))``, the same bits as the exchangeability
+    checker's coherence probe at site i against a fresh site.
     """
-    residual = sum(abs(t.entry(i, VACUUM)) ** 2 for i in t.site_support()) ** 0.5
-    return residual <= DEFAULT_TOL
+    gamma, t = state.gamma, state.density
+    return max((abs(gamma * t.entry(i, VACUUM)) for i in t.site_support()), default=0.0)
 
 
-def _preserved(state: BooleanState) -> bool:
-    """True iff some conditional expectation preserves ``state``: gamma is 0
-    or the density is expected."""
-    return state.gamma == 0.0 or is_expected(state.density)
-
-
-def preserving_phi(state: BooleanState) -> PhiState:
+def preserving_phi(state: BooleanState, tol: float = CHECK_TOL) -> PhiState:
     """``state``'s own ``phi``, whose conditional expectation preserves it.
 
-    It does exactly when gamma is 0 or the vacuum vector is an eigenvector
-    of the density; otherwise no conditional expectation preserves the
-    state, and ``DecisionError`` is raised.
+    It does exactly when :func:`coherence` is 0; the state counts as
+    expected when its coherence is within ``tol``.  Otherwise no conditional
+    expectation preserves the state, and ``DecisionError`` is raised.
     """
-    if not _preserved(state):
+    if not coherence(state) <= tol:
         raise DecisionError(
             "no preserving conditional expectation exists: the vacuum vector "
             "is not an eigenvector of the density"
@@ -214,7 +210,7 @@ class RatioWitness:
     element: BooleanElement
 
 
-def counterexample_ratio(state: BooleanState) -> RatioWitness:
+def counterexample_ratio(state: BooleanState, tol: float = CHECK_TOL) -> RatioWitness:
     """Witness that no conditional expectation preserves ``state``.
 
     Picks the eigenvector ``xi`` of the density ``T`` of largest weight
@@ -227,10 +223,9 @@ def counterexample_ratio(state: BooleanState) -> RatioWitness:
 
     The ratio is independent of ``phi`` because ``Q X Q = 0``, and of gamma
     because ``X`` and ``F_phi(X)`` are compact.  Raises ``DecisionError``
-    when some conditional expectation preserves the state: gamma is 0 or
-    the vacuum vector is an eigenvector of ``T``.
+    on the expected branch: :func:`coherence` is within ``tol``.
     """
-    if _preserved(state):
+    if coherence(state) <= tol:
         raise DecisionError(
             "a preserving conditional expectation exists: gamma is 0 or the "
             "vacuum vector is an eigenvector of the density"

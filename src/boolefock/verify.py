@@ -4,14 +4,18 @@ Each checker samples identities, reports the worst deviation, and carries
 a serialized witness for the first failure so a run can be replayed.  The
 checkers route all kernel arithmetic through an :class:`Engine`, which
 lets the test suite substitute its dense-truncation oracle for the sparse
-kernel and compare verdicts.  The per-site scans compare every site pair
-exactly, in plain Python, without a pair list; the package needs nothing
-beyond the standard library.
+kernel and compare verdicts.  The per-site scans compare each site of
+the pool with its fresh site, the one site beyond the base pool and the
+support of the density, where every probe reads its value off T.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
 state: exchangeable if and only if conditionally independent and
-identically distributed over the tail algebra.  ``replay_witness``
-recomputes a stored witness through the same helpers its checker used.
+identically distributed over the tail algebra.  Each verdict reads one
+exact boundary quantity by its own route: the two pure exchangeability
+probes, the coherence of T's vacuum column, and the diagonal probe's
+conditioned marginal.  Every other sample is an audit that reports, with
+its witness, but does not decide.  ``replay_witness`` recomputes a stored
+witness through the same helpers its checker used.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations, product, starmap
-from operator import attrgetter, itemgetter, sub
+from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import sampling
 from .algebra import (
+    CHECK_TOL,
     VACUUM,
     BooleanElement,
     identity,
@@ -49,15 +53,12 @@ from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
     DecisionError,
     PhiState,
+    coherence,
     cond_expect,
     counterexample_ratio,
     preserving_phi,
     site_marginals,
 )
-
-#: Pass/fail tolerance for checkers; looser than the kernel tolerance to
-#: absorb accumulation over length-5 words.
-CHECK_TOL = 1e-9
 
 
 class Engine(NamedTuple):
@@ -94,7 +95,10 @@ class CheckReport:
     """Outcome of one property check.
 
     ``passed`` holds exactly when ``max_deviation`` stayed within the
-    tolerance; a failing report carries the first witness found.
+    tolerance; a failing report carries the first witness found.  A checker
+    that scans a deciding column also returns its maximum, the exact
+    boundary quantity a verdict compares with the tolerance, as ``boundary``;
+    ``to_json`` leaves it out.
     """
 
     name: str
@@ -102,6 +106,7 @@ class CheckReport:
     max_deviation: float
     witness: Optional[dict]
     samples_run: int
+    boundary: Optional[float] = None
 
     def to_json(self) -> dict:
         return {
@@ -137,13 +142,14 @@ class _Recorder:
         if self.witness is None and not deviation <= self.tol:
             self.witness = witness_factory()
 
-    def report(self, name: str) -> CheckReport:
+    def report(self, name: str, boundary: Optional[float] = None) -> CheckReport:
         return CheckReport(
             name=name,
             passed=self.max_deviation <= self.tol,
             max_deviation=self.max_deviation,
             witness=self.witness,
             samples_run=self.samples,
+            boundary=boundary,
         )
 
 
@@ -156,13 +162,6 @@ def site_pool(state: BooleanState) -> List[int]:
     return pool
 
 
-#: Values per block of the site-pair scan's prune (see ``_pruned_spread``).
-_SCAN_BLOCK = 32
-
-#: Relative slack on a bound of ``abs`` for the rounding of ``abs`` itself.
-_BOUND_MARGIN = 1 + 2 ** -50
-
-
 def _modulus(z: complex) -> float:
     """``abs(z)``, or inf where the parts are finite but the modulus is not,
     which ``abs`` raises on."""
@@ -172,146 +171,46 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _every_pair_spread(values: Sequence[complex]) -> float:
-    """The largest ``|a - b|`` over every pair of ``values``: NaN if some
-    pair deviates by NaN."""
-    worst = 0.0
-    for a, b in combinations(values, 2):
-        deviation = _modulus(a - b)
-        if math.isnan(deviation):
-            return deviation
-        worst = max(worst, deviation)
-    return worst
-
-
-def _block_spread(block_p: List[complex], block_q: List[complex]) -> float:
-    """The largest ``|a - b|`` over a in ``block_p`` and b in ``block_q``;
-    over the pairs of one block when both are the same list."""
-    pairs = combinations(block_p, 2) if block_p is block_q else product(block_p, block_q)
-    return max(map(abs, starmap(sub, pairs)), default=0.0)
-
-
-def _box(values: Sequence[complex]) -> Tuple[float, float, float, float]:
-    """The bounding box of some values: the least and the largest real
-    part, then the least and the largest imaginary part."""
-    re = [v.real for v in values]
-    im = [v.imag for v in values]
-    return min(re), max(re), min(im), max(im)
-
-
-def _box_bound(box_p: tuple, box_q: tuple) -> float:
-    """No ``|a - b|`` with a in ``box_p`` and b in ``box_q`` exceeds this.
-
-    Rounded subtraction is monotone, so the parts of ``a - b`` are no
-    larger, in modulus, than the widest parts between the boxes, and
-    ``_BOUND_MARGIN`` covers the rounding of ``abs``.
-    """
-    re_lo_p, re_hi_p, im_lo_p, im_hi_p = box_p
-    re_lo_q, re_hi_q, im_lo_q, im_hi_q = box_q
-    re = max(re_hi_p - re_lo_q, re_hi_q - re_lo_p)
-    im = max(im_hi_p - im_lo_q, im_hi_q - im_lo_p)
-    return abs(complex(re, im)) * _BOUND_MARGIN
-
-
-def _pruned_spread(values: List[complex]) -> float:
-    """The largest ``|a - b|`` over the pairs of distinct finite values,
-    exactly, without comparing every pair.
-
-    The values that attain the sides of their bounding box give a first
-    spread, and a value whose bound against the whole box is within it
-    takes no further part.  Of the rest, at most ``_SCAN_BLOCK`` are
-    compared pair by pair.  More are sorted by phase and then distance
-    about the box's centre and cut into blocks of ``_SCAN_BLOCK``, and
-    block pairs are scanned in decreasing order of their bound until it is
-    no larger than the worst deviation found.  Raises ``OverflowError``
-    where a modulus overflows.
-    """
-    sides = [ends(values, key=attrgetter(part)) for part in ("real", "imag") for ends in (min, max)]
-    box = (sides[0].real, sides[1].real, sides[2].imag, sides[3].imag)
-    worst = _block_spread(sides, sides)
-    values = [v for v in values if _box_bound((v.real, v.real, v.imag, v.imag), box) > worst]
-    if len(values) <= _SCAN_BLOCK:
-        return max(worst, _block_spread(values, values))
-    centre = complex(box[0] / 2 + box[1] / 2, box[2] / 2 + box[3] / 2)
-    values.sort(key=lambda v: (cmath.phase(v - centre), abs(v - centre)))
-    blocks = [values[start:start + _SCAN_BLOCK] for start in range(0, len(values), _SCAN_BLOCK)]
-    boxes = [_box(block) for block in blocks]
-    bounds = [
-        (_box_bound(boxes[p], boxes[q]), blocks[p], blocks[q])
-        for p in range(len(blocks))
-        for q in range(p, len(blocks))
-    ]
-    bounds.sort(key=itemgetter(0), reverse=True)
-    for bound, block_p, block_q in bounds:
-        if bound <= worst:
-            break
-        worst = max(worst, _block_spread(block_p, block_q))
-    return worst
-
-
-def _column_spread(column: Sequence[complex]) -> float:
-    """The largest ``|a - b|`` over the pairs of ``column``, exactly: NaN
-    where some pair deviates by NaN, 0 with fewer than two values.
-
-    Equal finite values deviate by exactly 0, so a finite column is
-    reduced to its distinct values and pruned; two equal infinite values
-    deviate by NaN, so a column with a non-finite value compares every
-    pair.
-    """
-    if not all(map(cmath.isfinite, column)):
-        return _every_pair_spread(column)
-    values = list(set(column))
-    if len(values) < 2:
-        return 0.0
-    try:
-        return _pruned_spread(values)
-    except OverflowError:
-        return _every_pair_spread(values)
-
-
 def _worst(deviations: Sequence[float]) -> float:
-    """The largest of some deviations; NaN if any is."""
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    """The largest of some deviations, 0 for none; NaN if any is."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations, default=0.0)
 
 
-def _first_failing_pair(
-    group: Sequence[Sequence[complex]], weight: float, tol: float
-) -> Tuple[int, int]:
-    """The first site pair i < j, in ``combinations`` order, whose deviation
-    ``weight * max_c |group[c][i] - group[c][j]|`` is not within ``tol``."""
-    for (i, row_i), (j, row_j) in combinations(enumerate(zip(*group)), 2):
-        if not weight * _worst([_modulus(a - b) for a, b in zip(row_i, row_j)]) <= tol:
-            return i, j
-    raise ValueError("no site pair fails the tolerance")
-
-
-def _record_site_pairs(
+def _record_sites(
     rec: _Recorder,
     groups: Sequence[Sequence[Sequence[complex]]],
     weight: float,
-    witness_at: Callable[[int, int, int], dict],
-) -> None:
-    """Record a per-site scan for each group of columns.
+    witness_at: Callable[[int, int], dict],
+) -> List[float]:
+    """Record a per-site scan for each group of columns; returns each
+    group's deviation.
 
-    Entry i of a column holds a value at the i-th site of the pool.  For
-    the element of group e, the deviation of sites i < j is ``weight``
-    times the largest modulus of their difference over its columns; the
-    scan records the worst over all pairs, counts every pair as a sample,
-    and calls ``witness_at(e, i, j)`` with the first failing pair.  Each
-    column is reduced on its own, and multiplying by ``weight >= 0`` is
-    monotone, so it is applied to the maximum.
+    Entry i of a column holds a value at the i-th site of the pool, whose
+    last site is the fresh one.  For the element of group e, site i
+    deviates by ``weight`` times the largest modulus of its difference from
+    the fresh site over the element's columns; the scan records the worst
+    over the sites, counts each as a sample, and calls ``witness_at(e, i)``
+    with the first failing site in pool order.  Multiplying by ``weight >=
+    0`` is monotone, so it is applied to the maximum.
     """
+    worsts = []
     for e, group in enumerate(groups):
-        n = len(group[0])
+        moduli = [[_modulus(v - column[-1]) for v in column[:-1]] for column in group]
+        worst = weight * _worst(list(map(_worst, moduli)))
         rec.record(
-            weight * _worst([_column_spread(column) for column in group]),
-            lambda: witness_at(e, *_first_failing_pair(group, weight, rec.tol)),
-            samples=n * (n - 1) // 2,
+            worst,
+            lambda: witness_at(e, next(i for i, row in enumerate(zip(*moduli)) if not weight * _worst(row) <= rec.tol)),
+            samples=len(moduli[0]),
         )
+        worsts.append(worst)
+    return worsts
 
 
 #: Length-one probe elements isolating single matrix entries of a state:
-#: the site diagonal, the two vacuum coherences, and a generic mix.
+#: the site diagonal, the two vacuum coherences, and a generic mix.  The
+#: first two are the pure probes that decide exchangeability: against the
+#: fresh site, where both read 0, site i deviates by exactly gamma * T_ii
+#: and |gamma * T_i#|.
 PROBE_ELEMENTS = (
     TestAlgebraElement(0, 0, 0, 1, 0),
     TestAlgebraElement(0, 1, 0, 0, 0),
@@ -337,16 +236,18 @@ def check_exchangeable(
 ) -> CheckReport:
     """Compare word moments against their permuted counterparts.
 
-    Runs deterministic length-one probes over every site pair first (these
-    witness any non-symmetric state of the implemented family), then the
-    requested number of random words against random permutations, each
-    word and its image evaluated from one plan.  The swap ``(i j)`` maps
-    the probe word ``[(i, probe)]`` to ``[(j, probe)]``, so each probe is
-    planned once and evaluated once per site, and an exact scan of each
-    probe's column of site values compares every pair without listing the
-    pairs (see ``_record_site_pairs``).
-    Each probe counts one sample per site pair, and its witness is the
-    first failing pair in ``combinations`` order.
+    Runs deterministic length-one probes first (these witness any
+    non-symmetric state of the implemented family), then the requested
+    number of random words against random permutations, each word and its
+    image evaluated from one plan.  The swap ``(i fresh)`` maps the probe
+    word ``[(i, probe)]`` to ``[(fresh, probe)]``, so each probe is planned
+    once and evaluated once per site, and each site is compared with the
+    fresh site (see ``_record_sites``).  Each probe counts one sample per
+    site other than the fresh one, and its witness is the swap of the first
+    failing site with the fresh site.  The worst of the two pure probes,
+    ``gamma * max(max_i T_ii, max_i |T_i#|)`` exactly, is the report's
+    ``boundary``, which decides exchangeability; the generic probe and the
+    words are audits.
 
     Each permutation is drawn as its two lists, and only the image of the
     word's sites is read from them.  A word whose sites the permutation
@@ -377,14 +278,15 @@ def check_exchangeable(
             "rhs": encode_complex(rhs),
         }
 
-    def probe_witness(c, i, j):
+    def probe_witness(c, i):
         word = [(pool[i], PROBE_ELEMENTS[c])]
-        return witness(word, FinitePermutation.swap(pool[i], pool[j]), columns[c][i], columns[c][j])
+        return witness(word, FinitePermutation.swap(pool[i], pool[-1]), columns[c][i], columns[c][-1])
 
-    _record_site_pairs(rec, [[column] for column in columns], 1.0, probe_witness)
+    probes = _record_sites(rec, [[column] for column in columns], 1.0, probe_witness)
+    boundary = _worst(probes[:2])
     if state.gamma == 0.0 or not state.density.site_support():
         rec.record(0.0, lambda: {}, samples=n_words)
-        return rec.report("exchangeability")
+        return rec.report("exchangeability", boundary)
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
         chosen, images = sampling._permutation_lists(rng, pool)
@@ -401,7 +303,7 @@ def check_exchangeable(
             abs(lhs - rhs),
             lambda: witness(word, FinitePermutation._canonical({s: d for s, d in moved.items() if s != d}), lhs, rhs),
         )
-    return rec.report("exchangeability")
+    return rec.report("exchangeability", boundary)
 
 
 #: Random elements the identical-distribution check draws after the probes.
@@ -427,10 +329,13 @@ def check_identically_distributed(
     The state is ``phi.state``.  Each deviation is weighted by its mass on
     the site corner, ``psi(I - P)``, so that it is measured in the state's
     units rather than in ``phi``'s.  Each element's marginals come from one
-    ``site_marginals`` call over the pool, and an exact scan of the columns
-    of their two tail coordinates compares every site pair without listing
-    the pairs.  Each element counts one sample per site pair, and its witness
-    is the first failing pair in ``combinations`` order.
+    ``site_marginals`` call over the pool, and the two tail coordinates at
+    each site are compared with those at the fresh site.  Each element counts
+    one sample per site other than the fresh one, and its witness pairs the
+    first failing site with the fresh site.  With the default elements, the
+    diagonal probe's deviation, ``psi(Q) * max_i |y_i - y_fresh|``, is the
+    report's ``boundary``, which decides identical distribution; the other
+    elements are audits.
 
     A singular ``phi`` (gamma 0, or no site weight) gives every site the
     marginal ``(a - beta + beta, beta)``, so a column is constant and, where
@@ -439,11 +344,12 @@ def check_identically_distributed(
     """
     pool = site_pool(phi.state)
     rec = _Recorder(tol)
-    if phi._divisor is None and (sample_elements is None or all(map(_finite_marginal, sample_elements))):
-        count = len(PROBE_ELEMENTS) + _DRAWN_ELEMENTS if sample_elements is None else len(sample_elements)
-        rec.record(0.0, lambda: {}, samples=count * len(pool) * (len(pool) - 1) // 2)
-        return rec.report("identical_distribution")
-    if sample_elements is None:
+    defaults = sample_elements is None
+    if phi._divisor is None and (defaults or all(map(_finite_marginal, sample_elements))):
+        count = len(PROBE_ELEMENTS) + _DRAWN_ELEMENTS if defaults else len(sample_elements)
+        rec.record(0.0, lambda: {}, samples=count * (len(pool) - 1))
+        return rec.report("identical_distribution", 0.0 if defaults else None)
+    if defaults:
         rng = random.Random(seed)
         sample_elements = list(PROBE_ELEMENTS) + [
             sampling.test_element(rng) for _ in range(_DRAWN_ELEMENTS)
@@ -451,18 +357,18 @@ def check_identically_distributed(
     marginals = [engine.site_marginals(phi, a, pool) for a in sample_elements]
     groups = [[[m.x for m in column], [m.y for m in column]] for column in marginals]
 
-    def witness(e, i, k):
+    def witness(e, i):
         return {
             "kind": "identical_distribution",
             "site_i": pool[i],
-            "site_k": pool[k],
+            "site_k": pool[-1],
             "element": sample_elements[e].to_json(),
             "lhs": marginals[e][i].to_json(),
-            "rhs": marginals[e][k].to_json(),
+            "rhs": marginals[e][-1].to_json(),
         }
 
-    _record_site_pairs(rec, groups, phi.psi_q, witness)
-    return rec.report("identical_distribution")
+    deviations = _record_sites(rec, groups, phi.psi_q, witness)
+    return rec.report("identical_distribution", deviations[0] if defaults else None)
 
 
 def nfold_telescoping_lines(
@@ -594,57 +500,41 @@ def classify_definetti(
 
     The verdicts must agree (``consistent``): a state is exchangeable
     exactly when it is conditionally independent and identically
-    distributed over the tail algebra.
+    distributed over the tail algebra.  Each verdict compares an exact
+    boundary quantity with ``tol``, read by its own route (see
+    ``CheckReport.boundary``): exchangeability from the two pure probes,
+    ``gamma * max(max_i T_ii, max_i |T_i#|)``; expectedness from the
+    coherence ``max_i |gamma * T_i#|`` of T's vacuum column, which its
+    report records as its deviation; identical distribution from the
+    diagonal probe's conditioned marginal, ``gamma * max_i T_ii`` in the
+    state's units.  The other probes, the random words, the drawn elements
+    and the pair check are audits: they report, with their witnesses, on
+    every state they are posed on, but decide nothing, so no verdict
+    depends on ``seed``.
     """
-    reports: List[CheckReport] = []
     exch = check_exchangeable(
         state, n_words=n_words, max_len=max_len, seed=seed, tol=tol, engine=engine
     )
-    reports.append(exch)
-    symmetric = exch.passed
-
-    try:
-        phi = preserving_phi(state)
-    except DecisionError:
-        phi = None
-    expected = phi is not None
+    coherent = coherence(state)
+    expected = coherent <= tol
     if expected:
-        reports.append(
-            CheckReport("preserving_expectation_exists", True, 0.0, None, 1)
-        )
+        phi = PhiState(state)
         ident = check_identically_distributed(phi, seed=seed + 1, tol=tol, engine=engine)
         pair = check_pair_independence(
             phi, n_samples=n_pairs, seed=seed + 2, tol=tol, engine=engine
         )
-        reports.extend([ident, pair])
-        iid = ident.passed and pair.passed
+        tail_reports, witness = [ident, pair], None
+        iid = ident.boundary <= tol
     else:
-        found = counterexample_ratio(state)
-        # Record, in the state's units, how well the witness reproduces the
-        # contraction identity psi(F(X)) = ratio * psi(X).  Its element X
-        # has Q X Q = 0, so every F_phi gives the same F(X), and the
-        # state's own phi stands for all of them.
-        fx = engine.cond_expect(PhiState(state), found.element)
-        lhs = engine.evaluate(state, fx.embed())
-        dev = abs(lhs - found.ratio * engine.evaluate(state, found.element))
-        reports.append(
-            CheckReport(
-                "preserving_expectation_exists",
-                False,
-                dev,
-                {
-                    "kind": "expectation_ratio",
-                    "ratio": found.ratio,
-                    "element": found.element.to_json(),
-                },
-                1,
-            )
-        )
+        found = counterexample_ratio(state, tol)
+        tail_reports = []
+        witness = {"kind": "expectation_ratio", "ratio": found.ratio, "element": found.element.to_json()}
         iid = False
-
-    consistent = symmetric == iid
+    exists = CheckReport("preserving_expectation_exists", expected, coherent, witness, 1, coherent)
+    reports = [exch, exists, *tail_reports]
+    symmetric = exch.boundary <= tol
     max_dev = max(r.max_deviation for r in reports)
-    return Classification(symmetric, expected, iid, consistent, reports, max_dev)
+    return Classification(symmetric, expected, iid, symmetric == iid, reports, max_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -654,38 +544,39 @@ def classify_definetti(
 # before it asks the state for its branch, so a DecisionError never hides a
 # bad field: the tail kinds compute their sides with ``PhiState(state)``,
 # which is what ``preserving_phi`` returns where it exists, and only then
-# call ``preserving_phi``.
+# call ``preserving_phi``.  The branch is the one ``classify_definetti``
+# decides at the same ``tol``.
 
 
-def _replay_exchangeability(state: BooleanState, witness: dict) -> tuple:
+def _replay_exchangeability(state: BooleanState, witness: dict, tol: float) -> tuple:
     word = word_from_json(witness["word"])
     perm = FinitePermutation.from_json(witness["permutation"])
     lhs, rhs = _permuted_moments(state, word, perm, SPARSE_ENGINE)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _replay_identical_distribution(state: BooleanState, witness: dict) -> tuple:
+def _replay_identical_distribution(state: BooleanState, witness: dict, tol: float) -> tuple:
     element = TestAlgebraElement.from_json(witness["element"])
     phi = PhiState(state)
     lhs, rhs = site_marginals(phi, element, [witness["site_i"], witness["site_k"]])
-    preserving_phi(state)
+    preserving_phi(state, tol)
     return lhs.x + lhs.y, rhs.x + rhs.y, phi.psi_q * lhs.max_diff(rhs)
 
 
-def _replay_nfold_factorization(state: BooleanState, witness: dict) -> tuple:
+def _replay_nfold_factorization(state: BooleanState, witness: dict, tol: float) -> tuple:
     factors = [BooleanElement.from_json(f) for f in witness["factors"]]
     step = witness["step"]
     if not isinstance(step, str):
         raise TypeError(f"step must be a string, got {shown(step)}")
     lines = dict(nfold_telescoping_lines(PhiState(state), factors))
     lhs, rhs = (lines[label.strip()] for label in step.split("->"))
-    preserving_phi(state)
+    preserving_phi(state, tol)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _replay_expectation_ratio(state: BooleanState, witness: dict) -> tuple:
+def _replay_expectation_ratio(state: BooleanState, witness: dict, tol: float) -> tuple:
     rhs = decode_float(witness["ratio"])
-    lhs = counterexample_ratio(state).ratio
+    lhs = counterexample_ratio(state, tol).ratio
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -703,8 +594,8 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     A violated identity reproduces while its sides still differ by more
     than ``tol``; a stored expectation ratio reproduces when the
     recomputed ratio matches it within ``tol``.  A witness that ``state``
-    cannot pose (a tail identity on a state that is not expected, a
-    contraction ratio on one that is) does not reproduce; its sides are
+    cannot pose (a tail identity on a state that is not expected at
+    ``tol``, a contraction ratio on one that is) does not reproduce; its sides are
     ``None``.  Sides that overflow to a non-finite value raise ``ValueError``;
     an entry off T's rows is never read, so it cannot overflow a side, in a
     witness of any length (see
@@ -715,7 +606,7 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     if replay is None:
         raise ValueError(f"unknown witness kind {shown(kind)}")
     try:
-        lhs, rhs, deviation = replay(state, witness)
+        lhs, rhs, deviation = replay(state, witness, tol)
         finite = all(math.isfinite(abs(value)) for value in (lhs, rhs, deviation))
     except DecisionError:
         return None, None, False

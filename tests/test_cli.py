@@ -152,6 +152,21 @@ def test_classify_nonexpected_prints_ratio(tmp_path, capsys):
     assert "element" in witness
 
 
+@pytest.mark.parametrize(
+    "tolerance, verdicts",
+    [("1e-3", [False, False, False, True]), ("0.5", [False, True, False, True]), ("0.7", [True, True, True, True])],
+)
+def test_classify_tolerance_decides_every_verdict(tmp_path, capsys, tolerance, verdicts):
+    # T = |xi><xi| with xi = 0.6 e_# + 0.8 e_1: the coherence gamma * |T_1#|
+    # is 0.48 and the diagonal gamma * T_11 is 0.64, so --tolerance moves
+    # expected as it moves symmetric and iid
+    state = BooleanState(1.0, TraceClassOperator.rank_one(FockVector(0.6, {1: 0.8})))
+    argv = ["classify", "--state", write_state(tmp_path, state), "--tolerance", tolerance, "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    verdict = json.loads(out)["classification"]
+    assert (code, [verdict[k] for k in ("symmetric", "expected", "iid", "consistent")]) == (0, verdicts)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.4])
 def test_classify_formats_render_the_json_report(tmp_path, capsys, gamma):
     state = BooleanState(gamma, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))

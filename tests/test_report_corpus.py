@@ -2,6 +2,7 @@
 
 import filecmp
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -25,6 +26,26 @@ def test_corpus_is_complete_and_deterministic(tmp_path):
     assert len(names) == 2 + 2 * 2 * 2
     assert all(code == 0 for _, code in runs[0])
     files = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("*") if p.is_file())
-    assert len(files) == len(names) + 4 + 1  # the state files and exit_codes.txt
+    assert len(files) == len(names) + 4 + 2  # the state files, exit_codes.txt and verdicts.txt
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", files, shallow=False)
     assert (mismatch, errors) == ([], [])
+
+
+def test_verdicts_list_the_four_flags_of_every_row_and_report(tmp_path):
+    # one line per sweep row, then one per classify report, read back from
+    # the reports the corpus holds
+    tool = load_tool()
+    sweep = ("--seed", "42", "--samples", "5", "--max-rank", "6", "--max-word-len", "5", "--tolerance", "1e-9")
+    tool.write_corpus(str(tmp_path), sweep, seeds=(1, 2), states_per_seed=2)
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    want = [(f"sweep.json:{k}", row) for k, row in enumerate(rows)]
+    for workload in tool.CLASSIFY_WORKLOADS:
+        for seed in (1, 2):
+            for index in range(2):
+                name = f"{workload}/{seed}-{index}.report.json"
+                want.append((name, json.loads((tmp_path / name).read_text())["classification"]))
+    flags = ("symmetric", "expected", "iid", "consistent")
+    assert tool.FLAGS == flags
+    lines = (tmp_path / "verdicts.txt").read_text().splitlines()
+    assert lines == [" ".join([name, *(json.dumps(verdict[f]) for f in flags)]) for name, verdict in want]
+    assert {line.split()[1] for line in lines} == {"true", "false"}

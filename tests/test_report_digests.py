@@ -57,32 +57,32 @@ STATES = {
     },
 }
 
-SWEEP_DIGEST = "cbb2d34c42fd8a867d9254b85f2b962111b14f0da7d989725d23c1aa6814e04f"
+SWEEP_DIGEST = "bb837fb450269b1eb2d72ebdca8ec2b74bcb4f9db20b19423ab516be0baf1a54"
 
 CLASSIFY_DIGESTS = {
-    "expected_vacuum_eigenvalue": "8a7cef5f4a7cdd6be6645b80e59df248b8bd1ca26f2086e587f2f403896e3cf7",
-    "expected_vacuum_in_kernel": "82a3ec139e6b204bbe1c0319dd095580155134327f0cb35d55b35dcc7086aa12",
-    "near_vacuum_singular": "1edafeefcb99969c2ba072f7406bcc9caeb9f822ae6e3737703897c34b6cfabc",
-    "nonexpected": "ee128a8eb213ab95bc8434b5dd275697ba4ac29595e694eff84798df7f50537e",
-    "vacuum": "95d1a5e4f59715d6b9b6768ebac9f36a62f4f5e3e3855817efa18b5d95fe0323",
-    "wide_20_sites": "572c56b067439ec3cd8e937c17a81f2513fcc7224c00af14f33dbcad66b2bc63",
+    "expected_vacuum_eigenvalue": "02055705b350af5e7e58ddfed69780d64a6bfccfb941f4dc237e2152999a5d0f",
+    "expected_vacuum_in_kernel": "62b9f4e9839b2e99fc58e1edda164bd7577f02371cb96616e3caad6ba9539105",
+    "near_vacuum_singular": "5310154ab479f3a71f0df260ed0af0513ff8217b9d053d87adf353df42a93855",
+    "nonexpected": "897c9186b298925fe9104e4d026491a373deb41f27a08b4283db0ce06e429718",
+    "vacuum": "4642339e7312cb7bbe6ed47a80fa796cf6449929230b7fc40e5d92c929117355",
+    "wide_20_sites": "631ec0c0f6e8f2cd1c2269c7f1bdb436ced8596ffbd3d44b5a4e66cb0738ab5f",
 }
 
 #: The csv and human classify reports of one state; the human one renders
 #: every witness through ``jsonutil.dumps``, nested under its check line.
 TEXT_CLASSIFY_DIGESTS = {
     "csv": "c6d89ee2d8cb3a5e26418c027c0079cda2768be528578341b10ecd501ebc8a08",
-    "human": "576eb790a0ef6ad9841316077861f442493cdc62f30f3f90fcce8164e55654f9",
+    "human": "09e7798cd38d29e89b5cfb413c05b2d1766628afec5362eab2c0dfff24d58c0b",
 }
 
 # the vacuum and the near-vacuum state store no witness: their replays agree
 REPLAY_DIGESTS = {
-    "expected_vacuum_eigenvalue": "e7c830cacfe276a6eff8107ca3d1804dff66fe038125d2aa8d31e30edb222b49",
-    "expected_vacuum_in_kernel": "60da88e429ad0ce2ad0146d856609791f23a92743d8731d9de4f7fe3ea988bc7",
+    "expected_vacuum_eigenvalue": "a766bb88a1b907a9c0a5e1484470cbd143b7b076179e5d2fb86240edf36c42bf",
+    "expected_vacuum_in_kernel": "7369cb326c1005bf0fae674fe774a293998bb3c84153cde8804c061b51696a1b",
     "near_vacuum_singular": "7a8df13699c33f101272cf9a69d60c90cc48c53ff99eadaf2b6876d469462e71",
     "nonexpected": "c423f7d34a5c266bc0d8b6bed8354b1db6b3376a55bf56cbb8851ff5e907e3d8",
     "vacuum": "7a8df13699c33f101272cf9a69d60c90cc48c53ff99eadaf2b6876d469462e71",
-    "wide_20_sites": "f1526ec65f2570770c4ac62638e64f9a58acb839ce65fe62f9cfa02159c3a207",
+    "wide_20_sites": "e803ee7ead7d07453c74f350b64e5ad4edb1e98633cde7e0bd9ddd375a9e37dd",
 }
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from boolefock.algebra import (
-    DEFAULT_TOL,
+    CHECK_TOL,
     VACUUM,
     BooleanElement,
     FockVector,
@@ -28,9 +28,9 @@ from boolefock.tail import (
     DecisionError,
     PhiState,
     TailElement,
+    coherence,
     cond_expect,
     counterexample_ratio,
-    is_expected,
     preserving_phi,
     site_marginals,
 )
@@ -220,7 +220,7 @@ def test_bimodule_property():
         cases.append((TailElement.unit(), identity(), TailElement.unit()))
         for z, x, z2 in cases:
             lhs = cond_expect(phi, z.embed() * x * z2.embed())
-            assert lhs.max_diff(z * cond_expect(phi, x) * z2) <= DEFAULT_TOL
+            assert lhs.max_diff(z * cond_expect(phi, x) * z2) <= 1e-10
 
 
 def test_factors_through_corner_compression():
@@ -244,13 +244,24 @@ def test_factors_through_corner_compression():
             assert cond_expect(phi, x).max_diff(cond_expect(phi, compress(x))) <= 1e-12
 
 
+def is_expected(t, gamma=1.0):
+    """Whether the state of ``t`` at ``gamma`` is expected at the default
+    tolerance."""
+    return coherence(BooleanState(gamma, t)) <= CHECK_TOL
+
+
 def test_is_expected_examples():
     t1 = TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(3))))
     assert is_expected(t1)
+    assert coherence(BooleanState(1.0, t1)) == 0.0
 
     s = 1 / math.sqrt(2)
     t2 = TraceClassOperator.rank_one(FockVector(s, {1: s}))
     assert not is_expected(t2)
+    # the coherence is max_i |gamma * T_i#|, in the state's units: 0 at gamma 0
+    assert coherence(BooleanState(0.4, t2)) == abs(0.4 * t2.entry(1, VACUUM))
+    assert is_expected(t2, gamma=0.0) and coherence(BooleanState(0.0, t2)) == 0.0
+    assert not is_expected(t2, gamma=1e-8) and is_expected(t2, gamma=1e-9)
 
     assert is_expected(TraceClassOperator.vacuum_projection())
     # vacuum in the kernel also counts: e_# is a 0-eigenvector
@@ -393,9 +404,16 @@ def test_counterexample_ratio_random_nonexpected():
 
 def test_tail_branch_near_the_vacuum_boundary():
     # weights and norms within ORTHO_TOL of one: a vacuum amplitude of 1e-10
-    # is still a pivot, and a vacuum-only density has no site corner
-    assert not is_expected(OVERLAPPING)
-    found = counterexample_ratio(BooleanState(1.0, OVERLAPPING))
+    # is a coherence of about 1e-10, expected at the default tolerance and
+    # still a pivot below it, and a vacuum-only density has no site corner
+    state = BooleanState(1.0, OVERLAPPING)
+    assert abs(coherence(state) - 1e-10) <= 1e-19
+    assert preserving_phi(state).psi_q > 0.99
+    with pytest.raises(DecisionError):
+        counterexample_ratio(state)
+    with pytest.raises(DecisionError):
+        preserving_phi(state, tol=1e-11)
+    found = counterexample_ratio(state, tol=1e-11)
     assert found.ratio < 1.0
     assert found.element.compact[(VACUUM, VACUUM)] == 1e-10
     assert VACUUM_ONLY.entry(VACUUM, VACUUM).real < 1.0 - 1e-10 and VACUUM_ONLY.site_weight() == 0.0
@@ -409,7 +427,7 @@ def test_tail_branch_near_the_vacuum_boundary():
 
 def test_nonexpected_density_checks_its_branch_without_assert(monkeypatch):
     # the sweep's branch labels rely on this check, so it must survive python -O
-    monkeypatch.setattr(sampling, "is_expected", lambda t: True)
+    monkeypatch.setattr(sampling, "coherence", lambda state: 0.0)
     with pytest.raises(RuntimeError, match="eigenvector"):
         sampling.nonexpected_density(random.Random(1), 2)
 

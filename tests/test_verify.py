@@ -5,12 +5,13 @@ import pathlib
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from boolefock.algebra import DEFAULT_TOL, VACUUM, BooleanElement, FockVector, identity, matrix_unit, site_vector, vacuum_vector
+from boolefock.algebra import VACUUM, BooleanElement, FockVector, identity, matrix_unit, site_vector, vacuum_vector
 from boolefock.fock import (
     FinitePermutation,
     TestAlgebraElement,
@@ -29,7 +30,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import DecisionError, PhiState, TailElement, cond_expect, preserving_phi
+from boolefock.tail import DecisionError, PhiState, TailElement, coherence, cond_expect, preserving_phi
 from boolefock.verify import (
     CHECK_TOL,
     PROBE_ELEMENTS,
@@ -51,6 +52,7 @@ from boolefock.verify import (
 from boolefock import sampling, verify
 
 from oracle import DENSE_ENGINE
+from test_report_digests import STATES as REPORT_DIGEST_STATES
 
 
 def expected_nonsymmetric():
@@ -244,10 +246,26 @@ def test_classification_consistent_on_random_sweep():
 
 
 def test_report_invariant_passed_iff_within_tolerance():
+    # every report classify returns, on both tail branches: the coherence
+    # report's deviation is the coherence itself, so a state that is not
+    # expected fails it by that amount
     state = BooleanState(1.0, TraceClassOperator.rank_one(site_vector(1)))
     report = check_exchangeable(state, n_words=30, seed=22)
     assert report.passed == (report.max_deviation <= 1e-9)
     assert (report.witness is not None) == (not report.passed)
+    branches = set()
+    for name, obj in REPORT_DIGEST_STATES.items():
+        state = BooleanState.from_json(obj)
+        result = classify_definetti(state, seed=5)
+        for report in result.reports:
+            assert report.passed == (report.max_deviation <= CHECK_TOL), (name, report.name)
+            if report.name != "preserving_expectation_exists":
+                assert (report.witness is not None) == (not report.passed), (name, report.name)
+        exists = result.reports[1]
+        assert exists.name == "preserving_expectation_exists"
+        assert (exists.passed, exists.max_deviation) == (result.expected, coherence(state)), name
+        branches.add(result.expected)
+    assert branches == {True, False}
 
 
 def test_relation_suites_pass():
@@ -259,7 +277,8 @@ def test_relation_suites_pass():
 
 # ---------------------------------------------------------------------------
 # Reference copies of the pairwise checkers, which evaluate both sides of
-# every site pair; the per-site checkers must reproduce them exactly.
+# each pair of a site and the fresh site; the per-site checkers must
+# reproduce them exactly.
 
 
 class PairwiseRecorder:
@@ -305,8 +324,8 @@ def pairwise_check_exchangeable(
         )
 
     for probe in PROBE_ELEMENTS:
-        for i, j in combinations(pool, 2):
-            compare([(i, probe)], FinitePermutation.swap(i, j))
+        for i in pool[:-1]:
+            compare([(i, probe)], FinitePermutation.swap(i, pool[-1]))
     for _ in range(n_words):
         compare(sampling.word(rng, pool, max_len), sampling.permutation(rng, pool))
     return rec.report("exchangeability")
@@ -323,7 +342,8 @@ def pairwise_check_identically_distributed(
         ]
     rec = PairwiseRecorder(tol)
     for a in sample_elements:
-        for i, k in combinations(pool, 2):
+        k = pool[-1]
+        for i in pool[:-1]:
             lhs = engine.cond_expect(phi, embed(i, a))
             rhs = engine.cond_expect(phi, embed(k, a))
             rec.record(
@@ -395,10 +415,10 @@ def modulus(z):
 
 
 def listed_site_pairs(rows, width, weight, tol):
-    """The per-site scan over a pair list, as the checkers ran it before the
-    reduction: one list of deviations per column group, in combinations
+    """The per-site scan over a list of the pairs of each site and the fresh
+    site, the last row: one list of deviations per column group, in pool
     order; NaN fails and supplies the witness."""
-    pairs = list(combinations(range(len(rows)), 2))
+    pairs = [(i, len(rows) - 1) for i in range(len(rows) - 1)]
     n_groups = len(rows[0]) // width
     worst_seen, witness = 0.0, None
     for e in range(n_groups):
@@ -420,9 +440,8 @@ def reduced_site_pairs(rows, width, weight, tol):
     rec = verify._Recorder(tol)
     columns = [[complex(v) for v in column] for column in zip(*rows)]
     groups = [columns[e:e + width] for e in range(0, len(columns), width)]
-    verify._record_site_pairs(
-        rec, groups, weight, lambda e, i, j: {"element": e, "i": i, "j": j}
-    )
+    fresh = len(rows) - 1
+    verify._record_sites(rec, groups, weight, lambda e, i: {"element": e, "i": i, "j": fresh})
     return rec.report("scan")
 
 
@@ -433,7 +452,8 @@ INF, NAN = math.inf, math.nan
 HUGE = complex(0.8e308, 0.8e308)
 
 
-@pytest.mark.parametrize("block", [1 << 16, 5])
+# each case runs alone, then with 20 more sites drawn from each seed
+@pytest.mark.parametrize("seed", [1 << 16, 5])
 @pytest.mark.parametrize(
     "name, rows, width, weight",
     [
@@ -452,18 +472,18 @@ HUGE = complex(0.8e308, 0.8e308)
         ("one site", [[1j, 2j]], 2, 1.0),
         ("no elements", [[], [], []], 2, 1.0),
         ("finite overflow", [[1e308 + 0j], [0j], [-1e308 + 0j]], 1, 1.0),
-        ("finite modulus overflow", [[HUGE, 1j], [-HUGE, 1j], [0j, 2j]], 1, 0.5),
+        ("finite modulus overflow", [[HUGE, 1j], [0j, 2j], [-HUGE, 1j]], 1, 0.5),
     ],
 )
-def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, width, weight):
+def test_site_pair_reduction_matches_pair_list(seed, name, rows, width, weight):
     a, b = ABS_SPLIT
     assert float(np.abs(np.complex128(a - b))) != abs(a - b)
-    monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
-    # the case itself, then with 20 more sites, which spans several blocks
-    rng = random.Random(len(name))
+    # the case itself, then with 20 more sites after it, whose last is the
+    # fresh site, and ahead of it, where the case's last site stays fresh
+    rng = random.Random(seed + len(name))
     values = (0, 1, 2.5, 1j, 1 + 0.5j, complex(rng.random(), rng.random()))
     spread = [[rng.choice(values) for _ in rows[0]] for _ in range(20)]
-    for table in (rows, rows + spread):
+    for table in (rows, rows + spread, spread + rows):
         for tol in (0.0, CHECK_TOL, 1.5):
             got = reduced_site_pairs(table, width, weight, tol)
             want = listed_site_pairs(table, width, weight, tol)
@@ -476,31 +496,6 @@ def test_site_pair_reduction_matches_pair_list(monkeypatch, block, name, rows, w
             assert type(got.max_deviation) is float
     if "overflow" in name:
         assert got.max_deviation == math.inf
-
-
-def column_of_shape(shape, n, rng):
-    """``n`` values on a ring, an ellipse, a line with a complex slope (as
-    the identical-distribution columns lie), or a Gaussian cloud."""
-    if shape == "ring":
-        return [cmath.rect(0.3, rng.uniform(-math.pi, math.pi)) for _ in range(n)]
-    if shape == "ellipse":
-        return [complex(2 * math.cos(t), 0.1 * math.sin(t)) for t in (rng.uniform(0, 7) for _ in range(n))]
-    if shape == "collinear":
-        slope = complex(0.37, -0.81)
-        return [slope * rng.random() / 0.3 + complex(0.2, 0.5) for _ in range(n)]
-    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-
-
-@pytest.mark.parametrize("n", [300, 2000])
-@pytest.mark.parametrize("shape", ["ring", "ellipse", "collinear", "cloud"])
-def test_site_pair_scan_finds_the_brute_force_maximum(shape, n):
-    # many values, so that the pruned block-pair scan runs; the maximum is
-    # the one abs() gives for some pair, bit for bit
-    column = column_of_shape(shape, n, random.Random(n))
-    want = max(abs(a - b) for a, b in combinations(column, 2))
-    assert verify._column_spread(column) == want
-    # with an exact duplicate of every value, and in reverse order
-    assert verify._column_spread(column[::-1] + column) == want
 
 
 def reference_check_pair_independence(
@@ -560,7 +555,7 @@ def test_nan_deviation_fails():
     assert not report.passed
     assert math.isnan(report.max_deviation)
     assert report.witness is not None
-    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 2)
+    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 9)  # 9 is the fresh site
 
     # a NaN after finite deviations, and finite ones after a NaN; the
     # coherence probes give equal marginals at every site
@@ -671,7 +666,7 @@ def test_a_site_free_state_draws_no_word():
         engine, counts = counting_engine(SPARSE_ENGINE)
         report = check_exchangeable(state, n_words=40, seed=5, engine=engine)
         assert counts["moments"] == len(PROBE_ELEMENTS)
-        assert report.samples_run == len(PROBE_ELEMENTS) * n * (n - 1) // 2 + 40
+        assert report.samples_run == len(PROBE_ELEMENTS) * (n - 1) + 40
         probes = check_exchangeable(state, n_words=0, seed=5)
         assert (report.passed, report.max_deviation, report.witness) == (True, probes.max_deviation, None)
 
@@ -743,7 +738,7 @@ def test_a_singular_phi_scans_no_marginal():
     report = check_identically_distributed(PhiState(vacuum_state()), sample_elements=[PROBE_ELEMENTS[0], overflow], engine=engine)
     assert counts["site_marginals"] == 2
     assert math.isnan(report.max_deviation)
-    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 2)
+    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 9)
 
 
 def test_a_pair_check_at_gamma_zero_evaluates_no_pair():
@@ -891,9 +886,8 @@ def test_nfold_chain_needs_two_factors(n_factors):
 def test_classify_large_support_matches_closed_form():
     # rank two with a vacuum eigenvalue: expected, but neither exchangeable
     # nor conditionally i.i.d.
-    # The per-site scans count every site pair as a sample but must not
-    # hold a list of them: at 2000 sites that would be 2,001,000 pairs per
-    # probe or element.
+    # The per-site scans count each site but the fresh one as a sample, and
+    # hold no more than a column of values per probe or element.
     rng = random.Random(63)
     for n_sites in (256, 1000, 2000):
         xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
@@ -911,13 +905,13 @@ def test_classify_large_support_matches_closed_form():
             False,
             True,
         )
-        pairs = (n_sites + 1) * n_sites // 2  # the support and one fresh site
+        # the support, then one fresh site it is compared with
         samples = {r.name: r.samples_run for r in result.reports}
-        assert samples["exchangeability"] == len(PROBE_ELEMENTS) * pairs + 60
-        assert samples["identical_distribution"] == (len(PROBE_ELEMENTS) + 8) * pairs
+        assert samples["exchangeability"] == len(PROBE_ELEMENTS) * n_sites + 60
+        assert samples["identical_distribution"] == (len(PROBE_ELEMENTS) + 8) * n_sites
         assert peak < 64 * 2 ** 20, (n_sites, peak)
-    assert samples["exchangeability"] == 8_004_060
-    assert samples["identical_distribution"] == 24_012_000
+    assert samples["exchangeability"] == 8_060
+    assert samples["identical_distribution"] == 24_000
 
     # rank one with a vacuum amplitude and |T_i#| the same at every site:
     # the coherence probe's values lie on a ring, the scan's hardest shape
@@ -931,8 +925,12 @@ def test_classify_large_support_matches_closed_form():
     finally:
         tracemalloc.stop()
     assert (result.symmetric, result.expected, result.iid, result.consistent) == (False, False, False, True)
-    assert result.reports[0].samples_run == len(PROBE_ELEMENTS) * (n_sites + 1) * n_sites // 2 + 60
+    assert result.reports[0].samples_run == len(PROBE_ELEMENTS) * n_sites + 60
     assert peak < 64 * 2 ** 20, peak
+    # each probe is evaluated in one pass over the pool
+    engine, counts = counting_engine(SPARSE_ENGINE)
+    check_exchangeable(state, n_words=0, engine=engine)
+    assert counts == Counter({"moments": len(PROBE_ELEMENTS), ("moments", "sites"): len(PROBE_ELEMENTS) * (n_sites + 1)})
 
 
 def test_pair_check_conditions_on_the_state_preserving_phi():
@@ -959,9 +957,10 @@ def test_pair_check_conditions_on_the_state_preserving_phi():
 
 @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0])
 def test_identical_distribution_measures_in_state_units(gamma):
-    # a probe's deviation reads gamma * (d - beta) * (T_ii - T_kk), as the
-    # exchangeability probe's does, also within 1e-10 of the vacuum, where
-    # T = (1 - delta) |e_#><e_#| + delta |e_1><e_1| deviates by gamma * delta
+    # a probe's deviation reads gamma * (d - beta) * T_ii against the fresh
+    # site, as the exchangeability probe's does, also within 1e-10 of the
+    # vacuum, where T = (1 - delta) |e_#><e_#| + delta |e_1><e_1| deviates
+    # by gamma * delta
     wide = [(t, 0.01) for t in (expected_nonsymmetric().density, wide_state().density, expected_dependent().density)]
     near_vacuum = [
         (TraceClassOperator(((1 - delta, vacuum_vector()), (delta, site_vector(1)))), 0.9 * gamma * delta)
@@ -970,8 +969,8 @@ def test_identical_distribution_measures_in_state_units(gamma):
     for t, floor in wide + near_vacuum:
         state = BooleanState(gamma, t)
         for probe in PROBE_ELEMENTS:
-            values = {i: moment(state, [(i, probe)]) for i in site_pool(state)}
-            widest = max(abs(values[i] - values[k]) for i, k in combinations(values, 2))
+            pool = site_pool(state)
+            widest = max(abs(moment(state, [(i, probe)]) - moment(state, [(pool[-1], probe)])) for i in pool)
             ident = check_identically_distributed(preserving_phi(state), sample_elements=[probe])
             assert abs(ident.max_deviation - widest) <= 1e-15, (gamma, probe)
         ident = check_identically_distributed(preserving_phi(state), sample_elements=PROBE_ELEMENTS)
@@ -1000,10 +999,54 @@ def test_classify_consistent_near_the_vacuum(delta):
     assert replay_witness(state, witness, delta / 2) == (1, 0, True)
 
 
+def boundary_quantities(state):
+    """``(D, C)`` of a state, read from T's entries: D = gamma * max(max_i
+    T_ii, max_i |T_i#|), the entrywise maximum of gamma * (T - T_## P), and
+    C = gamma * max_i |T_i#|, the coherence of T's vacuum column."""
+    t, gamma = state.density, state.gamma
+    sites = t.site_support()
+    coherent = max((abs(gamma * t.entry(i, VACUUM)) for i in sites), default=0.0)
+    diagonal = max((gamma * t.entry(i, i).real for i in sites), default=0.0)
+    return max(coherent, diagonal), coherent
+
+
+def outside_the_decade(value, tol=CHECK_TOL):
+    """Whether ``value`` lies outside the decade around ``tol``, where no
+    rounding can move it across."""
+    return value == 0.0 or abs(math.log10(value / tol)) > 1
+
+
+def assert_verdicts_follow_the_boundary(result, scale, coherent):
+    """Theory: symmetric = iid = (D <= tol), and expected = (C <= tol) for
+    the closed-form coherence C, each asserted outside the decade around the
+    tolerance; every verdict is consistent.  Also the measured band: the
+    pure probes read D exactly, and no audit deviates by more than
+    10 D + 1e-12.  Returns whether D lies outside the decade."""
+    assert result.consistent
+    if outside_the_decade(coherent):
+        assert result.expected == (coherent <= CHECK_TOL), coherent
+    assert result.reports[0].boundary == scale
+    for report in result.reports:
+        assert report.max_deviation <= 10 * scale + 1e-12, (report.name, report.max_deviation, scale)
+    if not outside_the_decade(scale):
+        return False
+    theory = scale <= CHECK_TOL
+    assert (result.symmetric, result.iid) == (theory, theory), scale
+    assert result.expected or not theory
+    return True
+
+
+#: States of each stratum whose D lies outside the decade around the
+#: tolerance, where every verdict is asserted against theory.
+OUTSIDE_DELTA = 130
+OUTSIDE_EPSILON = {"quadrature": 104, "opposite": 104, "cube_roots": 104}
+OUTSIDE_MIXED = 124
+
+
 def delta_stratum(count=150, seed=90):
-    """``(state, gamma * delta)`` for expected states within ``delta`` of the
-    vacuum: T = (1 - delta) |e_#><e_#| plus a rank-two site part of weight
-    delta over sites 1-4, with delta log-uniform in [1e-13, 1e-3]."""
+    """``(state, D, C)`` for expected states within ``delta`` of the vacuum:
+    T = (1 - delta) |e_#><e_#| plus a rank-two site part of weight delta
+    over sites 1-4, with delta log-uniform in [1e-13, 1e-3]; C is 0."""
     rng = random.Random(seed)
     for k in range(count):
         gamma = (1.0, 0.5, 0.1)[k % 3]
@@ -1011,50 +1054,31 @@ def delta_stratum(count=150, seed=90):
         u, v = sampling.orthonormal_site_frame(rng, range(1, 5), 2)
         w = rng.uniform(0.1, 0.9)
         t = TraceClassOperator(((1 - delta, vacuum_vector()), (delta * w, u), (delta * (1 - w), v)))
-        yield BooleanState(gamma, t), gamma * delta
-
-
-#: Delta-stratum states whose two verdicts differ: inside the decade around
-#: the tolerance the exchangeability probes and identical distribution, in
-#: state units, read different constants times gamma * delta, so they can
-#: straddle it.  State 45 (gamma * delta = 0.82 tol) reads symmetric False
-#: but iid True.
-DELTA_INCONSISTENT = {45}
+        state = BooleanState(gamma, t)
+        yield state, boundary_quantities(state)[0], 0.0
 
 
 def test_classify_matches_theory_on_the_delta_stratum():
-    # theory: symmetric = iid = (gamma * delta <= tol); asserted outside the
-    # decade around the tolerance, where the sampled deviations (a constant
-    # times gamma * delta) cannot straddle it; inside it the inconsistent
-    # states are pinned
+    # theory: symmetric = iid = (D <= tol), D at most gamma * delta, and
+    # every state expected
     outside = 0
-    inconsistent = set()
-    for k, (state, scale) in enumerate(delta_stratum()):
+    for k, (state, scale, coherent) in enumerate(delta_stratum()):
         result = classify_definetti(state, seed=k)
         assert result.expected, k
-        if not result.consistent:
-            inconsistent.add(k)
-            assert (result.symmetric, result.iid) == (False, True), k
-        if abs(math.log10(scale / CHECK_TOL)) <= 1:
-            continue
-        outside += 1
-        theory = scale <= CHECK_TOL
-        assert (result.symmetric, result.expected, result.iid) == (theory, True, theory), (k, scale)
-    assert outside >= 120
-    assert inconsistent == DELTA_INCONSISTENT
+        outside += assert_verdicts_follow_the_boundary(result, scale, coherent)
+    assert outside == OUTSIDE_DELTA
 
 
-#: Verdicts of T = |xi><xi|, xi = 0.6 e_# + 0.8 e_1, by gamma: a known
-#: inconsistency, pinned so that a boundary rule reading both verdicts on one
-#: scale must flip it.  Exchangeability deviates by about 1.76 gamma, which
-#: falls below the tolerance for gamma <= 1e-10, while expectedness reads
-#: ||(T e_#)_sites|| = 0.48 with no gamma.
+#: Verdicts of T = |xi><xi|, xi = 0.6 e_# + 0.8 e_1, by gamma: D = 0.64 gamma
+#: and C = 0.48 gamma, so the state is exchangeable, expected and
+#: conditionally i.i.d. from gamma = 1e-9 down, and none of them above.
+#: Exchangeability's audits deviate by about 1.76 gamma, the generic probe's.
 SMALL_GAMMA_VERDICTS = {
     1e-6: (False, False, False, True),
     1e-8: (False, False, False, True),
-    1e-9: (False, False, False, True),
-    1e-10: (True, False, False, False),
-    1e-12: (True, False, False, False),
+    1e-9: (True, True, True, True),
+    1e-10: (True, True, True, True),
+    1e-12: (True, True, True, True),
 }
 
 
@@ -1065,74 +1089,51 @@ def test_classify_a_coherent_rank_one_density_at_small_gamma():
         assert (result.symmetric, result.expected, result.iid, result.consistent) == verdicts, gamma
         exch = next(r for r in result.reports if r.name == "exchangeability")
         assert abs(exch.max_deviation / gamma - 1.76) <= 2e-3, gamma
+        assert abs(exch.boundary / gamma - 0.64) <= 1e-12, gamma
 
 
 def epsilon_stratum(pattern, count=120, seed=5):
-    """``(state, D)`` for rank-one T = |xi><xi| with xi proportional to
+    """``(state, D, C)`` for rank-one T = |xi><xi| with xi proportional to
     e_# + eps sum_i c_i e_i, for the coherence pattern ``{i: c_i}``, eps
-    log-uniform in [1e-15, 1e-3], and D = gamma * max(max_i |T_i#|,
-    max_i T_ii), the entrywise maximum of gamma * (T - T_## P)."""
+    log-uniform in [1e-15, 1e-3]; C = gamma * w |xi_#| max_i |xi_i| in
+    closed form, for T's one eigenpair (w, xi)."""
     rng = random.Random(seed)
     for k in range(count):
         gamma = (1.0, 0.5, 0.1)[k % 3]
         eps = 10 ** rng.uniform(-15, -3)
         t = TraceClassOperator.rank_one(FockVector(1.0, {i: eps * c for i, c in pattern.items()}))
-        sites = t.site_support()
-        coherence = max(abs(t.entry(i, VACUUM)) for i in sites)
-        yield BooleanState(gamma, t), gamma * max(coherence, max(t.entry(i, i).real for i in sites))
+        state = BooleanState(gamma, t)
+        (w, xi), = t.eigenpairs
+        coherent = gamma * w * abs(xi.vacuum_amp) * max(map(abs, xi.wave.values()))
+        yield state, boundary_quantities(state)[0], coherent
 
 
-#: Epsilon-stratum states that read symmetric but neither expected nor iid:
-#: the expected branch decides on ||(T e_#)_sites|| without gamma, while the
-#: exchangeability probes read gamma * T_i# (ROADMAP item 3, Step 2).
-EPSILON_INCONSISTENT = {7, 53, 106, 107, 119}
+EPSILON_PATTERNS = {
+    "quadrature": {1: 1, 2: 0.5j},
+    # coherence spread evenly over several sites, where sites differ from
+    # each other by more than from the fresh site: by 2x for opposite
+    # phases, by sqrt(3)x at the cube roots of unity
+    "opposite": {1: 1, 2: -1},
+    "cube_roots": {k + 1: cmath.exp(2j * math.pi * k / 3) for k in range(3)},
+}
 
-#: The same for coherence spread evenly over several sites, where sites
-#: differ from each other by more than from the fresh site: by 2x for
-#: opposite phases, by sqrt(3)x at the cube roots of unity.
-EPSILON_SPREAD_INCONSISTENT = {53, 102, 107, 119}
-
-
-@pytest.mark.parametrize(
-    "pattern, pinned",
-    [
-        pytest.param({1: 1, 2: 0.5j}, EPSILON_INCONSISTENT, id="quadrature"),
-        pytest.param({1: 1, 2: -1}, EPSILON_SPREAD_INCONSISTENT, id="opposite"),
-        pytest.param(
-            {k + 1: cmath.exp(2j * math.pi * k / 3) for k in range(3)},
-            EPSILON_SPREAD_INCONSISTENT,
-            id="cube_roots",
-        ),
-    ],
-)
-def test_classify_on_the_epsilon_stratum(pattern, pinned):
-    # theory: symmetric = iid = (D <= tol), and expected iff T e_# has no
-    # site part; symmetric is asserted outside the decade around the
-    # tolerance, iid not yet, since inconsistent states lie outside it
+@pytest.mark.parametrize("pattern", sorted(EPSILON_PATTERNS))
+def test_classify_on_the_epsilon_stratum(pattern):
+    # theory: symmetric = iid = (D <= tol), and expected iff the coherence
+    # gamma * |T_i#| is within it
     outside = 0
-    inconsistent = set()
-    for k, (state, scale) in enumerate(epsilon_stratum(pattern)):
+    for k, (state, scale, coherent) in enumerate(epsilon_stratum(EPSILON_PATTERNS[pattern])):
         result = classify_definetti(state, seed=k)
-        w, xi = state.density.eigenpairs[0]
-        residual = w * abs(xi.vacuum_amp) * math.sqrt(sum(abs(a) ** 2 for a in xi.wave.values()))
-        assert result.expected == (residual <= DEFAULT_TOL), k
-        if not result.consistent:
-            inconsistent.add(k)
-            assert (result.symmetric, result.expected, result.iid) == (True, False, False), k
-        if abs(math.log10(scale / CHECK_TOL)) > 1:
-            outside += 1
-            assert result.symmetric == (scale <= CHECK_TOL), (k, scale)
-    assert outside == 104
-    assert inconsistent == pinned
+        outside += assert_verdicts_follow_the_boundary(result, scale, coherent)
+    assert outside == OUTSIDE_EPSILON[pattern]
 
 
 def mixed_stratum(count=150, seed=12):
-    """``(state, D, residual)`` for T = (1 - delta) |xi><xi| plus a rank-two
-    site part of weight delta over sites 3-4, with xi proportional to
+    """``(state, D, C)`` for T = (1 - delta) |xi><xi| plus a rank-two site
+    part of weight delta over sites 3-4, with xi proportional to
     e_# + eps (e_1 + 0.5j e_2): both defects of the delta and epsilon strata
     at once, delta log-uniform in [1e-13, 1e-3] and eps in [1e-15, 1e-3].
-    D = gamma * max(max_i |T_i#|, max_i T_ii) as in the epsilon stratum, and
-    ``residual`` = ||(T e_#)_sites|| in closed form."""
+    C = gamma * (1 - delta) |xi_#| max_i |xi_i| in closed form."""
     rng = random.Random(seed)
     for k in range(count):
         gamma = (1.0, 0.5, 0.1)[k % 3]
@@ -1143,39 +1144,83 @@ def mixed_stratum(count=150, seed=12):
         u, v = sampling.orthonormal_site_frame(rng, range(3, 5), 2)
         w = rng.uniform(0.1, 0.9)
         t = TraceClassOperator(((1 - delta, xi), (delta * w, u), (delta * (1 - w), v)))
-        sites = t.site_support()
-        coherence = max(abs(t.entry(i, VACUUM)) for i in sites)
-        scale = gamma * max(coherence, max(t.entry(i, i).real for i in sites))
-        residual = (1 - delta) * abs(xi.vacuum_amp) * math.sqrt(sum(abs(a) ** 2 for a in xi.wave.values()))
-        yield BooleanState(gamma, t), scale, residual
-
-
-#: Mixed-stratum states whose two verdicts differ.  States 23, 71, 101 and
-#: 140 show the epsilon defect, symmetric but neither expected nor iid
-#: (23 and 140 at D of about 0.02 tol).  State 107 (D = 0.52 tol) reads
-#: symmetric and expected but not iid, which neither the delta nor the
-#: epsilon strata show.
-MIXED_INCONSISTENT = {23, 71, 101, 107, 140}
+        state = BooleanState(gamma, t)
+        coherent = gamma * (1 - delta) * abs(xi.vacuum_amp) * max(map(abs, xi.wave.values()))
+        yield state, boundary_quantities(state)[0], coherent
 
 
 def test_classify_on_the_mixed_stratum():
-    # theory as in the epsilon stratum: symmetric = (D <= tol) outside the
-    # decade around the tolerance, expected iff T e_# has no site part; iid
-    # is not asserted, since inconsistent states lie outside the decade
+    # theory as in the epsilon stratum
     outside = 0
-    inconsistent = set()
-    for k, (state, scale, residual) in enumerate(mixed_stratum()):
+    for k, (state, scale, coherent) in enumerate(mixed_stratum()):
         result = classify_definetti(state, seed=k)
-        assert result.expected == (residual <= DEFAULT_TOL), k
-        if not result.consistent:
-            inconsistent.add(k)
-            pattern = (True, True, False) if k == 107 else (True, False, False)
-            assert (result.symmetric, result.expected, result.iid) == pattern, k
-        if abs(math.log10(scale / CHECK_TOL)) > 1:
-            outside += 1
-            assert result.symmetric == (scale <= CHECK_TOL), (k, scale)
-    assert outside == 124
-    assert inconsistent == MIXED_INCONSISTENT
+        outside += assert_verdicts_follow_the_boundary(result, scale, coherent)
+    assert outside == OUTSIDE_MIXED
+
+
+VERDICTS = attrgetter("symmetric", "expected", "iid", "consistent")
+
+STRATA = {
+    "delta": delta_stratum,
+    "mixed": mixed_stratum,
+    **{f"epsilon_{name}": partial(epsilon_stratum, pattern) for name, pattern in EPSILON_PATTERNS.items()},
+}
+
+
+@pytest.mark.parametrize("stratum", sorted(STRATA))
+def test_stratum_verdicts_do_not_depend_on_the_seed(stratum):
+    # only the audits sample; each verdict reads an exact quantity
+    for k, (state, _, _) in enumerate(STRATA[stratum]()):
+        first, second = (classify_definetti(state, seed=seed) for seed in (k, 7919 + k))
+        assert VERDICTS(first) == VERDICTS(second), k
+
+
+def test_coherence_is_the_coherence_probe_bit_for_bit():
+    # tail's expectedness rule and exchangeability's coherence probe read one
+    # number: max_i |gamma * T_i#|, each term against the fresh site's 0
+    rng = random.Random(42)
+    states = [BooleanState.from_json(obj) for obj in REPORT_DIGEST_STATES.values()]
+    states += [sampling.stratified_state(rng, slot, max_rank=6)[0] for slot in range(100)]
+    coherent = 0
+    for state in states:
+        pool = site_pool(state)
+        column = SPARSE_ENGINE.moments(state, [(pool[0], PROBE_ELEMENTS[1])], [[i] for i in pool])
+        assert column[-1] == 0
+        probe = max(abs(v - column[-1]) for v in column)
+        assert probe == coherence(state) == classify_definetti(state, n_words=4, n_pairs=2).reports[1].max_deviation
+        coherent += probe > 0
+    assert coherent >= 20
+
+
+def test_probe_witnesses_pair_a_site_with_the_fresh_site():
+    # T = 0.5 P + 0.5 |e_2><e_2| over the pool 1-8 and the fresh site 9: the
+    # diagonal probe fails first at site 2, against the fresh site
+    state = expected_nonsymmetric()
+    assert site_pool(state)[-1] == 9
+    exch = check_exchangeable(state, n_words=0)
+    assert exch.witness["word"] == word_to_json([(2, PROBE_ELEMENTS[0])])
+    assert exch.witness["permutation"] == FinitePermutation.swap(2, 9).to_json()
+    assert (exch.samples_run, exch.boundary) == (len(PROBE_ELEMENTS) * 8, 0.5)
+    phi = preserving_phi(state)
+    ident = check_identically_distributed(phi, seed=5)
+    assert (ident.witness["site_i"], ident.witness["site_k"]) == (2, 9)
+    # psi(Q) times the diagonal probe's conditioned marginal at site 2
+    assert ident.boundary == phi.psi_q * abs(state.density.entry(2, 2) / phi._divisor)
+    for witness in (exch.witness, ident.witness):
+        assert replay_witness(state, witness, CHECK_TOL)[2]
+
+
+def test_the_criterion_8_sweep_lies_in_the_measured_band():
+    # the sweep's states and classify arguments (see cli.run_sweep): the
+    # pure probes read D exactly, and every audit is within 10 D + 1e-12
+    rng = random.Random(42)
+    for index in range(1000):
+        state, _ = sampling.stratified_state(rng, index, max_rank=6)
+        result = classify_definetti(state, seed=42 + 101 * index, n_words=40, n_pairs=24)
+        scale, _ = boundary_quantities(state)
+        assert result.reports[0].boundary == scale, index
+        for report in result.reports:
+            assert report.max_deviation <= 10 * scale + 1e-12, (index, report.name)
 
 
 def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
@@ -1197,8 +1242,8 @@ def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
 
 
 def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
-    # phi keeps psi(Q), so the tail checkers and the witness of the ratio
-    # branch read the one sum PhiState makes
+    # phi keeps psi(Q), so the tail checkers read the one sum PhiState
+    # makes, and the ratio branch makes none
     calls = []
     site_weight = TraceClassOperator.site_weight
 
@@ -1214,8 +1259,8 @@ def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
 
 
 def test_tail_branches_read_the_state_they_classify():
-    # the checkers, the ratio witness and its audit take the state they are
-    # given; none fabricates another state beside it
+    # the checkers and the ratio witness take the state they are given;
+    # none fabricates another state beside it
     package = pathlib.Path(verify.__file__).parent
     for name in ("verify.py", "tail.py"):
         tree = ast.parse((package / name).read_text())

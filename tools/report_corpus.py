@@ -14,9 +14,12 @@ checkout this script lives in:
   classify-wide and classify-deep workloads, seeds 1-4, 30 states each:
   the state file, its ``classify`` report with the benchmark's flags and
   ``--seed`` = seed * 1000 + index, and the json ``replay`` of that report;
-* ``exit_codes.txt``: one ``<file> <exit code>`` line per command above.
+* ``exit_codes.txt``: one ``<file> <exit code>`` line per command above;
+* ``verdicts.txt``: one ``<row> <symmetric> <expected> <iid> <consistent>``
+  line per sweep row (``sweep.json:<index>``) and per classify report.
 
-Two trees' corpora then compare with one ``diff -r``.  The benchmark's
+Two trees' corpora then compare with one ``diff -r``; a change that moves
+numbers but no verdict leaves ``verdicts.txt`` equal.  The benchmark's
 files under ``perfbench/`` are only read.
 """
 
@@ -46,6 +49,8 @@ SWEEP_FLAGS = (
 CLASSIFY_WORKLOADS = ("classify-wide", "classify-deep")
 SEEDS = (1, 2, 3, 4)
 STATES_PER_SEED = 30
+#: The verdict flags of a sweep row or a classify report, in report order.
+FLAGS = ("symmetric", "expected", "iid", "consistent")
 
 
 def write_corpus(
@@ -57,6 +62,7 @@ def write_corpus(
     """Write the corpus under ``out``; returns the ``(file, exit code)``
     pairs, also written to ``exit_codes.txt``."""
     codes = []
+    verdicts = []
 
     def run(name: str, argv) -> None:
         codes.append((name, cli.main([*argv, "--out", os.path.join(out, name)])))
@@ -64,6 +70,8 @@ def write_corpus(
     os.makedirs(out, exist_ok=True)
     for fmt in ("json", "csv"):
         run(f"sweep.{fmt}", ["sweep", *sweep_flags, "--format", fmt])
+    for index, row in enumerate(_read(out, "sweep.json")["rows"]):
+        verdicts.append((f"sweep.json:{index}", row))
     for workload in CLASSIFY_WORKLOADS:
         os.makedirs(os.path.join(out, workload), exist_ok=True)
         for seed in seeds:
@@ -76,13 +84,24 @@ def write_corpus(
                 run(stem + ".report.json", [
                     "classify", "--state", state_path, "--seed", str(seed * 1000 + index), *CLASSIFY_FLAGS,
                 ])
+                verdicts.append((stem + ".report.json", _read(out, stem + ".report.json")["classification"]))
                 run(stem + ".replay.json", [
                     "replay", "--witness", os.path.join(out, stem + ".report.json"), "--seed", "0",
                     "--tolerance", "1e-9", "--format", "json",
                 ])
     with open(os.path.join(out, "exit_codes.txt"), "w", encoding="utf-8") as handle:
         handle.writelines(f"{name} {code}\n" for name, code in codes)
+    with open(os.path.join(out, "verdicts.txt"), "w", encoding="utf-8") as handle:
+        handle.writelines(
+            " ".join([name, *("true" if verdict[flag] else "false" for flag in FLAGS)]) + "\n"
+            for name, verdict in verdicts
+        )
     return codes
+
+
+def _read(out: str, name: str) -> dict:
+    with open(os.path.join(out, name), "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def main(argv=None) -> int:
