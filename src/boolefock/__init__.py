@@ -48,11 +48,9 @@ from .states import (
 from .tail import (
     DecisionError,
     PhiState,
-    RatioWitness,
     TailElement,
     coherence,
     cond_expect,
-    counterexample_ratio,
     preserving_phi,
     site_marginals,
 )

@@ -228,8 +228,7 @@ def nonexpected_density(
     """A density whose vacuum vector is not an eigenvector.
 
     Exactly one eigenvector mixes the vacuum with the sites, with overlap
-    magnitude in [0.3, 0.8]; the rest are site-supported.  This keeps the
-    contraction ratio of the counterexample bounded away from 1.
+    magnitude in [0.3, 0.8]; the rest are site-supported.
     """
     frame = orthonormal_site_frame(rng, sites, rank)
     alpha = rng.uniform(0.3, 0.8)

@@ -23,8 +23,9 @@ vacuum column of ``gamma * T`` in the state's own units: the state is
 expected iff it is within the caller's tolerance.  On that branch ``psi``'s
 own ``phi`` preserves it; that ``phi`` is singular exactly for gamma 0 or
 site weight ``Tr(Q T Q) = 0``.  The negative branch is settled for every
-``phi`` at once because the witness ``X`` below satisfies ``Q X Q = 0``, so
-the phi-dependent term drops out of ``F_phi(X)``.
+``phi`` at once by the matrix unit ``X = eps(#, i)`` at a site i attaining
+the coherence: ``X e_# = 0`` and ``Q X Q = 0``, so ``F_phi(X) = 0`` while
+``psi(X) = gamma * T_i#`` (see :func:`boolefock.verify.coherence_sides`).
 """
 
 from __future__ import annotations
@@ -200,44 +201,3 @@ def preserving_phi(state: BooleanState, tol: float = CHECK_TOL) -> PhiState:
             "is not an eigenvector of the density"
         )
     return PhiState(state)
-
-
-@dataclass(frozen=True)
-class RatioWitness:
-    """The contraction ratio and the element exhibiting it."""
-
-    ratio: float
-    element: BooleanElement
-
-
-def counterexample_ratio(state: BooleanState, tol: float = CHECK_TOL) -> RatioWitness:
-    """Witness that no conditional expectation preserves ``state``.
-
-    Picks the eigenvector ``xi`` of the density ``T`` of largest weight
-    among those with a nonzero vacuum amplitude (first such on ties); one
-    exists, or ``T e_#`` would vanish.  Returns the rank-one element
-    ``X = |e_#><xi|`` together with the ratio by which every ``F_phi``
-    contracts it:
-
-        psi(F_phi(X)) / psi(X) = sum_k (w_k / w_pivot) |<e_#, xi_k>|^2 < 1.
-
-    The ratio is independent of ``phi`` because ``Q X Q = 0``, and of gamma
-    because ``X`` and ``F_phi(X)`` are compact.  Raises ``DecisionError``
-    on the expected branch: :func:`coherence` is within ``tol``.
-    """
-    if coherence(state) <= tol:
-        raise DecisionError(
-            "a preserving conditional expectation exists: gamma is 0 or the "
-            "vacuum vector is an eigenvector of the density"
-        )
-    t = state.density
-    pivot_weight, pivot_vec = max(
-        ((w, xi) for w, xi in t.eigenpairs if xi.vacuum_amp != 0), key=lambda pair: pair[0]
-    )
-    ratio = sum(
-        (w / pivot_weight) * abs(xi.vacuum_amp) ** 2 for w, xi in t.eigenpairs
-    )
-    entries = {(VACUUM, VACUUM): pivot_vec.vacuum_amp.conjugate()}
-    for i, amp in pivot_vec.wave.items():
-        entries[(VACUUM, i)] = amp.conjugate()
-    return RatioWitness(float(ratio), BooleanElement(entries))

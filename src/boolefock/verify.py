@@ -32,6 +32,7 @@ from .algebra import (
     CHECK_TOL,
     VACUUM,
     BooleanElement,
+    check_site,
     identity,
     matrix_unit,
     max_entry_diff,
@@ -47,7 +48,7 @@ from .fock import (
     word_sites,
     word_to_json,
 )
-from .jsonutil import decode_float, encode_complex, shown
+from .jsonutil import encode_complex, shown
 from .sampling import SITE_POOL
 from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
@@ -55,7 +56,6 @@ from .tail import (
     PhiState,
     coherence,
     cond_expect,
-    counterexample_ratio,
     preserving_phi,
     site_marginals,
 )
@@ -74,7 +74,6 @@ class Engine(NamedTuple):
     """
 
     mul: Callable[[BooleanElement, BooleanElement], BooleanElement]
-    evaluate: Callable[[BooleanState, BooleanElement], complex]
     evaluate_product: Callable[[BooleanState, BooleanElement, BooleanElement], complex]
     moments: Callable[[BooleanState, Sequence, Sequence[Sequence[int]]], List[complex]]
     cond_expect: Callable[[PhiState, BooleanElement], object]
@@ -83,7 +82,6 @@ class Engine(NamedTuple):
 
 SPARSE_ENGINE = Engine(
     mul=lambda x, y: x * y,
-    evaluate=evaluate,
     evaluate_product=evaluate_product,
     moments=moments,
     cond_expect=cond_expect,
@@ -466,6 +464,19 @@ def check_pair_independence(
     return replace(report, name="pair_independence")
 
 
+def coherence_sides(state: BooleanState, site: int) -> Tuple[complex, complex]:
+    """``psi(X)`` and ``psi(F_phi(X))`` for ``X = eps(#, site)`` and ``phi``
+    the state's own.
+
+    ``X e_# = 0`` and ``Q X Q = 0``, so ``F_phi(X) = 0`` for every ``phi``
+    and the right side is exactly 0, while ``psi(X) = gamma * T_site#``: the
+    two differ by the term of :func:`boolefock.tail.coherence` at ``site``,
+    bit for bit.  The identity is posed on every state.
+    """
+    x = matrix_unit(VACUUM, site)
+    return evaluate(state, x), evaluate(state, cond_expect(PhiState(state), x).embed())
+
+
 @dataclass
 class Classification:
     """The De Finetti verdict for one state."""
@@ -505,9 +516,10 @@ def classify_definetti(
     ``CheckReport.boundary``): exchangeability from the two pure probes,
     ``gamma * max(max_i T_ii, max_i |T_i#|)``; expectedness from the
     coherence ``max_i |gamma * T_i#|`` of T's vacuum column, which its
-    report records as its deviation; identical distribution from the
-    diagonal probe's conditioned marginal, ``gamma * max_i T_ii`` in the
-    state's units.  The other probes, the random words, the drawn elements
+    report records as its deviation, witnessed on the non-expected branch
+    by :func:`coherence_sides` at the first site attaining it; identical
+    distribution from the diagonal probe's conditioned marginal, ``gamma *
+    max_i T_ii`` in the state's units.  The other probes, the random words, the drawn elements
     and the pair check are audits: they report, with their witnesses, on
     every state they are posed on, but decide nothing, so no verdict
     depends on ``seed``.
@@ -526,9 +538,12 @@ def classify_definetti(
         tail_reports, witness = [ident, pair], None
         iid = ident.boundary <= tol
     else:
-        found = counterexample_ratio(state, tol)
+        # max keeps the first site of the support that attains the coherence
+        t = state.density
+        site = max(t.site_support(), key=lambda i: abs(state.gamma * t.entry(i, VACUUM)))
+        lhs, rhs = coherence_sides(state, site)
         tail_reports = []
-        witness = {"kind": "expectation_ratio", "ratio": found.ratio, "element": found.element.to_json()}
+        witness = {"kind": "coherence", "site": site, "lhs": encode_complex(lhs), "rhs": encode_complex(rhs)}
         iid = False
     exists = CheckReport("preserving_expectation_exists", expected, coherent, witness, 1, coherent)
     reports = [exch, exists, *tail_reports]
@@ -539,13 +554,13 @@ def classify_definetti(
 
 # ---------------------------------------------------------------------------
 # Witness replay: each kind recomputes ``(lhs, rhs, deviation)`` through the
-# helpers of the checker that stored it, with ``phi`` or the contraction
-# ratio taken from the state, never from the witness.  Each reads every field
-# before it asks the state for its branch, so a DecisionError never hides a
-# bad field: the tail kinds compute their sides with ``PhiState(state)``,
-# which is what ``preserving_phi`` returns where it exists, and only then
-# call ``preserving_phi``.  The branch is the one ``classify_definetti``
-# decides at the same ``tol``.
+# helpers of the checker that stored it, with ``phi`` taken from the state,
+# never from the witness.  The tail kinds read every field before they ask
+# the state for its branch, so a DecisionError never hides a bad field: they
+# compute their sides with ``PhiState(state)``, which is what
+# ``preserving_phi`` returns where it exists, and only then call
+# ``preserving_phi``.  The branch is the one ``classify_definetti`` decides
+# at the same ``tol``.
 
 
 def _replay_exchangeability(state: BooleanState, witness: dict, tol: float) -> tuple:
@@ -574,9 +589,8 @@ def _replay_nfold_factorization(state: BooleanState, witness: dict, tol: float) 
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _replay_expectation_ratio(state: BooleanState, witness: dict, tol: float) -> tuple:
-    rhs = decode_float(witness["ratio"])
-    lhs = counterexample_ratio(state, tol).ratio
+def _replay_coherence(state: BooleanState, witness: dict, tol: float) -> tuple:
+    lhs, rhs = coherence_sides(state, check_site(witness["site"]))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -584,21 +598,20 @@ _REPLAYS = {
     "exchangeability": _replay_exchangeability,
     "identical_distribution": _replay_identical_distribution,
     "nfold_factorization": _replay_nfold_factorization,
-    "expectation_ratio": _replay_expectation_ratio,
+    "coherence": _replay_coherence,
 }
 
 
 def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
     """Recompute a stored witness against ``state``; returns ``(lhs, rhs, reproduced)``.
 
-    A violated identity reproduces while its sides still differ by more
-    than ``tol``; a stored expectation ratio reproduces when the
-    recomputed ratio matches it within ``tol``.  A witness that ``state``
-    cannot pose (a tail identity on a state that is not expected at
-    ``tol``, a contraction ratio on one that is) does not reproduce; its sides are
-    ``None``.  Sides that overflow to a non-finite value raise ``ValueError``;
-    an entry off T's rows is never read, so it cannot overflow a side, in a
-    witness of any length (see
+    Every kind states an identity, and a witness reproduces while its
+    recomputed sides still differ by more than ``tol``.  A tail identity
+    on a state that is not expected at ``tol`` is not posed there: it does
+    not reproduce, and its sides are ``None``.  The coherence identity is
+    posed on every state.  Sides that overflow to a non-finite value raise
+    ``ValueError``; an entry off T's rows is never read, so it cannot
+    overflow a side, in a witness of any length (see
     :meth:`boolefock.states.TraceClassOperator.trace_against`).
     """
     kind = witness.get("kind")
@@ -614,8 +627,7 @@ def replay_witness(state: BooleanState, witness: dict, tol: float) -> tuple:
         finite = False
     if not finite:
         raise ValueError(f"the {kind} witness does not recompute to finite values")
-    reproduced = deviation <= tol if kind == "expectation_ratio" else deviation > tol
-    return lhs, rhs, reproduced
+    return lhs, rhs, deviation > tol
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,6 @@ def dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> l
 #: The checkers' kernel operations, computed densely.
 DENSE_ENGINE = Engine(
     mul=dense_mul,
-    evaluate=dense_evaluate,
     evaluate_product=lambda s, x, y: dense_evaluate(s, dense_mul(x, y)),
     moments=dense_moments,
     cond_expect=dense_cond_expect,

@@ -25,12 +25,14 @@ from boolefock.states import (
     moment,
     symmetric_state,
 )
-from boolefock.tail import PhiState, cond_expect, counterexample_ratio, preserving_phi
+from boolefock.jsonutil import decode_complex
+from boolefock.tail import DecisionError, PhiState, coherence, cond_expect, preserving_phi
 from boolefock.verify import (
     check_embedding_homomorphism,
     check_exchangeable,
     check_matrix_unit_dictionary,
     check_nfold_factorization,
+    classify_definetti,
     nfold_telescoping_lines,
 )
 
@@ -104,28 +106,32 @@ def test_criterion_05_preserving_expectation_positive_branch():
 
 
 def test_criterion_06_counterexample_negative_branch():
+    # the witness X = eps(#, i) at the first site attaining the coherence:
+    # F_phi(X) = 0 for every phi, while |psi(X)| is the coherence itself
     rng = random.Random(1006)
     ok = True
-    worst = 0.0
     for _ in range(200):
         t = sampling.nonexpected_density(rng, rng.randint(1, 5), range(1, 8))
         state = BooleanState(1.0, t)
-        found = counterexample_ratio(state)
-        ok = ok and found.ratio < 1.0 - 1e-12
-        psi_x = evaluate(state, found.element)
+        witness = classify_definetti(state, n_words=0).reports[1].witness
+        x = matrix_unit(VACUUM, witness["site"])
         site_only = TraceClassOperator.rank_one(site_vector(t.site_support()[0]))
         phis = [PhiState(infinity_state()), PhiState(BooleanState(1.0, site_only)), PhiState(state)]
-        for phi in phis:
-            lhs = evaluate(state, cond_expect(phi, found.element).embed())
-            worst = max(worst, abs(lhs - found.ratio * psi_x))
+        ok = ok and all(evaluate(state, cond_expect(phi, x).embed()) == 0 for phi in phis)
+        ok = ok and abs(evaluate(state, x)) == coherence(state)
+        try:
+            preserving_phi(state)
+            ok = False
+        except DecisionError:
+            pass
 
     s = 1 / math.sqrt(2)
     hand = TraceClassOperator(
         ((0.75, FockVector(s, {1: s})), (0.25, FockVector(s, {1: -s})))
     )
-    hand_ratio = counterexample_ratio(BooleanState(1.0, hand)).ratio
-    ok = ok and abs(hand_ratio - 2.0 / 3.0) <= 1e-12
-    _verdict(6, "negative branch ratio", ok and worst <= 1e-10)
+    witness = classify_definetti(BooleanState(1.0, hand), n_words=0).reports[1].witness
+    ok = ok and witness["site"] == 1 and abs(decode_complex(witness["lhs"]) - 0.25) <= 1e-15
+    _verdict(6, "negative branch witness", ok)
 
 
 def test_criterion_07_nfold_factorization():

@@ -15,7 +15,7 @@ from boolefock.algebra import BooleanElement, FockVector, site_vector, vacuum_ve
 from boolefock.cli import SWEEP_CSV_HEADER, main
 from boolefock.states import BooleanState, TraceClassOperator, vacuum_state
 from boolefock.tail import preserving_phi
-from boolefock.verify import check_nfold_factorization
+from boolefock.verify import check_nfold_factorization, site_pool
 
 
 def write_state(tmp_path, state, name="state.json"):
@@ -133,7 +133,8 @@ def test_classify_vacuum_state(tmp_path, capsys):
     }
 
 
-def test_classify_nonexpected_prints_ratio(tmp_path, capsys):
+def test_classify_nonexpected_prints_coherence_witness(tmp_path, capsys):
+    # T_1# = 0.5: the witness eps(#, 1) has psi 0.5 and F_phi of it is 0
     s = 1 / math.sqrt(2)
     state = BooleanState(1.0, TraceClassOperator.rank_one(FockVector(s, {1: s})))
     path = write_state(tmp_path, state)
@@ -147,9 +148,7 @@ def test_classify_nonexpected_prints_ratio(tmp_path, capsys):
     witness = next(
         r["witness"] for r in payload["reports"] if r["name"] == "preserving_expectation_exists"
     )
-    assert witness["kind"] == "expectation_ratio"
-    assert witness["ratio"] < 1.0
-    assert "element" in witness
+    assert witness == {"kind": "coherence", "site": 1, "lhs": [0.5000000000000001, 0.0], "rhs": [0.0, 0.0]}
 
 
 @pytest.mark.parametrize(
@@ -165,6 +164,39 @@ def test_classify_tolerance_decides_every_verdict(tmp_path, capsys, tolerance, v
     code, out, _ = run(capsys, argv)
     verdict = json.loads(out)["classification"]
     assert (code, [verdict[k] for k in ("symmetric", "expected", "iid", "consistent")]) == (0, verdicts)
+
+
+def test_coherence_witness_reproduces_up_to_its_deviation(tmp_path, capsys):
+    # the state above, not expected at 1e-3: the witness's sides differ by
+    # the report's deviation bit for bit, and it reproduces at every
+    # tolerance below that but not at it, nor at a site beyond T's support
+    state = BooleanState(1.0, TraceClassOperator.rank_one(FockVector(0.6, {1: 0.8})))
+    report_path = tmp_path / "report.json"
+    argv = ["classify", "--state", write_state(tmp_path, state), "--tolerance", "1e-3", "--format", "json"]
+    assert run(capsys, argv + ["--out", str(report_path)])[0] == 0
+    payload = json.loads(report_path.read_text())
+    report = next(r for r in payload["reports"] if r["name"] == "preserving_expectation_exists")
+    witness = report["witness"]
+    lhs, rhs = (jsonutil.decode_complex(witness[side]) for side in ("lhs", "rhs"))
+    deviation = abs(lhs - rhs)
+    assert deviation == report["max_deviation"] and abs(deviation - 0.48) <= 1e-15
+
+    def coherence_row(tolerance):
+        code, out, err = run(capsys, ["replay", "--witness", str(report_path), "--tolerance", tolerance, "--format", "json"])
+        assert err == ""
+        row = next(r for r in json.loads(out)["rows"] if r["kind"] == "coherence")
+        return code, row
+
+    code, row = coherence_row(repr(math.nextafter(deviation, 0.0)))
+    assert (code, row["reproduced"], row["lhs"], row["rhs"]) == (0, True, deviation, 0)
+    code, row = coherence_row(repr(deviation))
+    assert (code, row["reproduced"], row["lhs"], row["rhs"]) == (1, False, deviation, 0)
+    # an integer site of any size is a site, off T's rows like the fresh one
+    for site in (site_pool(state)[-1], 10 ** 400):
+        witness["site"] = site
+        report_path.write_text(jsonutil.dumps(payload))
+        code, row = coherence_row("1e-3")
+        assert (code, row["reproduced"], row["lhs"], row["rhs"]) == (1, False, 0, 0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.4])
@@ -712,21 +744,23 @@ def expected_two_point():
     return BooleanState(1.0, TraceClassOperator(((0.5, vacuum_vector()), (0.5, site_vector(2)))))
 
 
-def test_replay_ratio_witness_on_an_expected_state(tmp_path, capsys):
-    # no contraction ratio exists on an expected state: the witness does not
-    # reproduce, and the payload is not malformed
+def test_replay_coherence_witness_on_an_expected_state(tmp_path, capsys):
+    # the coherence identity is posed on every state: on an expected one
+    # its sides agree within tol, so it reads NOT reproduced with numeric
+    # sides, and the payload is not malformed
     report_path = saved_report(tmp_path, capsys, rotated_nonexpected())
     payload = json.loads(report_path.read_text())
     payload["state"] = expected_two_point().to_json()
     report_path.write_text(jsonutil.dumps(payload))
     code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
     assert (code, err) == (1, "")
-    line = "preserving_expectation_exists [expectation_ratio]: lhs=null rhs=null NOT reproduced"
+    line = "preserving_expectation_exists [coherence]: lhs=0 rhs=0 NOT reproduced"
     assert line in out.splitlines()
 
 
-def test_replay_ratio_witness_on_a_state_with_gamma_zero(tmp_path, capsys):
-    # gamma = 0 makes the state expected whatever T is: no contraction ratio
+def test_replay_coherence_witness_on_a_state_with_gamma_zero(tmp_path, capsys):
+    # gamma = 0 makes the state expected whatever T is: it reads no compact,
+    # so both sides of the witness are 0
     s = 1 / math.sqrt(2)
     density = TraceClassOperator.rank_one(FockVector(s, {1: s}))
     report_path = saved_report(tmp_path, capsys, BooleanState(1.0, density))
@@ -735,14 +769,13 @@ def test_replay_ratio_witness_on_a_state_with_gamma_zero(tmp_path, capsys):
     report_path.write_text(jsonutil.dumps(payload))
     code, out, err = run(capsys, ["replay", "--witness", str(report_path)])
     assert (code, err) == (1, "")
-    line = "preserving_expectation_exists [expectation_ratio]: lhs=null rhs=null NOT reproduced"
+    line = "preserving_expectation_exists [coherence]: lhs=0 rhs=0 NOT reproduced"
     assert line in out.splitlines()
 
 
-NON_FINITE_NUMBERS = pytest.mark.parametrize(
-    "number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
-    ids=["nan", "inf", "-inf", "1e999", "int-400-digits"],
-)
+#: JSON numbers that are not finite floats, by test id.
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e999": "1e999", "int-400-digits": "1" + "0" * 400}
+NON_FINITE_NUMBERS = pytest.mark.parametrize("number", list(NON_FINITE.values()), ids=list(NON_FINITE))
 
 
 @NON_FINITE_NUMBERS
@@ -761,8 +794,12 @@ def test_classify_rejects_non_finite_number(tmp_path, capsys, field, number):
     assert len(result[2].strip()) < 120  # the rejected value is shortened
 
 
-@NON_FINITE_NUMBERS
-@pytest.mark.parametrize("kind", ["exchangeability", "expectation_ratio"])
+@pytest.mark.parametrize(
+    "kind, number",
+    [pytest.param("exchangeability", number, id=f"exchangeability-{name}") for name, number in NON_FINITE.items()]
+    # an integer of any size is a site label, so a site is corrupted only by the float forms
+    + [pytest.param("coherence", number, id=f"coherence-{name}") for name, number in NON_FINITE.items() if "int" not in name],
+)
 def test_replay_rejects_non_finite_number(tmp_path, capsys, kind, number):
     state = expected_two_point() if kind == "exchangeability" else rotated_nonexpected()
     payload = json.loads(saved_report(tmp_path, capsys, state).read_text())
@@ -770,7 +807,7 @@ def test_replay_rejects_non_finite_number(tmp_path, capsys, kind, number):
     if kind == "exchangeability":
         witness["word"][0][1]["a"][0] = "NUMBER"
     else:
-        witness["ratio"] = "NUMBER"
+        witness["site"] = "NUMBER"
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(payload).replace('"NUMBER"', number))
     result = run(capsys, ["replay", "--witness", str(path)])
@@ -854,7 +891,7 @@ def test_replay_rejects_an_nfold_step_that_names_a_removed_line(tmp_path, capsys
 
 @pytest.mark.parametrize("tolerance", ["1e-9", "1e-300"])
 def test_replay_formats_render_the_json_rows(tmp_path, capsys, tolerance):
-    # a genuine report, and a ratio witness replayed on an expected state
+    # a genuine report, and a coherence witness replayed on an expected state
     records = []
     for state in (expected_two_point(), rotated_nonexpected()):
         records.append(json.loads(saved_report(tmp_path, capsys, state).read_text()))
@@ -1007,9 +1044,24 @@ def test_replay_rejects_a_saved_pair_witness(tmp_path, capsys):
         assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "unknown witness kind 'pair_independence'")
 
 
+def test_replay_rejects_a_saved_ratio_witness(tmp_path, capsys):
+    # older reports witnessed the non-expected branch by a contraction ratio
+    # under its own kind, as stored here for this state; replay no longer
+    # reads that form
+    path = saved_report(tmp_path, capsys, rotated_nonexpected())
+    payload = json.loads(path.read_text())
+    report = next(r for r in payload["reports"] if r["name"] == "preserving_expectation_exists")
+    element = BooleanElement({("#", "#"): 0.6, ("#", 2): 0.8})
+    report["witness"] = {"kind": "expectation_ratio", "ratio": 0.7866666666666668, "element": element.to_json()}
+    path.write_text(jsonutil.dumps(payload))
+    assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "unknown witness kind 'expectation_ratio'")
+
+
 def test_replay_rejects_a_malformed_tail_witness_on_either_branch(tmp_path, capsys):
     # a bad site, unknown step labels, a step with no arrow and a single
-    # factor are parse errors whether or not the state poses tail identities
+    # factor are parse errors whether or not the state poses tail identities,
+    # and so is a coherence site that is not an integer >= 1 (its non-finite
+    # forms fail to parse; see test_replay_rejects_non_finite_number)
     xi = FockVector(0j, {2: 2 ** -0.5, 3: 2 ** -0.5})
     expected = BooleanState(0.6, TraceClassOperator(((0.3, vacuum_vector()), (0.7, xi))))
     nfold = check_nfold_factorization(preserving_phi(expected), n=3, seed=1).witness
@@ -1019,6 +1071,7 @@ def test_replay_rejects_a_malformed_tail_witness_on_either_branch(tmp_path, caps
         dict(nfold, step="foo -> bar"),
         dict(nfold, step="product"),
         dict(nfold, factors=nfold["factors"][:1], step="product -> fully_factored"),
+        *({"kind": "coherence", "site": site, "lhs": [0.0, 0.0], "rhs": [0.0, 0.0]} for site in (0, -1, True, 1.5, "1", "#")),
     ]
     path = tmp_path / "malformed.json"
     for state in (expected, rotated_nonexpected()):

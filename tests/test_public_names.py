@@ -12,11 +12,11 @@ import boolefock
 PUBLIC_NAMES = [
     'BooleanElement', 'BooleanState', 'CHECK_TOL', 'CHOP', 'CheckReport', 'Classification',
     'DecisionError', 'FinitePermutation', 'FockVector', 'Index', 'PhiState',
-    'RatioWitness', 'SPARSE_ENGINE', 'TailElement', 'TestAlgebraElement', 'TraceClassOperator',
+    'SPARSE_ENGINE', 'TailElement', 'TestAlgebraElement', 'TraceClassOperator',
     'VACUUM', 'annihilator', 'basis_vector', 'check_boolean_relations',
     'check_embedding_homomorphism', 'check_exchangeable', 'check_identically_distributed',
     'check_matrix_unit_dictionary', 'check_nfold_factorization', 'check_pair_independence',
-    'classify_definetti', 'coherence', 'cond_expect', 'counterexample_ratio', 'creator', 'embed',
+    'classify_definetti', 'coherence', 'cond_expect', 'creator', 'embed',
     'evaluate', 'identity', 'infinity_state', 'matrix_unit', 'max_entry_diff',
     'moment', 'moments', 'permute', 'permute_word', 'preserving_phi', 'site_marginals',
     'site_vector', 'symmetric_state', 'vacuum_expectation', 'vacuum_state', 'vacuum_vector',

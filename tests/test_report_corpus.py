@@ -16,19 +16,28 @@ def load_tool():
 
 
 def test_corpus_is_complete_and_deterministic(tmp_path):
-    # a small corpus of the same layout, written twice
+    # a small corpus of the same layout, written twice; the third state of a
+    # seed is the first on the non-expected branch
     tool = load_tool()
     sweep = ("--seed", "42", "--samples", "5", "--max-rank", "6", "--max-word-len", "5", "--tolerance", "1e-9")
-    runs = [tool.write_corpus(str(tmp_path / name), sweep, seeds=(1,), states_per_seed=2) for name in "ab"]
+    runs = [tool.write_corpus(str(tmp_path / name), sweep, seeds=(1,), states_per_seed=3) for name in "ab"]
     assert runs[0] == runs[1]
     names = [name for name, _ in runs[0]]
     assert names[:2] == ["sweep.json", "sweep.csv"]
-    assert len(names) == 2 + 2 * 2 * 2
+    assert len(names) == 2 + 2 * 3 * 2
     assert all(code == 0 for _, code in runs[0])
     files = sorted(str(p.relative_to(tmp_path / "a")) for p in (tmp_path / "a").rglob("*") if p.is_file())
-    assert len(files) == len(names) + 4 + 2  # the state files, exit_codes.txt and verdicts.txt
+    assert len(files) == len(names) + 6 + 2  # the state files, exit_codes.txt and verdicts.txt
     match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", files, shallow=False)
     assert (mismatch, errors) == ([], [])
+    codes = dict(runs[0])
+    for workload in tool.CLASSIFY_WORKLOADS:
+        stem = f"{workload}/1-2"
+        report = json.loads((tmp_path / "a" / f"{stem}.report.json").read_text())
+        assert report["classification"]["expected"] is False
+        exists = next(r for r in report["reports"] if r["name"] == "preserving_expectation_exists")
+        assert exists["witness"]["kind"] == "coherence"
+        assert codes[f"{stem}.replay.json"] == 0
 
 
 def test_verdicts_list_the_four_flags_of_every_row_and_report(tmp_path):

@@ -63,7 +63,7 @@ CLASSIFY_DIGESTS = {
     "expected_vacuum_eigenvalue": "02055705b350af5e7e58ddfed69780d64a6bfccfb941f4dc237e2152999a5d0f",
     "expected_vacuum_in_kernel": "62b9f4e9839b2e99fc58e1edda164bd7577f02371cb96616e3caad6ba9539105",
     "near_vacuum_singular": "5310154ab479f3a71f0df260ed0af0513ff8217b9d053d87adf353df42a93855",
-    "nonexpected": "897c9186b298925fe9104e4d026491a373deb41f27a08b4283db0ce06e429718",
+    "nonexpected": "f80df7326c3686ce6ffefc66c4aaa8886034437590de9a80e40ccfb81ab59d3b",
     "vacuum": "4642339e7312cb7bbe6ed47a80fa796cf6449929230b7fc40e5d92c929117355",
     "wide_20_sites": "631ec0c0f6e8f2cd1c2269c7f1bdb436ced8596ffbd3d44b5a4e66cb0738ab5f",
 }
@@ -80,7 +80,7 @@ REPLAY_DIGESTS = {
     "expected_vacuum_eigenvalue": "a766bb88a1b907a9c0a5e1484470cbd143b7b076179e5d2fb86240edf36c42bf",
     "expected_vacuum_in_kernel": "7369cb326c1005bf0fae674fe774a293998bb3c84153cde8804c061b51696a1b",
     "near_vacuum_singular": "7a8df13699c33f101272cf9a69d60c90cc48c53ff99eadaf2b6876d469462e71",
-    "nonexpected": "c423f7d34a5c266bc0d8b6bed8354b1db6b3376a55bf56cbb8851ff5e907e3d8",
+    "nonexpected": "ca4fa2ee08194556f300946556c23c6c1af0a1e4e30ce3dd289763ca017d67b4",
     "vacuum": "7a8df13699c33f101272cf9a69d60c90cc48c53ff99eadaf2b6876d469462e71",
     "wide_20_sites": "e803ee7ead7d07453c74f350b64e5ad4edb1e98633cde7e0bd9ddd375a9e37dd",
 }

@@ -30,11 +30,12 @@ from boolefock.tail import (
     TailElement,
     coherence,
     cond_expect,
-    counterexample_ratio,
     preserving_phi,
     site_marginals,
 )
 from boolefock import sampling
+from boolefock.jsonutil import decode_complex
+from boolefock.verify import classify_definetti, coherence_sides
 
 import oracle
 
@@ -365,57 +366,64 @@ def test_preserving_phi_corner_weight_example():
         assert preserving_phi(singular).corner_value(x + 0.5 * identity()) == 0.5
 
 
-def test_counterexample_ratio_frozen_instance():
+def nonexpected_witness(state):
+    """The site and the two decoded sides of the witness classify stores
+    for a state that is not expected."""
+    witness = classify_definetti(state, n_words=0).reports[1].witness
+    assert witness["kind"] == "coherence"
+    return witness["site"], decode_complex(witness["lhs"]), decode_complex(witness["rhs"])
+
+
+def test_coherence_witness_frozen_instance():
+    # weights 0.75 and 0.25 on (e_# +- e_1)/sqrt 2: T_1# = (0.75 - 0.25) / 2
     s = 1 / math.sqrt(2)
     t = TraceClassOperator(
         ((0.75, FockVector(s, {1: s})), (0.25, FockVector(s, {1: -s})))
     )
     state = BooleanState(1.0, t)
-    found = counterexample_ratio(state)
-    assert abs(found.ratio - 2.0 / 3.0) <= 1e-12
-    # the witness maps everything onto the vacuum line, so QXQ = 0
-    assert all(m == VACUUM for (m, n) in found.element.compact)
-
-    psi_x = evaluate(state, found.element)
-    for phi in BOTH_PHIS:
-        lhs = evaluate(state, cond_expect(phi, found.element).embed())
-        assert abs(lhs - found.ratio * psi_x) <= 1e-12
+    site, lhs, rhs = nonexpected_witness(state)
+    assert site == 1 and abs(lhs - 0.25) <= 1e-15 and rhs == 0
+    assert coherence_sides(state, site) == (lhs, rhs)
+    # X = eps(#, 1) kills e_# and has no site block: F_phi(X) = 0 for every phi
+    x = matrix_unit(VACUUM, site)
+    for phi in BOTH_PHIS + (PhiState(state),):
+        assert cond_expect(phi, x) == TailElement(0, 0)
 
 
-def test_counterexample_ratio_random_nonexpected():
+def test_coherence_witness_random_nonexpected():
     rng = random.Random(36)
     for _ in range(40):
         t = sampling.nonexpected_density(rng, rng.randint(1, 5), range(1, 7))
-        state = BooleanState(1.0, t)
-        found = counterexample_ratio(state)
-        assert found.ratio < 1.0 - 1e-12
-        psi_x = evaluate(state, found.element)
-        assert abs(psi_x) > 1e-12
-        for phi in BOTH_PHIS:
-            lhs = evaluate(state, cond_expect(phi, found.element).embed())
-            assert abs(lhs - found.ratio * psi_x) <= 1e-10
-        # the ratio does not depend on gamma > 0, and gamma 0 is expected
-        assert counterexample_ratio(BooleanState(0.3, t)) == found
-        with pytest.raises(DecisionError):
-            counterexample_ratio(BooleanState(0.0, t))
-    with pytest.raises(DecisionError):
-        counterexample_ratio(vacuum_state())
+        for gamma in (1.0, 0.3, 1e-3):
+            state = BooleanState(gamma, t)
+            site, lhs, rhs = nonexpected_witness(state)
+            # the first site of the support whose term attains the coherence
+            terms = [abs(gamma * t.entry(i, VACUUM)) for i in t.site_support()]
+            assert t.site_support().index(site) == terms.index(max(terms))
+            x = matrix_unit(VACUUM, site)
+            assert abs(evaluate(state, x)) == abs(lhs - rhs) == coherence(state) > CHECK_TOL
+            for phi in BOTH_PHIS + (PhiState(state),):
+                assert evaluate(state, cond_expect(phi, x).embed()) == 0
+            with pytest.raises(DecisionError):
+                preserving_phi(state)
+        # gamma 0 is expected whatever T is
+        assert coherence(BooleanState(0.0, t)) == 0.0
 
 
 def test_tail_branch_near_the_vacuum_boundary():
     # weights and norms within ORTHO_TOL of one: a vacuum amplitude of 1e-10
     # is a coherence of about 1e-10, expected at the default tolerance and
-    # still a pivot below it, and a vacuum-only density has no site corner
+    # witnessed at site 1 below it, and a vacuum-only density has no site
+    # corner
     state = BooleanState(1.0, OVERLAPPING)
     assert abs(coherence(state) - 1e-10) <= 1e-19
     assert preserving_phi(state).psi_q > 0.99
     with pytest.raises(DecisionError):
-        counterexample_ratio(state)
-    with pytest.raises(DecisionError):
         preserving_phi(state, tol=1e-11)
-    found = counterexample_ratio(state, tol=1e-11)
-    assert found.ratio < 1.0
-    assert found.element.compact[(VACUUM, VACUUM)] == 1e-10
+    witness = classify_definetti(state, n_words=0, tol=1e-11).reports[1].witness
+    assert witness["site"] == 1
+    lhs, rhs = coherence_sides(state, 1)
+    assert abs(lhs - rhs) == coherence(state) and rhs == 0
     assert VACUUM_ONLY.entry(VACUUM, VACUUM).real < 1.0 - 1e-10 and VACUUM_ONLY.site_weight() == 0.0
     x = BooleanElement({(1, 1): 2.0, (VACUUM, VACUUM): 1.0}, 0.75)
     for gamma in (1.0, 0.5):
@@ -448,11 +456,8 @@ def test_expectedness_dichotomy():
             x = sampling.boolean_element(rng)
             lhs = evaluate(state, cond_expect(phi, x).embed())
             assert abs(lhs - evaluate(state, x)) <= 1e-10
-            with pytest.raises(DecisionError):
-                counterexample_ratio(state)
         else:
-            found = counterexample_ratio(state)
-            assert found.ratio < 1.0 - 1e-12
+            assert coherence(state) > CHECK_TOL
             with pytest.raises(DecisionError):
                 preserving_phi(state)
 
@@ -492,8 +497,6 @@ def test_preserving_phi_degenerate_mixed_representation():
     phi = preserving_phi(state)
     assert abs(phi.psi_q - 0.5) <= 1e-15
     assert_site_projection_phi(phi, 1)
-    with pytest.raises(DecisionError):
-        counterexample_ratio(state)
 
     rng = random.Random(60)
     for _ in range(100):

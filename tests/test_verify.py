@@ -51,7 +51,7 @@ from boolefock.verify import (
 )
 from boolefock import sampling, verify
 
-from oracle import DENSE_ENGINE
+from oracle import DENSE_ENGINE, dense_evaluate
 from test_report_digests import STATES as REPORT_DIGEST_STATES
 
 
@@ -206,9 +206,12 @@ def test_classify_nonexpected():
         False,
         True,
     )
-    ratio_reports = [r for r in result.reports if r.name == "preserving_expectation_exists"]
-    assert len(ratio_reports) == 1
-    assert ratio_reports[0].witness["ratio"] < 1.0 - 1e-12
+    exists = [r for r in result.reports if r.name == "preserving_expectation_exists"]
+    assert len(exists) == 1
+    witness = exists[0].witness
+    assert witness["kind"] == "coherence"
+    lhs, rhs = decode_complex(witness["lhs"]), decode_complex(witness["rhs"])
+    assert rhs == 0 and abs(lhs - rhs) == exists[0].max_deviation == coherence(nonexpected()) > CHECK_TOL
 
 
 def test_checkers_agree_with_dense_engine():
@@ -498,11 +501,16 @@ def test_site_pair_reduction_matches_pair_list(seed, name, rows, width, weight):
         assert got.max_deviation == math.inf
 
 
+#: Each checker engine with the state evaluation of its own arithmetic.
+ENGINES_WITH_EVALUATE = ((SPARSE_ENGINE, evaluate), (DENSE_ENGINE, dense_evaluate))
+
+
 def reference_check_pair_independence(
-    phi, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
+    phi, evaluate, n_samples=100, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
     """The pair check with its two sides computed directly, not as the
-    two-block case of the telescoping chain."""
+    two-block case of the telescoping chain; ``evaluate`` evaluates the
+    state in the engine's arithmetic."""
     state = phi.state
     rng = random.Random(seed)
     pool = site_pool(state)
@@ -511,10 +519,10 @@ def reference_check_pair_independence(
         block_x, block_y = sampling.disjoint_blocks(rng, pool, 2, max_block=3)
         x = sampling.block_element(rng, block_x)
         y = sampling.block_element(rng, block_y)
-        lhs = engine.evaluate(state, engine.mul(x, y))
+        lhs = evaluate(state, engine.mul(x, y))
         fx = engine.cond_expect(phi, x)
         fy = engine.cond_expect(phi, y)
-        rhs = engine.evaluate(state, engine.mul(fx.embed(), fy.embed()))
+        rhs = evaluate(state, engine.mul(fx.embed(), fy.embed()))
         rec.record(
             abs(lhs - rhs),
             lambda: {
@@ -538,11 +546,11 @@ def test_pair_independence_matches_direct_reference():
         wide_state(),
         expected_dependent(),
     ]
-    for engine in (SPARSE_ENGINE, DENSE_ENGINE):
+    for engine, ev in ENGINES_WITH_EVALUATE:
         for n, state in enumerate(states):
             phi = PhiState(state)
             kwargs = {"n_samples": 40, "seed": 71 + n, "engine": engine}
-            ref = reference_check_pair_independence(phi, **kwargs)
+            ref = reference_check_pair_independence(phi, ev, **kwargs)
             assert_same_report(check_pair_independence(phi, **kwargs), ref)
         assert ref.witness is not None
 
@@ -815,11 +823,12 @@ def test_nfold_chain_reads_an_overflow_off_the_rows_as_zero():
         assert all(z == 0j for _, z in lines), (n, lines)
 
 
-def reference_telescoping_lines(phi, factors, engine):
+def reference_telescoping_lines(phi, factors, engine, evaluate):
     """The chain with all 3n - 4 lines, including those the bimodule
     property and state preservation fix: ``stage{t}_factorized`` for t >= 2
-    and ``stage{t}_preserved`` repeat the value of stage t."""
-    ev = lambda el: engine.evaluate(phi.state, el)
+    and ``stage{t}_preserved`` repeat the value of stage t; ``evaluate``
+    evaluates the state in the engine's arithmetic."""
+    ev = lambda el: evaluate(phi.state, el)
     ex = lambda el: engine.cond_expect(phi, el)
     n = len(factors)
     suffixes = [factors[-1]]
@@ -855,14 +864,14 @@ def test_nfold_chain_keeps_the_reference_lines_that_can_differ():
     # line, bitwise; every dropped line repeats its stage's kept value
     states = [vacuum_state(), expected_nonsymmetric(), expected_dependent(), wide_state()]
     rng = random.Random(68)
-    for engine in (SPARSE_ENGINE, DENSE_ENGINE):
+    for engine, ev in ENGINES_WITH_EVALUATE:
         for state in states:
             phi = preserving_phi(state)
             for n in range(2, 7):
                 blocks = sampling.disjoint_blocks(rng, site_pool(state), n, max_block=2)
                 factors = [sampling.block_element(rng, block) for block in blocks]
                 lines = nfold_telescoping_lines(phi, factors, engine)
-                ref = reference_telescoping_lines(phi, factors, engine)
+                ref = reference_telescoping_lines(phi, factors, engine, ev)
                 kept = {
                     reference_stage(label, n): value
                     for label, value in ref
@@ -1243,7 +1252,7 @@ def test_classify_checks_pair_independence_once_per_expected_state(monkeypatch):
 
 def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
     # phi keeps psi(Q), so the tail checkers read the one sum PhiState
-    # makes, and the ratio branch makes none
+    # makes, and the coherence witness reads the one sum of its own phi
     calls = []
     site_weight = TraceClassOperator.site_weight
 
@@ -1259,7 +1268,7 @@ def test_classify_sums_the_site_weight_at_most_once_per_state(monkeypatch):
 
 
 def test_tail_branches_read_the_state_they_classify():
-    # the checkers and the ratio witness take the state they are given;
+    # the checkers and the coherence witness take the state they are given;
     # none fabricates another state beside it
     package = pathlib.Path(verify.__file__).parent
     for name in ("verify.py", "tail.py"):
@@ -1315,14 +1324,12 @@ def test_replay_witness_reproduces_every_kind():
         "exchangeability",
         "identical_distribution",
         "nfold_factorization",
-        "expectation_ratio",
+        "coherence",
     }
     for state, witness in found:
         lhs, rhs, reproduced = replay_witness(state, witness, CHECK_TOL)
         assert reproduced, witness["kind"]
-        if witness["kind"] == "expectation_ratio":
-            assert lhs == rhs == witness["ratio"]
-        elif witness["kind"] == "identical_distribution":
+        if witness["kind"] == "identical_distribution":
             stored = [witness[side] for side in ("lhs", "rhs")]
             assert [lhs, rhs] == [decode_complex(t["x"]) + decode_complex(t["y"]) for t in stored]
         else:
@@ -1330,15 +1337,20 @@ def test_replay_witness_reproduces_every_kind():
 
 
 def test_replay_witness_not_reproduced():
-    # the sides agree on the vacuum, and a stored ratio no longer matches
+    # the sides agree on the vacuum, and at the fresh site, off T's rows;
+    # the coherence identity is posed on every state, and on an expected
+    # one its sides differ by at most that state's coherence
     found = dict((w["kind"], (s, w)) for s, w in stored_witnesses())
-    for kind in ("exchangeability", "nfold_factorization"):
+    for kind in ("exchangeability", "nfold_factorization", "coherence"):
         _, witness = found[kind]
         lhs, rhs, reproduced = replay_witness(vacuum_state(), witness, CHECK_TOL)
         assert not reproduced and abs(lhs - rhs) <= CHECK_TOL, kind
-    state, witness = found["expectation_ratio"]
-    lhs, rhs, reproduced = replay_witness(state, dict(witness, ratio=witness["ratio"] + 1e-6), CHECK_TOL)
-    assert not reproduced and lhs == witness["ratio"]
+    state, witness = found["coherence"]
+    for expected in (expected_nonsymmetric(), expected_dependent()):
+        lhs, rhs, reproduced = replay_witness(expected, witness, CHECK_TOL)
+        assert not reproduced and rhs == 0 and abs(lhs) <= coherence(expected) <= CHECK_TOL
+    fresh = site_pool(state)[-1]
+    assert replay_witness(state, dict(witness, site=fresh), CHECK_TOL) == (0j, 0j, False)
 
 
 @pytest.mark.parametrize(
@@ -1362,11 +1374,15 @@ def test_replay_witness_not_reproduced():
         ({"kind": "exchangeability", "word": 5}, ValueError),
         ({"kind": "exchangeability", "word": [[1, PROBE_ELEMENTS[0].to_json(), 3]]}, ValueError),
         ({"kind": "exchangeability", "word": {"1": PROBE_ELEMENTS[0].to_json()}}, ValueError),
+        # coherence sites that are not integers >= 1, the vacuum label among them
+        *(({"kind": "coherence", "site": site}, ValueError) for site in (0, -1, True, 1.5, "1", "#", math.inf, math.nan)),
+        ({"kind": "coherence"}, KeyError),
     ],
 )
 def test_replay_witness_rejects_malformed_witness(change, error):
     # on the state that stored the witness and on one that is not expected:
-    # every field is read before the state's branch is
+    # every field is read before the state's branch is, and a coherence
+    # witness reads its site on either branch
     state, witness = next(sw for sw in stored_witnesses() if sw[1]["kind"] == "nfold_factorization")
     for state in (state, BooleanState(0.8, sampling.nonexpected_density(random.Random(1), 2))):
         with pytest.raises(error):
@@ -1381,17 +1397,12 @@ def rotated_nonexpected():
 
 
 def test_replay_witness_not_posed_on_the_other_branch():
-    # tail identities on a state that is not expected, a contraction ratio
-    # on an expected one: the state raises DecisionError, and the witness
-    # does not reproduce
+    # tail identities on a state that is not expected: the state raises
+    # DecisionError, and the witness does not reproduce
     found = dict((w["kind"], w) for _, w in stored_witnesses())
-    tail_kinds = ("identical_distribution", "nfold_factorization")
-    swapped = [(rotated_nonexpected(), found[kind]) for kind in tail_kinds]
-    ratio = classify_definetti(rotated_nonexpected(), seed=5).reports[-1].witness
-    swapped.append((expected_nonsymmetric(), ratio))
-    for state, witness in swapped:
-        replayed = replay_witness(state, witness, CHECK_TOL)
-        assert replayed == (None, None, False), witness["kind"]
+    for kind in ("identical_distribution", "nfold_factorization"):
+        replayed = replay_witness(rotated_nonexpected(), found[kind], CHECK_TOL)
+        assert replayed == (None, None, False), kind
 
 
 def test_witness_fields_of_every_kind():
@@ -1400,7 +1411,7 @@ def test_witness_fields_of_every_kind():
         "exchangeability": ["kind", "word", "permutation", "lhs", "rhs"],
         "identical_distribution": ["kind", "site_i", "site_k", "element", "lhs", "rhs"],
         "nfold_factorization": ["kind", "blocks", "factors", "step", "lhs", "rhs"],
-        "expectation_ratio": ["kind", "ratio", "element"],
+        "coherence": ["kind", "site", "lhs", "rhs"],
     }
     found = stored_witnesses()
     assert {w["kind"] for _, w in found} == set(fields)
@@ -1414,13 +1425,14 @@ def test_witness_fields_of_every_kind():
     assert pair.witness["step"] == "product -> fully_factored"
 
 
-def test_replay_ratio_witness_on_a_state_with_gamma_zero():
-    # gamma = 0 makes the state expected whatever T is, so the contraction
-    # ratio of the same T is not posed
+def test_replay_coherence_witness_on_a_state_with_gamma_zero():
+    # gamma = 0 makes the state expected whatever T is: the state reads no
+    # compact, so both sides of the same T's witness are 0
     state = nonexpected()
     infinity = BooleanState(0.0, state.density)
     assert classify_definetti(infinity, seed=5).expected
-    ratio = classify_definetti(state, seed=5).reports[-1].witness
-    assert ratio["kind"] == "expectation_ratio"
-    assert replay_witness(state, ratio, CHECK_TOL) == (ratio["ratio"], ratio["ratio"], True)
-    assert replay_witness(infinity, ratio, CHECK_TOL) == (None, None, False)
+    witness = classify_definetti(state, seed=5).reports[-1].witness
+    assert witness["kind"] == "coherence"
+    lhs, rhs, reproduced = replay_witness(state, witness, CHECK_TOL)
+    assert reproduced and abs(lhs - rhs) == coherence(state)
+    assert replay_witness(infinity, witness, CHECK_TOL) == (0j, 0j, False)
