@@ -63,9 +63,19 @@ def dumps(obj: Any) -> str:
 
 def loads(text: str) -> Any:
     """Parse JSON, rejecting an object that repeats a key (which ``json``
-    would keep the last of) and a non-finite number, overflow included."""
+    would keep the last of), a non-finite number, overflow included, and an
+    integer of more digits than ``int`` converts."""
     return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=decode_float,
-                      parse_float=_finite_float)
+                      parse_float=_finite_float, parse_int=_int_literal)
+
+
+def _int_literal(literal: str) -> int:
+    """The value of an integer literal; one beyond the interpreter's limit
+    on digits is rejected with the literal shown through :func:`shown`."""
+    try:
+        return int(literal)
+    except ValueError:
+        raise ValueError(f"integer literal with too many digits: {shown(literal)}") from None
 
 
 def _finite_float(literal: str) -> float:

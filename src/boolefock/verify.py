@@ -4,8 +4,9 @@ Each checker samples identities, reports the worst deviation, and carries
 a serialized witness for the first failure so a run can be replayed.  The
 checkers route all kernel arithmetic through an :class:`Engine`, which
 lets the test suite substitute its dense-truncation oracle for the sparse
-kernel and compare verdicts.  The per-site scans compare each site of
-the pool with its fresh site, the one site beyond the base pool and the
+kernel and compare verdicts.  The per-site scans read T's site diagonal
+and vacuum column over the pool, each once: they compare each site of the
+pool with its fresh site, the one site beyond the base pool and the
 support of the density, where every probe reads its value off T.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
@@ -13,14 +14,13 @@ state: exchangeable if and only if conditionally independent and
 identically distributed over the tail algebra.  Each verdict reads one
 exact boundary quantity by its own route: the two pure exchangeability
 probes, the coherence of T's vacuum column, and the diagonal probe's
-conditioned marginal.  Every other sample is an audit that reports, with
-its witness, but does not decide.  ``replay_witness`` recomputes a stored
-witness through the same helpers its checker used.
+conditioned marginal.  The random words and the pair check are audits
+that report, with their witnesses, but do not decide.  ``replay_witness``
+recomputes a stored witness through the same helpers its checker used.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, replace
@@ -204,16 +204,15 @@ def _record_sites(
     return worsts
 
 
-#: Length-one probe elements isolating single matrix entries of a state:
-#: the site diagonal, the two vacuum coherences, and a generic mix.  The
-#: first two are the pure probes that decide exchangeability: against the
-#: fresh site, where both read 0, site i deviates by exactly gamma * T_ii
-#: and |gamma * T_i#|.
+#: The pure length-one probes, the site diagonal and the vacuum coherence:
+#: against the fresh site, where both read 0, site i deviates by exactly
+#: gamma * T_ii and |gamma * T_i#|.  Every other length-one word is fixed
+#: by these two columns: the conjugate coherence reads conj(T_i#), and a
+#: generic element (a, b, c, d, beta) deviates by at most
+#: (|b| + |c| + |d - beta|) times their worst.
 PROBE_ELEMENTS = (
     TestAlgebraElement(0, 0, 0, 1, 0),
     TestAlgebraElement(0, 1, 0, 0, 0),
-    TestAlgebraElement(0, 0, 1, 0, 0),
-    TestAlgebraElement(1, 2, 3, 4, 5),
 )
 
 
@@ -234,7 +233,7 @@ def check_exchangeable(
 ) -> CheckReport:
     """Compare word moments against their permuted counterparts.
 
-    Runs deterministic length-one probes first (these witness any
+    Runs the two pure length-one probes first (these witness any
     non-symmetric state of the implemented family), then the requested
     number of random words against random permutations, each word and its
     image evaluated from one plan.  The swap ``(i fresh)`` maps the probe
@@ -242,10 +241,9 @@ def check_exchangeable(
     once and evaluated once per site, and each site is compared with the
     fresh site (see ``_record_sites``).  Each probe counts one sample per
     site other than the fresh one, and its witness is the swap of the first
-    failing site with the fresh site.  The worst of the two pure probes,
-    ``gamma * max(max_i T_ii, max_i |T_i#|)`` exactly, is the report's
-    ``boundary``, which decides exchangeability; the generic probe and the
-    words are audits.
+    failing site with the fresh site.  The worst of the probes, ``gamma *
+    max(max_i T_ii, max_i |T_i#|)`` exactly, is the report's ``boundary``,
+    which decides exchangeability; the words are audits.
 
     Each permutation is drawn as its two lists, and only the image of the
     word's sites is read from them.  A word whose sites the permutation
@@ -281,7 +279,7 @@ def check_exchangeable(
         return witness(word, FinitePermutation.swap(pool[i], pool[-1]), columns[c][i], columns[c][-1])
 
     probes = _record_sites(rec, [[column] for column in columns], 1.0, probe_witness)
-    boundary = _worst(probes[:2])
+    boundary = _worst(probes)
     if state.gamma == 0.0 or not state.density.site_support():
         rec.record(0.0, lambda: {}, samples=n_words)
         return rec.report("exchangeability", boundary)
@@ -304,69 +302,51 @@ def check_exchangeable(
     return rec.report("exchangeability", boundary)
 
 
-#: Random elements the identical-distribution check draws after the probes.
-_DRAWN_ELEMENTS = 8
-
-
-def _finite_marginal(element: TestAlgebraElement) -> bool:
-    """Whether ``(a - beta + beta, beta)``, the marginal a singular ``phi``
-    gives ``element`` at every site, is finite."""
-    beta = element.beta
-    return cmath.isfinite(element.a - beta + beta) and cmath.isfinite(beta)
-
-
 def check_identically_distributed(
     phi: PhiState,
-    sample_elements: Optional[Sequence[TestAlgebraElement]] = None,
-    seed: int = 0,
     tol: float = CHECK_TOL,
     engine: Engine = SPARSE_ENGINE,
 ) -> CheckReport:
-    """Check that the conditioned one-site marginals do not depend on the site.
+    """Check that the diagonal probe's conditioned one-site marginal does not
+    depend on the site.
 
-    The state is ``phi.state``.  Each deviation is weighted by its mass on
-    the site corner, ``psi(I - P)``, so that it is measured in the state's
-    units rather than in ``phi``'s.  Each element's marginals come from one
+    The state is ``phi.state``.  The deviation is weighted by the state's
+    mass on the site corner, ``psi(I - P)``, so that it is measured in the
+    state's units rather than in ``phi``'s.  The marginals come from one
     ``site_marginals`` call over the pool, and the two tail coordinates at
-    each site are compared with those at the fresh site.  Each element counts
-    one sample per site other than the fresh one, and its witness pairs the
-    first failing site with the fresh site.  With the default elements, the
-    diagonal probe's deviation, ``psi(Q) * max_i |y_i - y_fresh|``, is the
-    report's ``boundary``, which decides identical distribution; the other
-    elements are audits.
+    each site are compared with those at the fresh site.  Each site other
+    than the fresh one counts one sample, and the witness pairs the first
+    failing site with the fresh site.  The deviation, ``psi(Q) * max_i |y_i
+    - y_fresh|``, is the report's ``boundary``, which decides identical
+    distribution.  Any other element ``(a, b, c, d, beta)`` has the same
+    tail coordinate x at every site and deviates by ``|d - beta|`` times
+    this, so scanning it would add no information.
 
     A singular ``phi`` (gamma 0, or no site weight) gives every site the
-    marginal ``(a - beta + beta, beta)``, so a column is constant and, where
-    that marginal is finite, deviates by exactly 0: the checker then draws
-    and scans nothing, and records its samples as that one 0.0.
+    marginal ``(0, 0)``, so the column deviates by exactly 0: the checker
+    then scans nothing, and records its samples as that one 0.0.
     """
     pool = site_pool(phi.state)
     rec = _Recorder(tol)
-    defaults = sample_elements is None
-    if phi._divisor is None and (defaults or all(map(_finite_marginal, sample_elements))):
-        count = len(PROBE_ELEMENTS) + _DRAWN_ELEMENTS if defaults else len(sample_elements)
-        rec.record(0.0, lambda: {}, samples=count * (len(pool) - 1))
-        return rec.report("identical_distribution", 0.0 if defaults else None)
-    if defaults:
-        rng = random.Random(seed)
-        sample_elements = list(PROBE_ELEMENTS) + [
-            sampling.test_element(rng) for _ in range(_DRAWN_ELEMENTS)
-        ]
-    marginals = [engine.site_marginals(phi, a, pool) for a in sample_elements]
-    groups = [[[m.x for m in column], [m.y for m in column]] for column in marginals]
+    if phi._divisor is None:
+        rec.record(0.0, lambda: {}, samples=len(pool) - 1)
+        return rec.report("identical_distribution", 0.0)
+    element = PROBE_ELEMENTS[0]
+    marginals = engine.site_marginals(phi, element, pool)
 
-    def witness(e, i):
+    def witness(_, i):
         return {
             "kind": "identical_distribution",
             "site_i": pool[i],
             "site_k": pool[-1],
-            "element": sample_elements[e].to_json(),
-            "lhs": marginals[e][i].to_json(),
-            "rhs": marginals[e][-1].to_json(),
+            "element": element.to_json(),
+            "lhs": marginals[i].to_json(),
+            "rhs": marginals[-1].to_json(),
         }
 
-    deviations = _record_sites(rec, groups, phi.psi_q, witness)
-    return rec.report("identical_distribution", deviations[0] if defaults else None)
+    columns = [[m.x for m in marginals], [m.y for m in marginals]]
+    (deviation,) = _record_sites(rec, [columns], phi.psi_q, witness)
+    return rec.report("identical_distribution", deviation)
 
 
 def nfold_telescoping_lines(
@@ -519,10 +499,10 @@ def classify_definetti(
     report records as its deviation, witnessed on the non-expected branch
     by :func:`coherence_sides` at the first site attaining it; identical
     distribution from the diagonal probe's conditioned marginal, ``gamma *
-    max_i T_ii`` in the state's units.  The other probes, the random words, the drawn elements
-    and the pair check are audits: they report, with their witnesses, on
-    every state they are posed on, but decide nothing, so no verdict
-    depends on ``seed``.
+    max_i T_ii`` in the state's units, which is that checker's only sample.
+    The random words and the pair check are audits: they report, with
+    their witnesses, on every state they are posed on, but decide nothing,
+    so no verdict depends on ``seed``.
     """
     exch = check_exchangeable(
         state, n_words=n_words, max_len=max_len, seed=seed, tol=tol, engine=engine
@@ -531,7 +511,7 @@ def classify_definetti(
     expected = coherent <= tol
     if expected:
         phi = PhiState(state)
-        ident = check_identically_distributed(phi, seed=seed + 1, tol=tol, engine=engine)
+        ident = check_identically_distributed(phi, tol=tol, engine=engine)
         pair = check_pair_independence(
             phi, n_samples=n_pairs, seed=seed + 2, tol=tol, engine=engine
         )

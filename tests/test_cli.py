@@ -1057,6 +1057,30 @@ def test_replay_rejects_a_saved_ratio_witness(tmp_path, capsys):
     assert_rejected(run(capsys, ["replay", "--witness", str(path)]), "unknown witness kind 'expectation_ratio'")
 
 
+@pytest.mark.parametrize("what", ["state", "witness"])
+def test_an_integer_beyond_the_digit_limit_is_rejected(tmp_path, capsys, what):
+    # 5001 digits, more than int() converts from text: the message shows the
+    # literal cut short and names no interpreter setting
+    digits = "1" * 5001
+    if what == "state":
+        path = tmp_path / "state.json"
+        path.write_text(jsonutil.dumps(vacuum_state().to_json()).replace('"gamma": 1', '"gamma": ' + digits))
+        argv = ["classify", "--state", str(path)]
+    else:
+        path = saved_report(tmp_path, capsys, rotated_nonexpected())
+        payload = json.loads(path.read_text())
+        report = next(r for r in payload["reports"] if r["name"] == "preserving_expectation_exists")
+        assert report["witness"]["kind"] == "coherence"
+        report["witness"]["site"] = 7654321
+        path.write_text(jsonutil.dumps(payload).replace('"site": 7654321', '"site": ' + digits))
+        argv = ["replay", "--witness", str(path)]
+    assert digits in path.read_text()
+    result = run(capsys, argv)
+    assert_rejected(result, f"cannot parse {what} file: integer literal with too many digits: '111")
+    assert "set_int_max_str_digits" not in result[2]
+    assert len(result[2]) <= MESSAGE_BOUND
+
+
 def test_replay_rejects_a_malformed_tail_witness_on_either_branch(tmp_path, capsys):
     # a bad site, unknown step labels, a step with no arrow and a single
     # factor are parse errors whether or not the state poses tail identities,

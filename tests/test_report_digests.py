@@ -57,22 +57,22 @@ STATES = {
     },
 }
 
-SWEEP_DIGEST = "bb837fb450269b1eb2d72ebdca8ec2b74bcb4f9db20b19423ab516be0baf1a54"
+SWEEP_DIGEST = "116e0185e215a8b57ad73cb22f499cdb2463376cba267a8e63f023e214c3806d"
 
 CLASSIFY_DIGESTS = {
-    "expected_vacuum_eigenvalue": "02055705b350af5e7e58ddfed69780d64a6bfccfb941f4dc237e2152999a5d0f",
-    "expected_vacuum_in_kernel": "62b9f4e9839b2e99fc58e1edda164bd7577f02371cb96616e3caad6ba9539105",
-    "near_vacuum_singular": "5310154ab479f3a71f0df260ed0af0513ff8217b9d053d87adf353df42a93855",
-    "nonexpected": "f80df7326c3686ce6ffefc66c4aaa8886034437590de9a80e40ccfb81ab59d3b",
-    "vacuum": "4642339e7312cb7bbe6ed47a80fa796cf6449929230b7fc40e5d92c929117355",
-    "wide_20_sites": "631ec0c0f6e8f2cd1c2269c7f1bdb436ced8596ffbd3d44b5a4e66cb0738ab5f",
+    "expected_vacuum_eigenvalue": "5b911c5b0f6b0d1fa0efe164e90c5e0e50d14b8dc28972547b40b766be334845",
+    "expected_vacuum_in_kernel": "08a7d52939c3aa0a5d149f4346d05b01c34d662a6e250482f5c07a990de31c32",
+    "near_vacuum_singular": "0a13e4d531ecb3596fc213c0c979b92ac74f2567d417fac4f9207cf37877b3df",
+    "nonexpected": "30bce5725b2111a77f67cfb69c493a8bb8abac59be0b20225ffe65bcff9c7177",
+    "vacuum": "c73f9480cbf26bb23bbe21fa8aaf0dff73633c7f6df248b2f9891f6ec024ea80",
+    "wide_20_sites": "7b414a5dd12da27cdb5a3913670ac3e41d7ebe1f49d6b9878f69fd1efa102870",
 }
 
 #: The csv and human classify reports of one state; the human one renders
 #: every witness through ``jsonutil.dumps``, nested under its check line.
 TEXT_CLASSIFY_DIGESTS = {
-    "csv": "c6d89ee2d8cb3a5e26418c027c0079cda2768be528578341b10ecd501ebc8a08",
-    "human": "09e7798cd38d29e89b5cfb413c05b2d1766628afec5362eab2c0dfff24d58c0b",
+    "csv": "ed71828ddc0e7f3d22fcc81bef5b7df7211ab752f89c515b41209eb35b2d8001",
+    "human": "ad5a1cb295cb3ee49c4a3a010b34cd3ff0d4e2559ee3843a3dcf16e890fb6522",
 }
 
 # the vacuum and the near-vacuum state store no witness: their replays agree

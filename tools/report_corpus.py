@@ -16,16 +16,23 @@ checkout this script lives in:
   ``--seed`` = seed * 1000 + index, and the json ``replay`` of that report;
 * ``exit_codes.txt``: one ``<file> <exit code>`` line per command above;
 * ``verdicts.txt``: one ``<row> <symmetric> <expected> <iid> <consistent>``
-  line per sweep row (``sweep.json:<index>``) and per classify report.
+  line per sweep row (``sweep.json:<index>``) and per classify report;
+* ``fields.txt``: one ``<file> <report|row> <field> <digest>`` line per
+  field of every sweep row (``sweep.json <index>``), of every classify
+  report's ``classification`` and of each of its check reports (by name);
+  the digest is the first 12 hex digits of the SHA-1 of the value as
+  ``jsonutil.dumps`` writes it.
 
 Two trees' corpora then compare with one ``diff -r``; a change that moves
-numbers but no verdict leaves ``verdicts.txt`` equal.  The benchmark's
-files under ``perfbench/`` are only read.
+numbers but no verdict leaves ``verdicts.txt`` equal, and a ``diff`` of the
+two ``fields.txt`` names every field that moved.  The benchmark's files
+under ``perfbench/`` are only read.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -36,7 +43,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import inputs  # noqa: E402
 from worker import CLASSIFY_FLAGS  # noqa: E402
 
-from boolefock import cli  # noqa: E402
+from boolefock import cli, jsonutil  # noqa: E402
 
 #: The criterion-8 sweep's flags, all explicit.
 SWEEP_FLAGS = (
@@ -63,6 +70,7 @@ def write_corpus(
     pairs, also written to ``exit_codes.txt``."""
     codes = []
     verdicts = []
+    fields = []
 
     def run(name: str, argv) -> None:
         codes.append((name, cli.main([*argv, "--out", os.path.join(out, name)])))
@@ -72,6 +80,7 @@ def write_corpus(
         run(f"sweep.{fmt}", ["sweep", *sweep_flags, "--format", fmt])
     for index, row in enumerate(_read(out, "sweep.json")["rows"]):
         verdicts.append((f"sweep.json:{index}", row))
+        fields += _field_lines("sweep.json", str(index), row)
     for workload in CLASSIFY_WORKLOADS:
         os.makedirs(os.path.join(out, workload), exist_ok=True)
         for seed in seeds:
@@ -84,7 +93,11 @@ def write_corpus(
                 run(stem + ".report.json", [
                     "classify", "--state", state_path, "--seed", str(seed * 1000 + index), *CLASSIFY_FLAGS,
                 ])
-                verdicts.append((stem + ".report.json", _read(out, stem + ".report.json")["classification"]))
+                report = _read(out, stem + ".report.json")
+                verdicts.append((stem + ".report.json", report["classification"]))
+                fields += _field_lines(stem + ".report.json", "classification", report["classification"])
+                for check in report["reports"]:
+                    fields += _field_lines(stem + ".report.json", check["name"], check)
                 run(stem + ".replay.json", [
                     "replay", "--witness", os.path.join(out, stem + ".report.json"), "--seed", "0",
                     "--tolerance", "1e-9", "--format", "json",
@@ -96,7 +109,19 @@ def write_corpus(
             " ".join([name, *("true" if verdict[flag] else "false" for flag in FLAGS)]) + "\n"
             for name, verdict in verdicts
         )
+    with open(os.path.join(out, "fields.txt"), "w", encoding="utf-8") as handle:
+        handle.writelines(fields)
     return codes
+
+
+def _field_lines(name: str, label: str, record: dict) -> list:
+    """The ``fields.txt`` lines of one sweep row, classification or check
+    report: the first 12 hex digits of the SHA-1 of each value as
+    ``jsonutil.dumps`` writes it."""
+    return [
+        f"{name} {label} {field} {hashlib.sha1(jsonutil.dumps(value).encode('utf-8')).hexdigest()[:12]}\n"
+        for field, value in record.items()
+    ]
 
 
 def _read(out: str, name: str) -> dict:
