@@ -142,12 +142,11 @@ def word(
     return letters
 
 
-def _permutation_lists(rng: random.Random, sites: Sequence[int]) -> Tuple[list, list]:
-    """The list form of :func:`permutation`: the ``sample`` of
-    ``randint(2, len(pool))`` sites, and their ``shuffle``, which is the
-    image of each picked site in turn; every site not picked stays put.
-    The integers read ``getrandbits`` inline by :func:`_below`'s rejection
-    rule, with the stream of those calls."""
+def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
+    """``sample`` of ``randint(2, len(pool))`` sites, mapped to a ``shuffle``
+    of themselves; every site not picked stays put.  The integers read
+    ``getrandbits`` inline by :func:`_below`'s rejection rule, with the
+    stream of those calls."""
     bits = rng.getrandbits
     pool = list(sites)
     k = 2 + _below(bits, len(pool) - 1) if len(pool) >= 2 else len(pool)
@@ -159,13 +158,6 @@ def _permutation_lists(rng: random.Random, sites: Sequence[int]) -> Tuple[list, 
         while j > i:
             j = bits(width)
         images[i], images[j] = images[j], images[i]
-    return chosen, images
-
-
-def permutation(rng: random.Random, sites: Sequence[int]) -> FinitePermutation:
-    """``sample`` of ``randint(2, len(pool))`` sites, mapped to a ``shuffle``
-    of themselves: :func:`_permutation_lists` without its fixed points."""
-    chosen, images = _permutation_lists(rng, sites)
     return FinitePermutation._canonical({s: d for s, d in zip(chosen, images) if s != d})
 
 

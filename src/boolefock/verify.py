@@ -216,11 +216,23 @@ PROBE_ELEMENTS = (
 )
 
 
-def _permuted_moments(state: BooleanState, word: Sequence, perm: FinitePermutation, engine: Engine):
-    """The moments of a word and of its image under a site permutation, from
-    one plan of the word."""
-    sites = word_sites(word)
-    return engine.moments(state, word, [sites, [perm(j) for j in sites]])
+def _closed_permutation(sites: Sequence[int], image: Sequence[int]) -> FinitePermutation:
+    """The permutation that sends each of ``sites`` to the site of ``image``
+    at its place, for distinct ``sites`` and distinct ``image``.
+
+    Under the map, the sites fall into cycles and chains; each chain starts
+    at a site that no image hits and ends at an image that is no site, and
+    the permutation sends that end back to the chain's start.
+    """
+    moved = dict(zip(sites, image))
+    hit = set(image)
+    for start in sites:
+        if start not in hit:
+            end = moved[start]
+            while end in moved:
+                end = moved[end]
+            moved[end] = start
+    return FinitePermutation._canonical({s: d for s, d in moved.items() if s != d})
 
 
 def check_exchangeable(
@@ -235,22 +247,25 @@ def check_exchangeable(
 
     Runs the two pure length-one probes first (these witness any
     non-symmetric state of the implemented family), then the requested
-    number of random words against random permutations, each word and its
-    image evaluated from one plan.  The swap ``(i fresh)`` maps the probe
-    word ``[(i, probe)]`` to ``[(fresh, probe)]``, so each probe is planned
-    once and evaluated once per site, and each site is compared with the
-    fresh site (see ``_record_sites``).  Each probe counts one sample per
-    site other than the fresh one, and its witness is the swap of the first
-    failing site with the fresh site.  The worst of the probes, ``gamma *
-    max(max_i T_ii, max_i |T_i#|)`` exactly, is the report's ``boundary``,
-    which decides exchangeability; the words are audits.
+    number of random words against the images of their sites under random
+    permutations, each word and its image evaluated from one plan.  The
+    swap ``(i fresh)`` maps the probe word ``[(i, probe)]`` to ``[(fresh,
+    probe)]``, so each probe is planned once and evaluated once per site,
+    and each site is compared with the fresh site (see ``_record_sites``).
+    Each probe counts one sample per site other than the fresh one, and its
+    witness is the swap of the first failing site with the fresh site.  The
+    worst of the probes, ``gamma * max(max_i T_ii, max_i |T_i#|)`` exactly,
+    is the report's ``boundary``, which decides exchangeability; the words
+    are audits.
 
-    Each permutation is drawn as its two lists, and only the image of the
-    word's sites is read from them.  A word whose sites the permutation
-    leaves in place is evaluated once: its image would repeat the same
-    float operations on the same entries, so its deviation is ``|lhs -
-    lhs|``, 0.0 or NaN, either way.  The witness's permutation is built
-    only for a failing word.
+    A moment reads a permutation only through the images of the word's
+    sites, so each word draws just those: a ``sample`` of ``len(sites)``
+    distinct sites of the pool, the law of the word's sites under a
+    uniformly random permutation of the pool.  The draw reads O(len)
+    random bits whatever the size of the pool, and the word and its image
+    are evaluated in one ``moments`` call.  A failing word's witness is the
+    permutation :func:`_closed_permutation` builds from its sites and their
+    images.
 
     A state with gamma 0, or whose density has no site rows, draws no
     word: ``moments`` then returns the scalar, or reads T only at
@@ -283,22 +298,13 @@ def check_exchangeable(
     if state.gamma == 0.0 or not state.density.site_support():
         rec.record(0.0, lambda: {}, samples=n_words)
         return rec.report("exchangeability", boundary)
+    bits = rng.getrandbits
     for _ in range(n_words):
         word = sampling.word(rng, pool, max_len)
-        chosen, images = sampling._permutation_lists(rng, pool)
-        moved = dict(zip(chosen, images))
         sites = word_sites(word)
-        image = [moved.get(j, j) for j in sites]
-        if image == sites:
-            # the image's assignment would repeat the word's float
-            # operations on the same entries: rhs is lhs bit for bit
-            lhs = rhs = engine.moments(state, word, [sites])[0]
-        else:
-            lhs, rhs = engine.moments(state, word, [sites, image])
-        rec.record(
-            abs(lhs - rhs),
-            lambda: witness(word, FinitePermutation._canonical({s: d for s, d in moved.items() if s != d}), lhs, rhs),
-        )
+        image = sampling._sample(bits, pool, len(sites))
+        lhs, rhs = engine.moments(state, word, [sites, image])
+        rec.record(abs(lhs - rhs), lambda: witness(word, _closed_permutation(sites, image), lhs, rhs))
     return rec.report("exchangeability", boundary)
 
 
@@ -546,7 +552,8 @@ def classify_definetti(
 def _replay_exchangeability(state: BooleanState, witness: dict, tol: float) -> tuple:
     word = word_from_json(witness["word"])
     perm = FinitePermutation.from_json(witness["permutation"])
-    lhs, rhs = _permuted_moments(state, word, perm, SPARSE_ENGINE)
+    sites = word_sites(word)
+    lhs, rhs = moments(state, word, [sites, [perm(j) for j in sites]])
     return lhs, rhs, abs(lhs - rhs)
 
 

@@ -118,11 +118,15 @@ def dense_evaluate(state: BooleanState, x: BooleanElement) -> complex:
 def dense_moment(
     state: BooleanState, word: Sequence[Tuple[int, TestAlgebraElement]]
 ) -> complex:
+    """The state on the word's product, over the vacuum, the word's sites
+    in order of first occurrence and then the rest of the support, sorted:
+    where T has no site rows among the word's sites, a relabelled word is
+    computed by the same operations on the same entries."""
     if not word:
         raise ValueError("moment requires a non-empty word")
-    sites = [j for j, _ in word]
+    sites = word_sites(word)
     supp = state.density.site_support() if state.gamma != 0.0 else ()
-    basis = truncation_basis(sites, supp)
+    basis = [VACUUM, *sites, *sorted(set(supp) - set(sites))]
     pos = {ix: k for k, ix in enumerate(basis)}
     dim = len(basis)
     prod = np.eye(dim, dtype=complex)

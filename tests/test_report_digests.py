@@ -57,22 +57,22 @@ STATES = {
     },
 }
 
-SWEEP_DIGEST = "116e0185e215a8b57ad73cb22f499cdb2463376cba267a8e63f023e214c3806d"
+SWEEP_DIGEST = "a51132922114c5100f5c955523d60647147ccc055dd3111215d64a0f107dd0b5"
 
 CLASSIFY_DIGESTS = {
-    "expected_vacuum_eigenvalue": "5b911c5b0f6b0d1fa0efe164e90c5e0e50d14b8dc28972547b40b766be334845",
-    "expected_vacuum_in_kernel": "08a7d52939c3aa0a5d149f4346d05b01c34d662a6e250482f5c07a990de31c32",
+    "expected_vacuum_eigenvalue": "47b88b5e2f323bdb8405a79bebabd57b682dc964327b3a88f9054e0d84320d70",
+    "expected_vacuum_in_kernel": "58e13fce4b1a9131d0c3f310fda99c14fee02b0a630d83b702b414b0af1f79fe",
     "near_vacuum_singular": "0a13e4d531ecb3596fc213c0c979b92ac74f2567d417fac4f9207cf37877b3df",
-    "nonexpected": "30bce5725b2111a77f67cfb69c493a8bb8abac59be0b20225ffe65bcff9c7177",
+    "nonexpected": "c9383a987f64f30b8614f62c40f1880642ac2eb443511b50cde287fdc796b674",
     "vacuum": "c73f9480cbf26bb23bbe21fa8aaf0dff73633c7f6df248b2f9891f6ec024ea80",
-    "wide_20_sites": "7b414a5dd12da27cdb5a3913670ac3e41d7ebe1f49d6b9878f69fd1efa102870",
+    "wide_20_sites": "fca7bd5f746272d30fe9380c854ad4e67ae9ed2c81a9a64608594df462fa587b",
 }
 
 #: The csv and human classify reports of one state; the human one renders
 #: every witness through ``jsonutil.dumps``, nested under its check line.
 TEXT_CLASSIFY_DIGESTS = {
-    "csv": "ed71828ddc0e7f3d22fcc81bef5b7df7211ab752f89c515b41209eb35b2d8001",
-    "human": "ad5a1cb295cb3ee49c4a3a010b34cd3ff0d4e2559ee3843a3dcf16e890fb6522",
+    "csv": "ec4543f83c6d96e76e139660d4663bd32bdad897643befc1228ecd6319fdb81d",
+    "human": "71cb2f78192090e9623e86ac5285847e0c915dbdf7e6cd38e9dfcdf24955c780",
 }
 
 # the vacuum and the near-vacuum state store no witness: their replays agree

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from functools import partial
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,10 +305,22 @@ class PairwiseRecorder:
         )
 
 
+def audit_words(state, n_words, max_len, seed):
+    """The random words ``check_exchangeable`` draws from
+    ``random.Random(seed)``, each as ``(word, sites, image)``: the word, its
+    distinct sites, and their images, a ``sample`` of as many sites of the
+    pool."""
+    rng = random.Random(seed)
+    pool = site_pool(state)
+    for _ in range(n_words):
+        word = sampling.word(rng, pool, max_len)
+        sites = word_sites(word)
+        yield word, sites, rng.sample(pool, len(sites))
+
+
 def pairwise_check_exchangeable(
     state, n_words=200, max_len=5, seed=0, tol=CHECK_TOL, engine=SPARSE_ENGINE
 ):
-    rng = random.Random(seed)
     pool = site_pool(state)
     rec = PairwiseRecorder(tol)
 
@@ -329,8 +342,8 @@ def pairwise_check_exchangeable(
     for probe in PROBE_ELEMENTS:
         for i in pool[:-1]:
             compare([(i, probe)], FinitePermutation.swap(i, pool[-1]))
-    for _ in range(n_words):
-        compare(sampling.word(rng, pool, max_len), sampling.permutation(rng, pool))
+    for word, sites, image in audit_words(state, n_words, max_len, seed):
+        compare(word, verify._closed_permutation(sites, image))
     return rec.report("exchangeability")
 
 
@@ -399,7 +412,7 @@ def test_per_site_checkers_match_pairwise_reference():
         tol = check_exchangeable(sweep_three, n_words=0, engine=engine).max_deviation
         report = check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine)
         assert_same_report(report, pairwise_check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine))
-        assert (len(report.witness["word"]), len(report.witness["permutation"]["map"])) == (3, 7)
+        assert (len(report.witness["word"]), len(report.witness["permutation"]["map"])) == (1, 2)
 
 
 def modulus(z):
@@ -603,9 +616,8 @@ def counting_engine(base):
 
 
 def test_checkers_evaluate_each_site_once():
-    # one plan per probe over the pool, and one per random word: at the
-    # word's sites, and at their image unless the word's permutation leaves
-    # each of them in place; one marginal call over the pool
+    # one plan per probe over the pool, and one per random word, at the
+    # word's sites and at their image; one marginal call over the pool
     state = wide_state()
     pool = site_pool(state)
     engine, counts = counting_engine(SPARSE_ENGINE)
@@ -613,28 +625,16 @@ def test_checkers_evaluate_each_site_once():
     assert counts == Counter({"site_marginals": 1, ("site_marginals", "sites"): len(pool)})
     counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
-    rng = random.Random(62)
-    in_place = 0
-    for _ in range(25):
-        word = sampling.word(rng, pool, 5)
-        perm = sampling.permutation(rng, pool)
-        in_place += all(perm(j) == j for j in word_sites(word))
-    assert 0 < in_place < 25
-    moved = 25 - in_place
-    assert counts == Counter({"moments": 2 + 25, ("moments", "sites"): 2 * len(pool) + in_place + 2 * moved})
+    assert counts == Counter({"moments": 2 + 25, ("moments", "sites"): 2 * len(pool) + 2 * 25})
 
 
 def assert_every_word_deviates_by_zero(state, n_words, max_len, seed, engine):
-    """Draw the words and permutations the exchangeability check drew from
+    """Draw the words and images the exchangeability check drew from
     ``random.Random(seed)`` when it evaluated every word, and compare the
     moments of each word and its image bit for bit."""
-    rng = random.Random(seed)
-    pool = site_pool(state)
-    for _ in range(n_words):
-        word = sampling.word(rng, pool, max_len)
-        perm = sampling.permutation(rng, pool)
-        lhs, rhs = verify._permuted_moments(state, word, perm, engine)
-        assert abs(lhs - rhs) == 0.0 and repr(lhs) == repr(rhs), (word_to_json(word), perm.to_json())
+    for word, sites, image in audit_words(state, n_words, max_len, seed):
+        lhs, rhs = engine.moments(state, word, [sites, image])
+        assert abs(lhs - rhs) == 0.0 and repr(lhs) == repr(rhs), (word_to_json(word), image)
 
 
 def gamma_zero_with_site_rows():
@@ -930,6 +930,30 @@ def test_classify_large_support_matches_closed_form():
     assert counts == Counter({"moments": 2, ("moments", "sites"): 2 * (n_sites + 1)})
 
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        CountingRandom.calls += 1
+        return super().getrandbits(k)
+
+
+def test_the_word_draw_does_not_grow_with_the_pool(monkeypatch):
+    # the rank-2 state of the large-support test: a word and the images of
+    # its sites read O(len) random bits, however many sites the pool holds
+    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=CountingRandom))
+    rng = random.Random(63)
+    for n_sites in (256, 2000, 10_000):
+        xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
+        state = BooleanState(0.8, TraceClassOperator(((0.4, vacuum_vector()), (0.6, (1.0 / xi.norm()) * xi))))
+        CountingRandom.calls = 0
+        report = check_exchangeable(state, n_words=60, seed=64)
+        assert report.samples_run == 2 * n_sites + 60
+        assert CountingRandom.calls <= 25 * 60, (n_sites, CountingRandom.calls)
+
+
 def test_pair_check_conditions_on_the_state_preserving_phi():
     # with gamma < 1 the site corner of T alone does not preserve the
     # state, and pair factorization failed only because of it
@@ -1069,7 +1093,7 @@ def test_classify_matches_theory_on_the_delta_stratum():
 #: Verdicts of T = |xi><xi|, xi = 0.6 e_# + 0.8 e_1, by gamma: D = 0.64 gamma
 #: and C = 0.48 gamma, so the state is exchangeable, expected and
 #: conditionally i.i.d. from gamma = 1e-9 down, and none of them above.
-#: Exchangeability's audits deviate by about 1.478 gamma, the worst random
+#: Exchangeability's audits deviate by about 1.872 gamma, the worst random
 #: word's at seed 0.
 SMALL_GAMMA_VERDICTS = {
     1e-6: (False, False, False, True),
@@ -1086,7 +1110,7 @@ def test_classify_a_coherent_rank_one_density_at_small_gamma():
         result = classify_definetti(BooleanState(gamma, t), seed=0)
         assert (result.symmetric, result.expected, result.iid, result.consistent) == verdicts, gamma
         exch = next(r for r in result.reports if r.name == "exchangeability")
-        assert abs(exch.max_deviation / gamma - 1.478) <= 2e-3, gamma
+        assert abs(exch.max_deviation / gamma - 1.872) <= 2e-3, gamma
         assert abs(exch.boundary / gamma - 0.64) <= 1e-12, gamma
 
 
