@@ -8,8 +8,10 @@ CHANGES.md, together with what moved and why.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -86,6 +88,17 @@ REPLAY_DIGESTS = {
 }
 
 
+#: One digest over the JSON classify reports of the first three generated
+#: inputs of each classify workload at benchmark seed 1, classified as the
+#: benchmark classifies them: ranks 16, 11 and 19 over 22 to 24 sites, and
+#: rank 2 over 20 to 33 sites.  These pin T's entries at rank >= 8, the
+#: loader's orthonormality check over many eigenpairs, and the echo of a
+#: state of several hundred amplitudes.
+BENCHMARK_INPUTS_DIGEST = "41618d0c3ca665605745efada6f5d9dd0025e75631859dc4b69a0d4160681374"
+
+BENCHMARK_INPUTS = [(workload, index) for workload in ("classify-deep", "classify-wide") for index in range(3)]
+
+
 def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -116,3 +129,20 @@ def test_classify_text_format_digests(tmp_path, output_format):
     argv = ["classify", "--state", str(state), "--seed", "5", "--samples", "60", "--format", output_format]
     assert main(argv + ["--out", str(report)]) == 0
     assert digest(report) == TEXT_CLASSIFY_DIGESTS[output_format]
+
+
+def test_benchmark_input_reports_digest(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_inputs", root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    total = hashlib.sha256()
+    for workload, index in BENCHMARK_INPUTS:
+        obj, _ = inputs.make_state(workload, 1, index)
+        state, report = tmp_path / "state.json", tmp_path / "report.json"
+        state.write_text(json.dumps(obj))
+        argv = ["classify", "--state", str(state), "--seed", str(1000 + index), "--tolerance", "1e-9",
+                "--samples", "100", "--max-word-len", "5", "--format", "json", "--out", str(report)]
+        assert main(argv) == 0
+        total.update(report.read_bytes())
+    assert total.hexdigest() == BENCHMARK_INPUTS_DIGEST
