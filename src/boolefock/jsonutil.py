@@ -31,6 +31,13 @@ def shown(obj: Any) -> str:
 
 
 def decode_complex(obj: Any) -> complex:
+    """A ``[re, im]`` pair of JSON numbers as a complex, each part read by
+    :func:`decode_float`; a list of two finite floats, the form every saved
+    amplitude takes, is read at once."""
+    if type(obj) is list and len(obj) == 2:
+        re, im = obj
+        if type(re) is float and type(im) is float and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX:
+            return complex(re, im)
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"expected a [re, im] pair, got {shown(obj)}")
     re, im = obj
@@ -132,6 +139,10 @@ def _emit_items(items, buf: list, indent: str) -> None:
         return
     inner = indent + "  "
     sep = ",\n" + inner
+    if len(items) == 2 and type(items[0]) is float and type(items[1]) is float:
+        # a [re, im] pair, in one append
+        buf.append("[\n" + inner + format_float(items[0]) + sep + format_float(items[1]) + "\n" + indent + "]")
+        return
     buf.append("[\n" + inner)
     for k, item in enumerate(items):
         if k:

@@ -83,11 +83,18 @@ def complex_box(rng: random.Random) -> complex:
 
 
 def test_element(rng: random.Random) -> TestAlgebraElement:
-    """Five boxes, drawn as :func:`complex_box` draws them."""
+    """Five boxes ``a, b, c, d, beta``, drawn in that order as
+    :func:`complex_box` draws them, and stored as they are drawn, with no
+    further coercion."""
     r = rng.random
-    return TestAlgebraElement._canonical(
-        *[complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r()) for _ in range(5)]
-    )
+    x = object.__new__(TestAlgebraElement)
+    box = x.__dict__
+    box["a"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+    box["b"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+    box["c"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+    box["d"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+    box["beta"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+    return x
 
 
 def site_vector(
@@ -126,19 +133,28 @@ def word(
 ) -> List[Tuple[int, TestAlgebraElement]]:
     """``randint(1, max_len)`` letters, each a ``choice`` of site and a
     :func:`test_element`; the integers read ``getrandbits`` inline by
-    :func:`_below`'s rejection rule, with the stream of those calls."""
-    bits = rng.getrandbits
-    pool = list(sites)
-    if not pool:
+    :func:`_below`'s rejection rule, with the stream of those calls.  Each
+    letter's five boxes are drawn inline, as :func:`test_element` draws
+    them, and sites are picked from ``sites`` itself, uncopied."""
+    bits, r = rng.getrandbits, rng.random
+    n = len(sites)
+    if not n:
         raise ValueError("a word needs a non-empty site pool")
-    n = len(pool)
     width = n.bit_length()
+    new = object.__new__
     letters = []
     for _ in range(1 + _below(bits, max_len)):
         j = bits(width)
         while j >= n:
             j = bits(width)
-        letters.append((pool[j], test_element(rng)))
+        x = new(TestAlgebraElement)
+        box = x.__dict__
+        box["a"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        box["b"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        box["c"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        box["d"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        box["beta"] = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        letters.append((sites[j], x))
     return letters
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, product_entries, vacuum_vector
@@ -76,7 +78,11 @@ class TraceClassOperator:
             for j in range(i, len(pairs)):
                 v = pairs[j][1]
                 expected = 1.0 if i == j else 0.0
-                if abs(u.inner(v) - expected) > ORTHO_TOL:
+                try:
+                    off = abs(u.inner(v) - expected)
+                except OverflowError:  # finite parts, but a modulus beyond the float range
+                    off = math.inf
+                if off > ORTHO_TOL:
                     raise ValueError("eigenvectors must be orthonormal")
         object.__setattr__(self, "eigenpairs", tuple(pairs))
         amplitudes = [
@@ -109,13 +115,13 @@ class TraceClassOperator:
         """Matrix entry ``<T e_n, e_m>``: ``sum_k (w_k * amp_k(m)) *
         conj(amp_k(n))`` in eigenpair order, summed from the rows once per
         pair and then read from the memo; ``0j`` where either index has no
-        row."""
+        row.  The sum is a strict left fold from ``0j`` run in C, the
+        operations of a ``+=`` loop in the same order (``sum`` is not used:
+        it may compensate its rounding)."""
         value = self._entries.get((m, n))
         if value is None:
-            value, rows = 0j, self._rows
-            if m in rows and n in rows:
-                for wa, ca in zip(rows[m][0], rows[n][1]):
-                    value += wa * ca
+            rows = self._rows
+            value = reduce(add, map(mul, rows[m][0], rows[n][1]), 0j) if m in rows and n in rows else 0j
             self._entries[(m, n)] = value
         return value
 
@@ -267,34 +273,42 @@ def moments(
     """
     if not word:
         raise ValueError("moment requires a non-empty word")
-    scalar = word[0][1].beta
-    for _, a in word[1:]:
+    # one pass: the product of the betas, and each distinct site's slot in
+    # order of first occurrence
+    site, head = word[0]
+    scalar, slot = head.beta, {site: 1}
+    for j, a in word[1:]:
         scalar *= a.beta
-    slot = {j: p for p, j in enumerate(word_sites(word), 1)}
-    indexed = [_site_indices(sites, len(slot)) for sites in assignments]
-    if state.gamma == 0.0:
+        if j not in slot:
+            slot[j] = len(slot) + 1
+    count = len(slot)
+    indexed = [_site_indices(sites, count) for sites in assignments]
+    gamma = state.gamma
+    if gamma == 0.0:
         return [scalar] * len(indexed)
     # per factor, right to left: its slot, the betas its site's coordinate
     # gathered since last mixed, and its block's four entries; the vacuum
     # coordinate is mixed by every factor, so it never gathers any
-    pending = [1.0] * (len(slot) + 1)
+    size = count + 1
+    pending = [1.0] * size
     plan = []
     for j, a in reversed(word):
         p = slot[j]
         plan.append((p, pending[p], a.a, a.b, a.c, a.d))
-        pending = [z * a.beta for z in pending]
+        beta = a.beta
+        pending = [z * beta for z in pending]
         pending[0] = pending[p] = 1.0
     density = state.density
-    memo, rows = density._entries, density._rows
+    cached, rows, entry = density._entries.get, density._rows, density.entry
     values = []
     for indices in indexed:
         live = [(p, ix) for p, ix in enumerate(indices) if ix in rows]
         total = 0j
         for q, n in live:
-            v = [0j] * len(pending)
+            v = [0j] * size
             for p, m in live:
-                entry = memo.get((m, n))
-                v[p] = entry if entry is not None else density.entry(m, n)
+                value = cached((m, n))
+                v[p] = value if value is not None else entry(m, n)
             diagonal = v[q]
             for p, scale, a, b, c, d in plan:
                 v0, vp = v[0], scale * v[p]
@@ -302,7 +316,7 @@ def moments(
                 v[p] = c * v0 + d * vp
             # pending[q] holds the betas gathered since coordinate q was last mixed
             total += pending[q] * v[q] - scalar * diagonal
-        values.append(state.gamma * total + scalar)
+        values.append(gamma * total + scalar)
     return values
 
 

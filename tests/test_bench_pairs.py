@@ -217,3 +217,39 @@ def test_a_claim_off_the_series_exits_2_before_any_run(tmp_path, monkeypatch, ca
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def test_a_metric_is_unresolved_where_the_spread_exceeds_its_bound_and_the_runs_overlap():
+    tool = load_tool()
+
+    def rate(pairs):
+        return tool.aggregate(series(pairs), END_TO_END)["workloads"]["sweep-c8"]["states_per_s"]
+
+    # parent runs 80..120: q1 90, median 100, q3 110, a spread of 20% of the
+    # median; the change's own runs are tight
+    parent = [80.0, 90.0, 100.0, 110.0, 120.0]
+    # the bound of 0.2 is not exceeded: resolved, however the runs overlap
+    entry = rate([(p, 100.0 + k) for k, p in enumerate(parent)])
+    assert entry["spread"] == pytest.approx(0.2)
+    assert entry["unresolved"] is False
+    # a wider parent spread with overlapping runs is unresolved, although
+    # the medians are within the bound
+    wide = [70.0, 85.0, 100.0, 115.0, 130.0]
+    entry = rate([(p, 100.0 + k) for k, p in enumerate(wide)])
+    assert entry["spread"] == pytest.approx(0.3)
+    assert (entry["within_bound"], entry["unresolved"]) == (True, True)
+    # the same spread is resolved where every change run beats every parent run
+    entry = rate([(p, 131.0 + k) for k, p in enumerate(wide)])
+    assert entry["unresolved"] is False
+    # the wider side sets the spread: a noisy change over a tight parent
+    entry = rate([(100.0, c) for c in wide])
+    assert entry["spread"] == pytest.approx(0.3)
+    assert entry["unresolved"] is True
+    # a lower-is-better metric beats every parent run from below
+    p50s = [(p / 10.0, 6.9 - k / 100.0) for k, p in enumerate(wide)]
+    entry = tool.aggregate(series([(100.0, 100.0)] * 5, p50s), END_TO_END)["workloads"]["sweep-c8"]["state_ms.p50"]
+    assert entry["spread"] == pytest.approx(0.3)
+    assert entry["unresolved"] is False
+    p50s[0] = (7.0, 7.5)
+    entry = tool.aggregate(series([(100.0, 100.0)] * 5, p50s), END_TO_END)["workloads"]["sweep-c8"]["state_ms.p50"]
+    assert entry["unresolved"] is True

@@ -259,6 +259,12 @@ MESSAGE_BOUND = 200
 
 HUGE = list(range(100_000))
 LONG_KEY = "x" * 100_000
+#: Finite amplitudes whose cross inner product has a modulus beyond the
+#: float range.
+OVERFLOWING_GRAM = {"gamma": 1.0, "T": {"eigenpairs": [
+    {"weight": 0.5, "vector": {"1": [1.0, 0.0]}},
+    {"weight": 0.5, "vector": {"1": [1.5e308, 1.5e308]}},
+]}}
 REPEATED_ENTRY = {"scalar": [0.0, 0.0], "compact": [{"row": 1, "col": 1, "amp": [1.0, 0.0]}] * 100_000}
 
 
@@ -278,10 +284,11 @@ def _eigenvector(vector):
         (json.dumps(_eigenvector({"#": [1.0, 0.0], "1" * 5000: [0.0, 0.0]})), "canonical site integer key"),
         (json.dumps(HUGE), "expected an object with gamma and T"),
         ('{"%s": 1, "%s": 2}' % (LONG_KEY, LONG_KEY), "duplicate object key"),
+        (json.dumps(OVERFLOWING_GRAM), "eigenvectors must be orthonormal"),
     ],
     ids=[
         "T-list", "vector-list", "amplitude-list", "site-key", "digit-key", "long-digit-key", "top-level-list",
-        "repeated-key",
+        "repeated-key", "overflowing-gram",
     ],
 )
 def test_classify_shows_a_huge_rejected_value_in_one_short_line(tmp_path, capsys, text, message):
@@ -928,10 +935,11 @@ def _report_witness(payload, value):
         (lambda payload: dict(payload, reports="abc"), "reports"),
         (lambda payload: _report_witness(payload, [1]), "witness"),
         (lambda payload: _report_witness(payload, dict(payload["reports"][0]["witness"], kind=[1])), "kind"),
+        (lambda payload: dict(payload, state=OVERFLOWING_GRAM), "eigenvectors must be orthonormal"),
     ],
     ids=[
         "payload-int", "payload-list", "rows-int", "row-int", "row-reports-int", "report-int",
-        "reports-str", "witness-list", "witness-kind-list",
+        "reports-str", "witness-list", "witness-kind-list", "overflowing-gram",
     ],
 )
 def test_replay_rejects_malformed_payload_shape(tmp_path, capsys, reshape, message):

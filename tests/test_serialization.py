@@ -81,6 +81,11 @@ def test_decode_errors():
         jsonutil.decode_complex([1.0])
     with pytest.raises(ValueError):
         jsonutil.decode_complex([1.0, "x"])
+    for bad in ([True, 0.0], [0.5, math.inf], [0.5, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            jsonutil.decode_complex(bad)
+    value = jsonutil.decode_complex([1, 0])
+    assert (type(value), value) == (complex, 1 + 0j)
     with pytest.raises(ValueError):
         BooleanElement.from_json({"scalar": [0, 0]})
     for bad in (True, 0, -1, 1.0, "1", "x", None, [1]):
@@ -298,7 +303,8 @@ def test_dumps_writes_the_bytes_of_the_frozen_writer():
     for _ in range(400):
         obj = _payload(rng, 4)
         assert jsonutil.dumps(obj) == frozen_dumps(obj)
-    for obj in (EDGE_FLOATS, tuple(STRINGS), [[], {}, ()], {"": {"": []}}, Level.LOW, Ratio(1.5), Label("x")):
+    for obj in (EDGE_FLOATS, tuple(STRINGS), [[], {}, ()], {"": {"": []}}, Level.LOW, Ratio(1.5), Label("x"),
+                [-0.0, 0.0], {"z": [5e-324, -1e308]}, [Ratio(0.25), 0.5], [0.5, Ratio(-0.0)]):
         assert jsonutil.dumps(obj) == frozen_dumps(obj)
     bad = [math.nan, -math.inf, {1: "one"}, {"a": 0.5, (1, 2): 0.5}, 1 + 2j, {1, 2}, {True: 0}, Ratio("nan")]
     for value in bad:
@@ -306,3 +312,6 @@ def test_dumps_writes_the_bytes_of_the_frozen_writer():
             outcome = _outcome(jsonutil.dumps, obj)
             assert outcome == _outcome(frozen_dumps, obj)
             assert isinstance(outcome, tuple) and outcome[0] in (TypeError, ValueError)
+    for obj in ([math.nan, 0.5], {"z": [0.5, -math.inf]}):
+        outcome = _outcome(jsonutil.dumps, obj)
+        assert outcome == _outcome(frozen_dumps, obj) and outcome[0] is ValueError

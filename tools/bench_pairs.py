@@ -20,12 +20,16 @@ line (the last line ``run.py`` prints) in the layout of the repository's
 ``--pairs`` and an ``end_to_end`` metric of ``BENCHMARK.json``; otherwise
 the tool exits 2 before any run.
 
-The summary gives two verdicts.  Each workload's metric records
+The summary gives three verdicts.  Each workload's metric records
 ``within_bound``: whether the change's median is worse than the parent's
 by no more than the metric's ``bound``, a share of the parent's median.
-The claim records ``meets_claim_rule``: whether the change wins at least
-9 of every 10 pairs, and its median is better than the parent's by more
-than the parent's interquartile range.
+It also records ``spread``, the wider of the two sides' interquartile
+ranges as a share of the parent's median, and ``unresolved``: whether
+that spread exceeds the bound while some change run fails to beat some
+parent run, so that the runs are too noisy to tell a regression within
+the bound from none.  The claim records ``meets_claim_rule``: whether the
+change wins at least 9 of every 10 pairs, and its median is better than
+the parent's by more than the parent's interquartile range.
 
 The trees are only read, apart from what ``run.py`` itself writes under
 each tree's ``perfbench/_runs/``.
@@ -99,6 +103,17 @@ def within_bound(parent_median: float, change_median: float, better: str, bound:
     return worse <= bound * abs(parent_median)
 
 
+def spread_verdict(values: dict, quarts: dict, better: str, bound: float) -> tuple:
+    """``(spread, unresolved)`` of one metric, from each side's runs and
+    :func:`quartiles`: the wider side's q3 - q1 as a share of the parent's
+    median, and whether it exceeds ``bound`` while not every change run
+    beats every parent run."""
+    spread = max(q["q3"] - q["q1"] for q in quarts.values()) / abs(quarts["parent"]["median"])
+    parent, change = values["parent"], values["change"]
+    beats_all = min(change) > max(parent) if better == "higher" else max(change) < min(parent)
+    return spread, spread > bound and not beats_all
+
+
 def claim_verdict(entry: dict, claimed: dict) -> dict:
     """``claimed`` with the claim rule's terms and verdict for its metric's
     summary ``entry``: at least 9 wins in 10 pairs, and a median gap in the
@@ -156,7 +171,9 @@ def aggregate(records: list, end_to_end: list, claimed: Optional[dict] = None) -
             for metric in end_to_end:
                 name = metric["name"]
                 values = {side: [res["metrics"][name]["value"] for res in results[side]] for side in SIDES}
-                parent, change = quartiles(values["parent"]), quartiles(values["change"])
+                quarts = {side: quartiles(values[side]) for side in SIDES}
+                parent, change = quarts["parent"], quarts["change"]
+                spread, noisy = spread_verdict(values, quarts, metric["better"], metric["bound"])
                 table[name] = {
                     "unit": metric["unit"],
                     "better": metric["better"],
@@ -168,6 +185,8 @@ def aggregate(records: list, end_to_end: list, claimed: Optional[dict] = None) -
                     "relative_change": change["median"] / parent["median"] - 1,
                     "bound": metric["bound"],
                     "within_bound": within_bound(parent["median"], change["median"], metric["better"], metric["bound"]),
+                    "spread": spread,
+                    "unresolved": noisy,
                 }
     if claimed:
         summary["claimed"] = claim_verdict(summary["workloads"][claimed["workload"]][claimed["metric"]], claimed)
