@@ -17,6 +17,7 @@ rounding residue from inflating supports.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Container, Dict, Mapping, Optional, Tuple, Union
 
@@ -124,7 +125,19 @@ class FockVector:
         return total
 
     def norm(self) -> float:
-        return abs(self.inner(self)) ** 0.5
+        """``sqrt(|<v, v>|)`` wherever that is finite and nonzero.  A nonzero
+        vector whose sum of squares overflows or underflows is first divided
+        by its largest amplitude part, and the norm of the quotient is scaled
+        back: it is then inf only where the norm itself exceeds the float
+        range."""
+        n = abs(self.inner(self)) ** 0.5
+        if 0.0 < n < math.inf:
+            return n
+        scale = max((max(abs(z.real), abs(z.imag)) for z in (self.vacuum_amp, *self.wave.values())))
+        if scale == 0.0:
+            return 0.0
+        unit = FockVector._canonical(self.vacuum_amp / scale, {i: a / scale for i, a in self.wave.items()})
+        return scale * abs(unit.inner(unit)) ** 0.5
 
     def __add__(self, other: "FockVector") -> "FockVector":
         wave = dict(self.wave)

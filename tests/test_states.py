@@ -6,6 +6,7 @@ import pytest
 
 from boolefock.algebra import (
     VACUUM,
+    FockVector,
     check_site,
     identity,
     matrix_unit,
@@ -494,3 +495,19 @@ def test_gram_schmidt_drops_dependent_vectors():
     for i, u in enumerate(frame):
         for j, w in enumerate(frame):
             assert abs(u.inner(w) - (1.0 if i == j else 0.0)) <= 1e-12
+
+
+def test_huge_and_tiny_vectors_normalize():
+    # the sum of squares of 1e200 overflows and that of 1e-200 underflows;
+    # the norm scales by the largest amplitude part first, so both vectors
+    # normalize to e_1, bit for bit
+    unit = TraceClassOperator.rank_one(site_vector(1))
+    for amp in (1e200, 1e-200):
+        v = FockVector(0j, {1: amp})
+        assert v.norm() == amp
+        assert TraceClassOperator.rank_one(v) == unit
+    assert gram_schmidt([FockVector(0j, {1: 1e200})]) == [site_vector(1)]
+    # where the sum of squares is finite and nonzero, the norm is its root
+    v = FockVector(3.0, {2: 4j, 5: 1e-9})
+    assert v.norm() == abs(v.inner(v)) ** 0.5
+    assert (FockVector().norm(), FockVector(1e200, {2: 1e200}).norm()) == (0.0, 2 ** 0.5 * 1e200)
