@@ -155,7 +155,9 @@ def site_marginals(
 
     ``embed(s, element)`` has vacuum corner ``a`` and site block
     ``(d - beta) * eps(s, s) + beta * I``, so the vacuum coordinate is
-    computed once and only ``T_ss`` is read per site.
+    computed once and only ``T_ss`` is read per site.  The
+    identical-distribution checker reads the corner coordinate by these
+    operations, without the site checks.
     """
     beta = element.beta
     vacuum_part = element.a - beta
@@ -181,8 +183,10 @@ def coherence(state: BooleanState) -> float:
     the vacuum vector is from an eigenvector of ``T``, in the state's units.
 
     0 for gamma 0, where the state reads no compact.  Each term is
-    ``abs(gamma * t.entry(i, VACUUM))``, the same bits as the exchangeability
-    checker's coherence probe at site i against a fresh site.
+    ``abs(gamma * t.entry(i, VACUUM))``: the read of
+    :func:`boolefock.verify.check_exchangeable`'s coherence probe at site i,
+    and of ``classify_definetti``'s coherence, and bit for bit the
+    deviation of that probe's moment at site i from a fresh site's.
     """
     gamma, t = state.gamma, state.density
     return max((abs(gamma * t.entry(i, VACUUM)) for i in t.site_support()), default=0.0)

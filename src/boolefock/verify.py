@@ -2,21 +2,25 @@
 
 Each checker samples identities, reports the worst deviation, and carries
 a serialized witness for the first failure so a run can be replayed.  The
-checkers route all kernel arithmetic through an :class:`Engine`, which
-lets the test suite substitute its dense-truncation oracle for the sparse
-kernel and compare verdicts.  The per-site scans read T's site diagonal
-and vacuum column over the pool, each once: they compare each site of the
-pool with its fresh site, the one site beyond the base pool and the
-support of the density, where every probe reads its value off T.
+sampled identities route their kernel arithmetic through an
+:class:`Engine`, which lets the test suite substitute its dense-truncation
+oracle for the sparse kernel and compare verdicts.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
 state: exchangeable if and only if conditionally independent and
 identically distributed over the tail algebra.  Each verdict reads one
-exact boundary quantity by its own route: the two pure exchangeability
-probes, the coherence of T's vacuum column, and the diagonal probe's
-conditioned marginal.  The random words and the pair check are audits
-that report, with their witnesses, but do not decide.  ``replay_witness``
-recomputes a stored witness through the same helpers its checker used.
+exact boundary quantity, a map of two columns of T over the density's site
+support, read once off T's memoised entries: the diagonal T_ii and the
+vacuum column T_i#.  Each site of the pool is compared with its fresh
+site, the one site beyond the base pool and the support, where every
+column reads 0, so a site off the support deviates by exactly 0.  The two
+pure exchangeability probes read ``gamma * T_ii`` and ``|gamma * T_i#|``,
+the coherence reads ``|gamma * T_i#|``, and the diagonal probe's
+conditioned marginal reads ``T_ii`` by the operations of
+:func:`boolefock.tail.site_marginals`.  The random words and the pair
+check are audits that report, with their witnesses, but do not decide.
+``replay_witness`` recomputes a stored witness through the same helpers
+its checker used.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
     DecisionError,
     PhiState,
-    coherence,
     cond_expect,
     preserving_phi,
     site_marginals,
@@ -62,22 +65,20 @@ from .tail import (
 
 
 class Engine(NamedTuple):
-    """The kernel operations a checker needs; the test suite swaps in a
-    dense-truncation engine to cross-check the sparse one.
+    """The kernel operations the sampled identities need; the test suite
+    swaps in a dense-truncation engine to cross-check the sparse one.
 
     ``evaluate_product`` is the state on the product of two elements (see
-    :func:`boolefock.states.evaluate_product`), ``moments`` evaluates one
-    word at each of several site assignments (see
-    :func:`boolefock.states.moments`), and ``site_marginals`` one
-    element's conditioned marginal at each of several sites (see
-    :func:`boolefock.tail.site_marginals`).
+    :func:`boolefock.states.evaluate_product`), and ``moments`` evaluates
+    one word at each of several site assignments (see
+    :func:`boolefock.states.moments`).  The deciding columns are read off
+    T's entries, not through an engine.
     """
 
     mul: Callable[[BooleanElement, BooleanElement], BooleanElement]
     evaluate_product: Callable[[BooleanState, BooleanElement, BooleanElement], complex]
     moments: Callable[[BooleanState, Sequence, Sequence[Sequence[int]]], List[complex]]
     cond_expect: Callable[[PhiState, BooleanElement], object]
-    site_marginals: Callable[[PhiState, TestAlgebraElement, Sequence[int]], list]
 
 
 SPARSE_ENGINE = Engine(
@@ -85,7 +86,6 @@ SPARSE_ENGINE = Engine(
     evaluate_product=evaluate_product,
     moments=moments,
     cond_expect=cond_expect,
-    site_marginals=site_marginals,
 )
 
 @dataclass
@@ -94,7 +94,7 @@ class CheckReport:
 
     ``passed`` holds exactly when ``max_deviation`` stayed within the
     tolerance; a failing report carries the first witness found.  A checker
-    that scans a deciding column also returns its maximum, the exact
+    that reads a deciding column also returns its maximum, the exact
     boundary quantity a verdict compares with the tolerance, as ``boundary``;
     ``to_json`` leaves it out.
     """
@@ -160,50 +160,6 @@ def site_pool(state: BooleanState) -> List[int]:
     return pool
 
 
-def _modulus(z: complex) -> float:
-    """``abs(z)``, or inf where the parts are finite but the modulus is not,
-    which ``abs`` raises on."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def _worst(deviations: Sequence[float]) -> float:
-    """The largest of some deviations, 0 for none; NaN if any is."""
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations, default=0.0)
-
-
-def _record_sites(
-    rec: _Recorder,
-    groups: Sequence[Sequence[Sequence[complex]]],
-    weight: float,
-    witness_at: Callable[[int, int], dict],
-) -> List[float]:
-    """Record a per-site scan for each group of columns; returns each
-    group's deviation.
-
-    Entry i of a column holds a value at the i-th site of the pool, whose
-    last site is the fresh one.  For the element of group e, site i
-    deviates by ``weight`` times the largest modulus of its difference from
-    the fresh site over the element's columns; the scan records the worst
-    over the sites, counts each as a sample, and calls ``witness_at(e, i)``
-    with the first failing site in pool order.  Multiplying by ``weight >=
-    0`` is monotone, so it is applied to the maximum.
-    """
-    worsts = []
-    for e, group in enumerate(groups):
-        moduli = [[_modulus(v - column[-1]) for v in column[:-1]] for column in group]
-        worst = weight * _worst(list(map(_worst, moduli)))
-        rec.record(
-            worst,
-            lambda: witness_at(e, next(i for i, row in enumerate(zip(*moduli)) if not weight * _worst(row) <= rec.tol)),
-            samples=len(moduli[0]),
-        )
-        worsts.append(worst)
-    return worsts
-
-
 #: The pure length-one probes, the site diagonal and the vacuum coherence:
 #: against the fresh site, where both read 0, site i deviates by exactly
 #: gamma * T_ii and |gamma * T_i#|.  Every other length-one word is fixed
@@ -250,13 +206,17 @@ def check_exchangeable(
     number of random words against the images of their sites under random
     permutations, each word and its image evaluated from one plan.  The
     swap ``(i fresh)`` maps the probe word ``[(i, probe)]`` to ``[(fresh,
-    probe)]``, so each probe is planned once and evaluated once per site,
-    and each site is compared with the fresh site (see ``_record_sites``).
-    Each probe counts one sample per site other than the fresh one, and its
-    witness is the swap of the first failing site with the fresh site.  The
-    worst of the probes, ``gamma * max(max_i T_ii, max_i |T_i#|)`` exactly,
-    is the report's ``boundary``, which decides exchangeability; the words
-    are audits.
+    probe)]``, which deviates from it by exactly ``|gamma * T_ii|`` for the
+    diagonal probe and ``|gamma * T_i#|`` for the coherence probe, bit for
+    bit the ``moments`` of the two; a site off the support deviates by 0.
+    So the probes read these columns off T over the support, the diagonal
+    first, and evaluate no moment.  Each probe counts one sample per site
+    of the pool other than the fresh one.  The first failing site, diagonal
+    first, gives the witness: the swap of that site with the fresh site,
+    with the sides from one ``moments`` call of the probe word.  The worst
+    of the probes, ``gamma * max(max_i T_ii, max_i |T_i#|)``, is the
+    report's ``boundary``, which decides exchangeability; the words are
+    audits.
 
     A moment reads a permutation only through the images of the word's
     sites, so each word draws just those: a ``sample`` of ``len(sites)``
@@ -275,10 +235,14 @@ def check_exchangeable(
     """
     rng = random.Random(seed)
     pool = site_pool(state)
+    fresh = pool[-1]
     rec = _Recorder(tol)
-    # the probe word's one site is a label: each assignment moves it
-    sites = [[i] for i in pool]
-    columns = [engine.moments(state, [(pool[0], probe)], sites) for probe in PROBE_ELEMENTS]
+    gamma, t = state.gamma, state.density
+    support = t.site_support()
+    columns = (
+        [abs(gamma * t.entry(i, i)) for i in support],
+        [abs(gamma * t.entry(i, VACUUM)) for i in support],
+    )
 
     def witness(word, perm, lhs, rhs):
         return {
@@ -289,13 +253,15 @@ def check_exchangeable(
             "rhs": encode_complex(rhs),
         }
 
-    def probe_witness(c, i):
-        word = [(pool[i], PROBE_ELEMENTS[c])]
-        return witness(word, FinitePermutation.swap(pool[i], pool[-1]), columns[c][i], columns[c][-1])
+    def probe_witness(probe, deviations):
+        site = next(i for i, deviation in zip(support, deviations) if not deviation <= tol)
+        word = [(site, probe)]
+        return witness(word, FinitePermutation.swap(site, fresh), *engine.moments(state, word, [[site], [fresh]]))
 
-    probes = _record_sites(rec, [[column] for column in columns], 1.0, probe_witness)
-    boundary = _worst(probes)
-    if state.gamma == 0.0 or not state.density.site_support():
+    for probe, deviations in zip(PROBE_ELEMENTS, columns):
+        rec.record(max(deviations, default=0.0), lambda: probe_witness(probe, deviations), samples=len(pool) - 1)
+    boundary = rec.max_deviation  # the worst probe: no word is recorded yet
+    if gamma == 0.0 or not support:
         rec.record(0.0, lambda: {}, samples=n_words)
         return rec.report("exchangeability", boundary)
     bits = rng.getrandbits
@@ -308,50 +274,60 @@ def check_exchangeable(
     return rec.report("exchangeability", boundary)
 
 
-def check_identically_distributed(
-    phi: PhiState,
-    tol: float = CHECK_TOL,
-    engine: Engine = SPARSE_ENGINE,
-) -> CheckReport:
+def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> CheckReport:
     """Check that the diagonal probe's conditioned one-site marginal does not
     depend on the site.
 
     The state is ``phi.state``.  The deviation is weighted by the state's
     mass on the site corner, ``psi(I - P)``, so that it is measured in the
-    state's units rather than in ``phi``'s.  The marginals come from one
-    ``site_marginals`` call over the pool, and the two tail coordinates at
-    each site are compared with those at the fresh site.  Each site other
-    than the fresh one counts one sample, and the witness pairs the first
-    failing site with the fresh site.  The deviation, ``psi(Q) * max_i |y_i
-    - y_fresh|``, is the report's ``boundary``, which decides identical
-    distribution.  Any other element ``(a, b, c, d, beta)`` has the same
-    tail coordinate x at every site and deviates by ``|d - beta|`` times
-    this, so scanning it would add no information.
+    state's units rather than in ``phi``'s.  The marginal's tail coordinate
+    x is one value at every site, and its corner coordinate y_i is read off
+    ``T_ii`` over the support by the operations of
+    :func:`boolefock.tail.site_marginals`, bit for bit, and compared with
+    the fresh site's; a site off the support reads the fresh site's value.
+    Each site of the pool other than the fresh one counts one sample, and
+    the witness pairs the first failing site with the fresh site, with the
+    marginals of one ``site_marginals`` call.  The deviation, ``psi(Q) *
+    max_i |y_i - y_fresh|``, is the report's ``boundary``, which decides
+    identical distribution.  Any other element ``(a, b, c, d, beta)`` has
+    the same tail coordinate x at every site and deviates by ``|d - beta|``
+    times this, so scanning it would add no information.
 
     A singular ``phi`` (gamma 0, or no site weight) gives every site the
     marginal ``(0, 0)``, so the column deviates by exactly 0: the checker
-    then scans nothing, and records its samples as that one 0.0.
+    then reads nothing, and records its samples as that one 0.0.
     """
     pool = site_pool(phi.state)
+    fresh = pool[-1]
     rec = _Recorder(tol)
     if phi._divisor is None:
         rec.record(0.0, lambda: {}, samples=len(pool) - 1)
         return rec.report("identical_distribution", 0.0)
     element = PROBE_ELEMENTS[0]
-    marginals = engine.site_marginals(phi, element, pool)
+    t, divisor, beta = phi.state.density, phi._divisor, element.beta
+    corner = element.d - beta
+    support = t.site_support()
 
-    def witness(_, i):
+    def corner_coordinate(j):
+        return (0j + corner * t.entry(j, j)) / divisor + beta
+
+    y_fresh = corner_coordinate(fresh)
+    deviations = [phi.psi_q * abs(corner_coordinate(i) - y_fresh) for i in support]
+
+    def witness():
+        site = next(i for i, deviation in zip(support, deviations) if not deviation <= tol)
+        lhs, rhs = site_marginals(phi, element, [site, fresh])
         return {
             "kind": "identical_distribution",
-            "site_i": pool[i],
-            "site_k": pool[-1],
+            "site_i": site,
+            "site_k": fresh,
             "element": element.to_json(),
-            "lhs": marginals[i].to_json(),
-            "rhs": marginals[-1].to_json(),
+            "lhs": lhs.to_json(),
+            "rhs": rhs.to_json(),
         }
 
-    columns = [[m.x for m in marginals], [m.y for m in marginals]]
-    (deviation,) = _record_sites(rec, [columns], phi.psi_q, witness)
+    deviation = max(deviations, default=0.0)
+    rec.record(deviation, witness, samples=len(pool) - 1)
     return rec.report("identical_distribution", deviation)
 
 
@@ -505,28 +481,31 @@ def classify_definetti(
     report records as its deviation, witnessed on the non-expected branch
     by :func:`coherence_sides` at the first site attaining it; identical
     distribution from the diagonal probe's conditioned marginal, ``gamma *
-    max_i T_ii`` in the state's units, which is that checker's only sample.
-    The random words and the pair check are audits: they report, with
-    their witnesses, on every state they are posed on, but decide nothing,
-    so no verdict depends on ``seed``.
+    max_i T_ii`` in the state's units.  Each is one read of T's memoised
+    entries over the density's site support; the coherence and its first
+    argmax come from one pass.  The random words and the pair check are
+    audits: they report, with their witnesses, on every state they are
+    posed on, but decide nothing, so no verdict depends on ``seed``.
     """
     exch = check_exchangeable(
         state, n_words=n_words, max_len=max_len, seed=seed, tol=tol, engine=engine
     )
-    coherent = coherence(state)
+    # tail.coherence and its first argmax over the support, in one pass
+    t = state.density
+    support = t.site_support()
+    terms = [abs(state.gamma * t.entry(i, VACUUM)) for i in support]
+    coherent = max(terms, default=0.0)
     expected = coherent <= tol
     if expected:
         phi = PhiState(state)
-        ident = check_identically_distributed(phi, tol=tol, engine=engine)
+        ident = check_identically_distributed(phi, tol=tol)
         pair = check_pair_independence(
             phi, n_samples=n_pairs, seed=seed + 2, tol=tol, engine=engine
         )
         tail_reports, witness = [ident, pair], None
         iid = ident.boundary <= tol
     else:
-        # max keeps the first site of the support that attains the coherence
-        t = state.density
-        site = max(t.site_support(), key=lambda i: abs(state.gamma * t.entry(i, VACUUM)))
+        site = support[terms.index(coherent)]
         lhs, rhs = coherence_sides(state, site)
         tail_reports = []
         witness = {"kind": "coherence", "site": site, "lhs": encode_complex(lhs), "rhs": encode_complex(rhs)}

@@ -6,7 +6,9 @@ computation with plain dense linear algebra, and converts back.  Products
 of finitely supported operators never leave that basis, so the truncation
 is exact; the only arithmetic shared with the sparse kernel is complex
 multiplication itself.  Tests substitute these for the kernel to cross
-check every operation, and ``DENSE_ENGINE`` runs the checkers on them.
+check every operation, and ``DENSE_ENGINE`` runs the checkers' sampled
+identities on them; ``dense_site_marginals`` is the reference for the
+marginal the identical-distribution checker reads off T.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def dense_cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     mass = np.trace(s).real
     if mass == 0:
         return TailElement(vac, x.scalar)
-    psi_q = mass + 1.0 - state.gamma
+    psi_q = mass + (1.0 - state.gamma)  # no cancellation of a tiny mass against 1
     psi_corner = complex(np.trace(s @ (q @ dense_compact(x, basis) @ q))) + x.scalar * psi_q
     return TailElement(vac, psi_corner / psi_q)
 
@@ -185,5 +187,4 @@ DENSE_ENGINE = Engine(
     evaluate_product=lambda s, x, y: dense_evaluate(s, dense_mul(x, y)),
     moments=dense_moments,
     cond_expect=dense_cond_expect,
-    site_marginals=dense_site_marginals,
 )

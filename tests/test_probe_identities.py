@@ -1,6 +1,9 @@
-"""The identities that make the two pure probes the whole per-site layer.
+"""The identities that make two columns of T the whole per-site layer.
 
-The per-site checkers scan only the diagonal and coherence probes.  Any
+The checkers read the diagonal and coherence probes, and the diagonal
+probe's conditioned marginal, off T's diagonal T_ii and vacuum column T_i#
+over the support; the first test holds those reads to the probes' moments
+and to the marginals, sparse bit for bit and dense within rounding.  Any
 other length-one column, such as the conjugate coherence probe ``(0, 0,
 1, 0, 0)``, the generic probe ``(1, 2, 3, 4, 5)`` or a drawn element's
 conditioned marginal, is a fixed map of those two columns, up to rounding,
@@ -35,8 +38,15 @@ from boolefock.algebra import VACUUM
 from boolefock.fock import TestAlgebraElement
 from boolefock.states import BooleanState, moments
 from boolefock.tail import PhiState, site_marginals
-from boolefock.verify import PROBE_ELEMENTS, check_exchangeable, site_pool
+from boolefock.verify import (
+    CHECK_TOL,
+    PROBE_ELEMENTS,
+    check_exchangeable,
+    check_identically_distributed,
+    site_pool,
+)
 
+from oracle import DENSE_ENGINE, dense_site_marginals
 from test_report_digests import STATES as REPORT_DIGEST_STATES
 from test_verify import STRATA
 
@@ -86,17 +96,68 @@ GROUPS = {
 }
 
 
-def column(state, element):
+def column(state, element, moments=moments):
     """The moments of the length-one word of ``element`` at each site of the
-    pool, as the exchangeability checker reads a probe."""
+    pool, as the exchangeability checker compares a probe."""
     pool = site_pool(state)
     return moments(state, [(pool[0], element)], [[i] for i in pool])
 
 
-def vacuum_overlap(state, i):
-    """``S = sum_k w_k |amp_k(#)| |amp_k(i)|``, which bounds ``|T_i#|`` and
-    ``|T_#i|`` and scales their rounding."""
-    return sum(w * abs(xi.vacuum_amp) * abs(xi.wave.get(i, 0)) for w, xi in state.density.eigenpairs)
+def overlap(state, i, j):
+    """``S = sum_k w_k |amp_k(i)| |amp_k(j)|``, which bounds ``|T_ij|`` and
+    ``|T_ji|`` and scales their rounding."""
+    return sum(w * abs(xi.amp(i)) * abs(xi.amp(j)) for w, xi in state.density.eigenpairs)
+
+
+def first_failing(pool, deviations):
+    return next((i for i, d in zip(pool, deviations) if not d <= CHECK_TOL), None)
+
+
+def assert_deciding_columns_match(state):
+    # the checkers read |gamma T_ii| and |gamma T_i#| over the support and 0
+    # elsewhere; so do the sparse moments of the probes against the fresh
+    # site, bit for bit, and psi(Q) |y_i - y_fresh| of the sparse marginals
+    # gives the identical-distribution reads.  A dense moment reads gamma
+    # times one dense entry, within two entry roundings (r + 3) U S and two
+    # roundings of gamma * entry and of the modulus: (2 r + 10) U gamma S.  A
+    # dense marginal divides gamma T_ii by psi(Q): its site mass is summed
+    # over a basis of n indices, within (n + r + 3) U of it, as is the site
+    # weight here; with the entries, the divisions and the modulus, (4 r + 2
+    # n + 24) U times the deviation
+    t, gamma, r = state.density, state.gamma, state.density.rank
+    pool = site_pool(state)
+    support = set(t.site_support())
+    reads = [
+        [abs(gamma * t.entry(i, i)) if i in support else 0.0 for i in pool[:-1]],
+        [abs(gamma * t.entry(i, VACUUM)) if i in support else 0.0 for i in pool[:-1]],
+    ]
+    exch = check_exchangeable(state, n_words=0)
+    # the diagonal probe reads T_ii, the coherence probe T_i#
+    for probe, read, column_index in zip(PROBE_ELEMENTS, reads, (None, VACUUM)):
+        sparse, dense = column(state, probe), column(state, probe, DENSE_ENGINE.moments)
+        assert [abs(v - sparse[-1]) for v in sparse[:-1]] == read
+        for i, v, want in zip(pool, dense, read):
+            slack = (2 * r + 10) * U * gamma * overlap(state, i, column_index or i)
+            assert abs(abs(v - dense[-1]) - want) <= slack, (i, v, want)
+    assert exch.boundary == max(max(read, default=0.0) for read in reads)
+    site = first_failing(pool, reads[0]) or first_failing(pool, reads[1])
+    assert (exch.witness and exch.witness["word"][0][0]) == site
+
+    phi = PhiState(state)
+    ident = check_identically_distributed(phi)
+    if phi._divisor is None:
+        assert ident.boundary == 0.0
+        return
+    marginals = site_marginals(phi, DIAGONAL, pool)
+    read = [phi.psi_q * m.max_diff(marginals[-1]) for m in marginals[:-1]]
+    assert all(d == 0.0 for i, d in zip(pool, read) if i not in support)
+    assert ident.boundary == max(read)
+    assert (ident.witness and ident.witness["site_i"]) == first_failing(pool, read)
+    dense = dense_site_marginals(phi, DIAGONAL, pool)
+    n = len(support) + 1
+    for m, want in zip(dense, read):
+        got = phi.psi_q * m.max_diff(dense[-1])
+        assert abs(got - want) <= (4 * r + 2 * n + 24) * U * want, (got, want)
 
 
 def assert_conjugate_probe_reads_the_coherence(state):
@@ -105,7 +166,7 @@ def assert_conjugate_probe_reads_the_coherence(state):
     r = state.density.rank
     pool = site_pool(state)
     for i, conjugate, coherent in zip(pool, column(state, CONJUGATE), column(state, COHERENCE)):
-        slack = (2 * r + 9) * U * state.gamma * vacuum_overlap(state, i)
+        slack = (2 * r + 9) * U * state.gamma * overlap(state, VACUUM, i)
         assert abs(conjugate.conjugate() - coherent) <= slack, (i, conjugate, coherent)
 
 
@@ -151,10 +212,20 @@ def assert_generic_probe_within_its_bound(state):
         terms = fresh_terms + b * abs(t.entry(i, VACUUM)) + c * abs(t.entry(VACUUM, i)) + (d + beta) * abs(t.entry(i, i))
         slack = U * (
             3 * factor * scale
-            + 2 * (r + 3) * c * gamma * vacuum_overlap(state, i)
+            + 2 * (r + 3) * c * gamma * overlap(state, VACUUM, i)
             + 9 * (gamma * (terms + fresh_terms) + 2 * beta)
         )
         assert abs(value - values[-1]) <= factor * scale + slack, (i, value, scale)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_the_deciding_columns_are_the_probe_moments_and_marginals(group):
+    states, count = GROUPS[group]
+    seen = 0
+    for state, _ in states():
+        assert_deciding_columns_match(state)
+        seen += 1
+    assert seen == count
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -9,7 +9,6 @@ from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from boolefock.algebra import VACUUM, BooleanElement, FockVector, identity, matrix_unit, site_vector, vacuum_vector
@@ -31,7 +30,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import DecisionError, PhiState, TailElement, coherence, cond_expect, preserving_phi
+from boolefock.tail import DecisionError, PhiState, coherence, cond_expect, preserving_phi, site_marginals
 from boolefock.verify import (
     CHECK_TOL,
     PROBE_ELEMENTS,
@@ -52,7 +51,7 @@ from boolefock.verify import (
 )
 from boolefock import sampling, verify
 
-from oracle import DENSE_ENGINE, dense_evaluate
+from oracle import DENSE_ENGINE, dense_evaluate, dense_site_marginals
 from test_report_digests import STATES as REPORT_DIGEST_STATES
 
 
@@ -224,13 +223,15 @@ def test_checkers_agree_with_dense_engine():
         assert abs(sparse.max_deviation - dense.max_deviation) <= 1e-10
 
     phi = PhiState(vacuum_state())
+    # the identical-distribution checker reads T's entries, on no engine:
+    # its dense half is the pairwise scan of the dense marginals
+    pairs = [(check_identically_distributed(phi), pairwise_check_identically_distributed(phi, engine=DENSE_ENGINE))]
     for checker, kwargs in (
-        (check_identically_distributed, {}),
         (check_pair_independence, {"n_samples": 20, "seed": 18}),
         (check_nfold_factorization, {"n": 3, "n_samples": 10, "seed": 19}),
     ):
-        sparse = checker(phi, engine=SPARSE_ENGINE, **kwargs)
-        dense = checker(phi, engine=DENSE_ENGINE, **kwargs)
+        pairs.append((checker(phi, engine=SPARSE_ENGINE, **kwargs), checker(phi, engine=DENSE_ENGINE, **kwargs)))
+    for sparse, dense in pairs:
         assert sparse.passed == dense.passed
         assert abs(sparse.max_deviation - dense.max_deviation) <= 1e-10
 
@@ -403,108 +404,32 @@ def test_per_site_checkers_match_pairwise_reference():
                 check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
                 pairwise_check_exchangeable(state, n_words=20, seed=31 + n, engine=engine),
             )
-            assert_same_report(
-                check_identically_distributed(phi, engine=engine),
-                pairwise_check_identically_distributed(phi, engine=engine),
-            )
+            if engine is SPARSE_ENGINE:
+                assert_same_report(check_identically_distributed(phi), pairwise_check_identically_distributed(phi))
+            else:
+                # the checker reads T's entries on either engine; the dense
+                # marginals agree with it to rounding, at the same site
+                assert_close_report(
+                    check_identically_distributed(phi), pairwise_check_identically_distributed(phi, engine=engine)
+                )
         # at the probes' own maximum no probe fails, so a random word
         # supplies the witness: its word, permutation and sides must match
         tol = check_exchangeable(sweep_three, n_words=0, engine=engine).max_deviation
+        if engine is DENSE_ENGINE:
+            # the dense reference reads the probes in its own arithmetic,
+            # which may round above the entries the checker reads
+            tol = max(tol, pairwise_check_exchangeable(sweep_three, n_words=0, engine=engine).max_deviation)
         report = check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine)
         assert_same_report(report, pairwise_check_exchangeable(sweep_three, n_words=20, seed=3, tol=tol, engine=engine))
         assert (len(report.witness["word"]), len(report.witness["permutation"]["map"])) == (1, 2)
 
 
-def modulus(z):
-    """``abs(z)``, or inf where finite parts have too large a modulus."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def listed_site_pairs(rows, width, weight, tol):
-    """The per-site scan over a list of the pairs of each site and the fresh
-    site, the last row: one list of deviations per column group, in pool
-    order; NaN fails and supplies the witness."""
-    pairs = [(i, len(rows) - 1) for i in range(len(rows) - 1)]
-    n_groups = len(rows[0]) // width
-    worst_seen, witness = 0.0, None
-    for e in range(n_groups):
-        if width == 1:
-            deviations = [weight * modulus(rows[i][e] - rows[j][e]) for i, j in pairs]
-        else:
-            tail = [TailElement(*row[2 * e:2 * e + 2]) for row in rows]
-            deviations = [weight * tail[i].max_diff(tail[j]) for i, j in pairs]
-        worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
-        if worst > worst_seen or math.isnan(worst):
-            worst_seen = worst
-        if witness is None and not worst <= tol:
-            i, j = next(pair for pair, d in zip(pairs, deviations) if not d <= tol)
-            witness = {"element": e, "i": i, "j": j}
-    return CheckReport("scan", worst_seen <= tol, worst_seen, witness, len(pairs) * n_groups)
-
-
-def reduced_site_pairs(rows, width, weight, tol):
-    rec = verify._Recorder(tol)
-    columns = [[complex(v) for v in column] for column in zip(*rows)]
-    groups = [columns[e:e + width] for e in range(0, len(columns), width)]
-    fresh = len(rows) - 1
-    verify._record_sites(rec, groups, weight, lambda e, i: {"element": e, "i": i, "j": fresh})
-    return rec.report("scan")
-
-
-# a pair whose difference np.abs takes to a different last bit than abs()
-ABS_SPLIT = (complex(-2.17, 3.562), complex(3.211, -3.755))
-INF, NAN = math.inf, math.nan
-# finite values whose difference has finite parts but too large a modulus
-HUGE = complex(0.8e308, 0.8e308)
-
-
-# each case runs alone, then with 20 more sites drawn from each seed
-@pytest.mark.parametrize("seed", [1 << 16, 5])
-@pytest.mark.parametrize(
-    "name, rows, width, weight",
-    [
-        ("duplicates", [[1 + 1j, 2j], [3, -1j], [1 + 1j, 2j], [0j, -0.0 + 0j], [3, -1j]], 1, 1.0),
-        ("duplicates weighted", [[1 + 1j, 2j], [1 + 1j, 2j], [3, 0.5j], [1 + 1j, 2j]], 2, 0.3),
-        ("constant column", [[1j, 2, 0j], [1j, 3, complex(-0.0, 0)], [1j, 2, 0j]], 1, 1.0),
-        ("constant x", [[7j, 2, 7j, 1j], [7j, 3, 7j, 1j], [7j, 2.5, 7j, 0j]], 2, 0.5),
-        ("nan", [[1j, 0j], [complex(NAN, 0), 1], [1j, 0j], [2j, 5]], 1, 1.0),
-        ("nan in one tail field", [[1j, 0j], [1j, complex(0, NAN)], [1j, 0j]], 2, 0.5),
-        ("lone inf", [[0j, 1], [complex(INF, 0), 1], [0j, 1], [1j, 1]], 1, 1.0),
-        ("lone -inf", [[0j], [0j], [complex(1, -INF)]], 1, 1.0),
-        ("equal infinities", [[complex(INF, 1), 2], [complex(INF, 1), 2], [complex(INF, 1), 2]], 1, 1.0),
-        ("weight 0 against inf", [[1j, 2j], [1j, complex(INF, 0)], [1j, 2j]], 2, 0.0),
-        ("weight 0 finite", [[1j, 2j], [1j, 3j], [5j, 2j]], 2, 0.0),
-        ("abs split", [[ABS_SPLIT[0]], [ABS_SPLIT[1]], [ABS_SPLIT[0]]], 1, 1.0),
-        ("one site", [[1j, 2j]], 2, 1.0),
-        ("no elements", [[], [], []], 2, 1.0),
-        ("finite overflow", [[1e308 + 0j], [0j], [-1e308 + 0j]], 1, 1.0),
-        ("finite modulus overflow", [[HUGE, 1j], [0j, 2j], [-HUGE, 1j]], 1, 0.5),
-    ],
-)
-def test_site_pair_reduction_matches_pair_list(seed, name, rows, width, weight):
-    a, b = ABS_SPLIT
-    assert float(np.abs(np.complex128(a - b))) != abs(a - b)
-    # the case itself, then with 20 more sites after it, whose last is the
-    # fresh site, and ahead of it, where the case's last site stays fresh
-    rng = random.Random(seed + len(name))
-    values = (0, 1, 2.5, 1j, 1 + 0.5j, complex(rng.random(), rng.random()))
-    spread = [[rng.choice(values) for _ in rows[0]] for _ in range(20)]
-    for table in (rows, rows + spread, spread + rows):
-        for tol in (0.0, CHECK_TOL, 1.5):
-            got = reduced_site_pairs(table, width, weight, tol)
-            want = listed_site_pairs(table, width, weight, tol)
-            assert (got.samples_run, got.witness, got.passed) == (
-                want.samples_run, want.witness, want.passed
-            ), (name, tol)
-            assert got.max_deviation == want.max_deviation or (
-                math.isnan(got.max_deviation) and math.isnan(want.max_deviation)
-            ), (name, tol)
-            assert type(got.max_deviation) is float
-    if "overflow" in name:
-        assert got.max_deviation == math.inf
+def assert_close_report(new, ref):
+    """``new`` and ``ref`` agree but for the last bits of the deviations:
+    the same verdict, samples and witness site."""
+    assert (new.passed, new.samples_run) == (ref.passed, ref.samples_run)
+    assert abs(new.max_deviation - ref.max_deviation) <= 1e-15 * max(1.0, ref.max_deviation)
+    assert (new.witness and new.witness["site_i"]) == (ref.witness and ref.witness["site_i"])
 
 
 #: Each checker engine with the state evaluation of its own arithmetic.
@@ -561,44 +486,36 @@ def test_pair_independence_matches_direct_reference():
         assert ref.witness is not None
 
 
-def stub_marginals(marginal_at):
-    """The sparse engine with ``site_marginals`` replaced: site s reads
-    ``marginal_at(s)``, for a column no state can produce."""
-    return SPARSE_ENGINE._replace(site_marginals=lambda phi, element, sites: [marginal_at(s) for s in sites])
-
-
 def test_nan_deviation_fails():
-    # over the pool 1-8 and the fresh site 9
-    phi = preserving_phi(expected_nonsymmetric())
-    assert site_pool(phi.state)[-1] == 9
-    report = check_identically_distributed(phi, engine=stub_marginals(lambda s: TailElement(math.nan, 0)))
-    assert not report.passed
-    assert math.isnan(report.max_deviation)
-    assert (report.witness["site_i"], report.witness["site_k"]) == (1, 9)
+    # the recorder's rule, which the audits record through: a NaN deviation
+    # fails, makes max_deviation NaN and supplies the witness, also between
+    # finite deviations on either side of the tolerance
+    rec = verify._Recorder(1.0)
+    for deviation in (0.5, math.nan, 2.0, 0.25):
+        rec.record(deviation, lambda: {"deviation": deviation})
+    report = rec.report("scan")
+    assert (report.passed, report.samples_run) == (False, 4)
+    assert math.isnan(report.max_deviation) and math.isnan(report.witness["deviation"])
 
-    # a NaN after finite deviations, and finite ones after a NaN: equal
-    # marginals at every site but 3
-    report = check_identically_distributed(
-        phi, engine=stub_marginals(lambda s: TailElement(math.nan if s == 3 else 1j, 0.5))
-    )
-    assert not report.passed
-    assert math.isnan(report.max_deviation)
-    assert report.witness["site_i"] == 3
-    assert math.isnan(report.witness["lhs"]["x"][0])
+    # through the word audit: moments that go NaN on the third word, where
+    # no finite deviation fails an infinite tolerance
+    words = []
 
-    # a NaN in the corner part of the marginals only
-    report = check_identically_distributed(
-        phi, engine=stub_marginals(lambda s: TailElement(0, complex(0, math.nan) if s == 5 else 0.25))
-    )
-    assert not report.passed
-    assert math.isnan(report.max_deviation)
-    assert report.witness["site_i"] == 5
+    def moments(state, word, assignments):
+        words.append(word)
+        lhs, rhs = SPARSE_ENGINE.moments(state, word, assignments)
+        return [complex(math.nan, 0) if len(words) == 3 else lhs, rhs]
+
+    engine = SPARSE_ENGINE._replace(moments=moments)
+    report = check_exchangeable(expected_nonsymmetric(), n_words=10, seed=4, tol=math.inf, engine=engine)
+    assert not report.passed and math.isnan(report.max_deviation)
+    assert report.witness["word"] == word_to_json(words[2]) and len(words) == 10
 
 
 def counting_engine(base):
-    """An engine counting the calls of each op; ``counts[name, "sites"]`` also
-    sums the lengths of the site lists handed to ``moments`` and
-    ``site_marginals``."""
+    """An engine counting the calls of each op; ``counts["moments",
+    "sites"]`` also sums the lengths of the site lists handed to
+    ``moments``."""
     counts = Counter()
 
     def counted(name):
@@ -606,7 +523,7 @@ def counting_engine(base):
 
         def call(*args):
             counts[name] += 1
-            if name in ("moments", "site_marginals"):
+            if name == "moments":
                 counts[name, "sites"] += len(args[2])
             return op(*args)
 
@@ -615,17 +532,43 @@ def counting_engine(base):
     return Engine(*(counted(name) for name in Engine._fields)), counts
 
 
-def test_checkers_evaluate_each_site_once():
-    # one plan per probe over the pool, and one per random word, at the
-    # word's sites and at their image; one marginal call over the pool
+def counting_reads(monkeypatch):
+    """Count the calls of ``TraceClassOperator.entry`` by index pair, and
+    the checkers' ``site_marginals`` calls by site list."""
+    reads = Counter()
+    entry, marginals = TraceClassOperator.entry, verify.site_marginals
+
+    def counted_entry(self, m, n):
+        reads[m, n] += 1
+        return entry(self, m, n)
+
+    def counted_marginals(phi, element, sites):
+        reads["site_marginals", tuple(sites)] += 1
+        return marginals(phi, element, sites)
+
+    monkeypatch.setattr(TraceClassOperator, "entry", counted_entry)
+    monkeypatch.setattr(verify, "site_marginals", counted_marginals)
+    return reads
+
+
+def test_checkers_evaluate_each_site_once(monkeypatch):
+    # the deciding columns read T_ii, and T_i#, once per site of the
+    # support, and the fresh site's marginal once; a failing probe's
+    # witness is one moments call, and a failing marginal's one
+    # site_marginals call, each at its site and the fresh site; each random
+    # word is one moments call, at the word's sites and at their image
     state = wide_state()
-    pool = site_pool(state)
+    support, fresh = state.density.site_support(), site_pool(state)[-1]
+    phi = preserving_phi(state)
+    reads = counting_reads(monkeypatch)
+    site = check_identically_distributed(phi).witness["site_i"]
+    witness_reads = [(site, site), (fresh, fresh), ("site_marginals", (site, fresh))]
+    assert reads == Counter({(i, i): 1 for i in support}) + Counter([(fresh, fresh), *witness_reads])
+    reads.clear()
     engine, counts = counting_engine(SPARSE_ENGINE)
-    check_identically_distributed(preserving_phi(state), engine=engine)
-    assert counts == Counter({"site_marginals": 1, ("site_marginals", "sites"): len(pool)})
-    counts.clear()
     check_exchangeable(state, n_words=25, seed=62, engine=engine)
-    assert counts == Counter({"moments": 2 + 25, ("moments", "sites"): 2 * len(pool) + 2 * 25})
+    assert counts == Counter({"moments": 1 + 25, ("moments", "sites"): 2 + 2 * 25})
+    assert all(reads[i, i] == reads[i, VACUUM] == 1 for i in support)
 
 
 def assert_every_word_deviates_by_zero(state, n_words, max_len, seed, engine):
@@ -667,12 +610,13 @@ def test_site_free_words_deviate_by_exactly_zero_on_both_engines(state):
 
 
 def test_a_site_free_state_draws_no_word():
-    # the four probes run over the pool; the words are recorded as one exact 0
+    # the probes read T's columns and fail nowhere, so no moment is
+    # evaluated; the words are recorded as one exact 0
     for state in (vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows()):
         n = len(site_pool(state))
         engine, counts = counting_engine(SPARSE_ENGINE)
         report = check_exchangeable(state, n_words=40, seed=5, engine=engine)
-        assert counts["moments"] == len(PROBE_ELEMENTS)
+        assert counts["moments"] == 0
         assert report.samples_run == len(PROBE_ELEMENTS) * (n - 1) + 40
         probes = check_exchangeable(state, n_words=0, seed=5)
         assert (report.passed, report.max_deviation, report.witness) == (True, probes.max_deviation, None)
@@ -680,9 +624,11 @@ def test_a_site_free_state_draws_no_word():
 
 def assert_every_marginal_deviates_by_zero(phi, engine):
     """Compare the diagonal probe's marginal at every site of the pool with
-    its first, bit for bit, as the identical-distribution check would scan
-    it."""
-    marginals = engine.site_marginals(phi, PROBE_ELEMENTS[0], site_pool(phi.state))
+    its first, bit for bit, as the identical-distribution check would read
+    it: the sparse marginals, or the dense engine's."""
+    marginals = (site_marginals if engine is SPARSE_ENGINE else dense_site_marginals)(
+        phi, PROBE_ELEMENTS[0], site_pool(phi.state)
+    )
     assert cmath.isfinite(marginals[0].x) and cmath.isfinite(marginals[0].y)
     column = [(repr(m.x), repr(m.y)) for m in marginals]
     assert column == column[:1] * len(column)
@@ -724,15 +670,16 @@ def test_every_sample_of_a_singular_sweep_state_deviates_by_exactly_zero(engine)
     assert (singular, gamma_zero) == (600, 200)
 
 
-def test_a_singular_phi_scans_no_marginal():
+def test_a_singular_phi_scans_no_marginal(monkeypatch):
     # the identical-distribution report of a singular phi is the scan's,
-    # samples and all, without a site_marginals call
+    # samples and all, without reading T or calling site_marginals
+    reads = counting_reads(monkeypatch)
     for state in (vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows()):
         phi = preserving_phi(state)
         assert phi._divisor is None
-        engine, counts = counting_engine(SPARSE_ENGINE)
-        report = check_identically_distributed(phi, engine=engine)
-        assert counts["site_marginals"] == 0
+        reads.clear()
+        report = check_identically_distributed(phi)
+        assert not reads
         assert_same_report(report, pairwise_check_identically_distributed(phi))
         assert (report.passed, report.max_deviation, report.boundary) == (True, 0.0, 0.0)
 
@@ -883,8 +830,8 @@ def test_nfold_chain_needs_two_factors(n_factors):
 def test_classify_large_support_matches_closed_form():
     # rank two with a vacuum eigenvalue: expected, but neither exchangeable
     # nor conditionally i.i.d.
-    # The per-site scans count each site but the fresh one as a sample, and
-    # hold no more than a column of values per probe or element.
+    # The probes and the marginal count each site but the fresh one as a
+    # sample, and hold no more than a column of T per probe.
     rng = random.Random(63)
     for n_sites in (256, 1000, 2000):
         xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
@@ -911,7 +858,7 @@ def test_classify_large_support_matches_closed_form():
     assert samples["identical_distribution"] == 2_000
 
     # rank one with a vacuum amplitude and |T_i#| the same at every site:
-    # the coherence probe's values lie on a ring, the scan's hardest shape
+    # the coherence probe's values lie on a ring
     n_sites = 2000
     xi = FockVector(0.6, {i: cmath.rect(1.0, rng.uniform(-math.pi, math.pi)) for i in range(1, n_sites + 1)})
     state = BooleanState(0.9, TraceClassOperator.rank_one((1.0 / xi.norm()) * xi))
@@ -924,10 +871,11 @@ def test_classify_large_support_matches_closed_form():
     assert (result.symmetric, result.expected, result.iid, result.consistent) == (False, False, False, True)
     assert result.reports[0].samples_run == 2 * n_sites + 60
     assert peak < 64 * 2 ** 20, peak
-    # each probe is evaluated in one pass over the pool
+    # the probes read T's columns; only the failing probe's witness is a
+    # moment, at its site and the fresh site
     engine, counts = counting_engine(SPARSE_ENGINE)
     check_exchangeable(state, n_words=0, engine=engine)
-    assert counts == Counter({"moments": 2, ("moments", "sites"): 2 * (n_sites + 1)})
+    assert counts == Counter({"moments": 1, ("moments", "sites"): 2})
 
 
 class CountingRandom(random.Random):
@@ -952,6 +900,63 @@ def test_the_word_draw_does_not_grow_with_the_pool(monkeypatch):
         report = check_exchangeable(state, n_words=60, seed=64)
         assert report.samples_run == 2 * n_sites + 60
         assert CountingRandom.calls <= 25 * 60, (n_sites, CountingRandom.calls)
+
+
+def test_the_deciding_columns_validate_no_site_list(monkeypatch):
+    # the rank-2 large-support state at 10^4 sites: the probes, the
+    # coherence and the marginal read T's columns, so moments checks the
+    # site lists of the 60 random words, 2 per word, and of the failing
+    # diagonal probe's witness, its site and the fresh site; the failing
+    # marginal's witness is the one site_marginals call
+    rng = random.Random(63)
+    n_sites = 10_000
+    xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
+    state = BooleanState(0.8, TraceClassOperator(((0.4, vacuum_vector()), (0.6, (1.0 / xi.norm()) * xi))))
+    import boolefock.states
+
+    site_lists = []
+    site_indices = boolefock.states._site_indices
+
+    def counted(sites, count):
+        site_lists.append(len(sites))
+        return site_indices(sites, count)
+
+    monkeypatch.setattr(boolefock.states, "_site_indices", counted)
+    reads = counting_reads(monkeypatch)
+    result = classify_definetti(state, seed=64)
+    assert (result.symmetric, result.expected, result.iid) == (False, True, False)
+    assert len(site_lists) == 2 * 60 + 2 and site_lists[:2] == [1, 1]
+    assert [key for key in reads if key[0] == "site_marginals"] == [("site_marginals", (1, n_sites + 1))]
+    assert "site_marginals" not in Engine._fields
+
+
+def test_the_probe_witness_is_the_first_failing_site_diagonal_first():
+    # the coherence probe fails at site 1, where the diagonal reads 1e-12,
+    # but the diagonal fails only at site 3: the witness is the diagonal
+    # probe there, swapped with the fresh site 9
+    b, c = 1e-6, 0.6
+    state = BooleanState(1.0, TraceClassOperator.rank_one(FockVector(math.sqrt(1 - b * b - c * c), {1: b, 3: c})))
+    t = state.density
+    assert abs(t.entry(1, VACUUM)) > CHECK_TOL >= t.entry(1, 1).real
+    report = check_exchangeable(state, n_words=0)
+    assert report.witness["word"] == word_to_json([(3, PROBE_ELEMENTS[0])])
+    assert report.witness["permutation"] == FinitePermutation.swap(3, 9).to_json()
+    assert (report.samples_run, report.boundary) == (16, 0.47999999999962495)
+    assert replay_witness(state, report.witness, CHECK_TOL)[2]
+
+    # past the base pool, inserted out of order: every site fails the
+    # coherence probe, the diagonal fails at 11 and 12, and the first of
+    # them in pool order gives the witness, against the fresh site 13
+    wave = {12: 0.6, 11: 0.5, 10: b}
+    state = BooleanState(0.9, TraceClassOperator.rank_one(FockVector(0.5, wave)))
+    t = state.density
+    assert site_pool(state) == [*range(1, 9), 10, 11, 12, 13]
+    report = check_exchangeable(state, n_words=0)
+    assert report.witness["word"] == word_to_json([(11, PROBE_ELEMENTS[0])])
+    assert report.witness["permutation"] == FinitePermutation.swap(11, 13).to_json()
+    assert report.samples_run == 2 * 11
+    assert report.boundary == max(abs(0.9 * t.entry(i, j)) for i in wave for j in (i, VACUUM))
+    assert replay_witness(state, report.witness, CHECK_TOL)[2]
 
 
 def test_pair_check_conditions_on_the_state_preserving_phi():
