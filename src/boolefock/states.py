@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import VACUUM, BooleanElement, FockVector, Index, check_site, product_entries, vacuum_vector
 from .fock import TestAlgebraElement, word_sites
@@ -102,10 +102,12 @@ class TraceClassOperator:
 
     @classmethod
     def rank_one(cls, vec: FockVector) -> "TraceClassOperator":
+        """``|xi><xi|`` for ``xi = vec / |vec|``, each amplitude divided by
+        the norm: a subnormal norm has no finite reciprocal."""
         n = vec.norm()
         if n == 0:
             raise ValueError("rank-one operator needs a nonzero vector")
-        return cls(((1.0, (1.0 / n) * vec),))
+        return cls(((1.0, FockVector(vec.vacuum_amp / n, {i: a / n for i, a in vec.wave.items()})),))
 
     @property
     def rank(self) -> int:
@@ -178,6 +180,8 @@ class BooleanState:
 
     gamma: float
     density: TraceClassOperator
+    #: Memo of :func:`boolefock.tail.site_columns`, set on first use.
+    _site_columns: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         g = float(self.gamma)

@@ -19,8 +19,9 @@ Whether some ``F_phi`` preserves ``psi`` is decidable: it happens exactly
 when gamma is 0 or the vacuum vector is an eigenvector of ``T``, that is
 when ``gamma * T e_#`` has no site part.  Every tail-branch decision reads
 that one rule through :func:`coherence`, ``max_i |gamma * T_i#|``, the
-vacuum column of ``gamma * T`` in the state's own units: the state is
-expected iff it is within the caller's tolerance.  On that branch ``psi``'s
+vacuum column of ``gamma * T`` in the state's own units that
+:func:`site_columns` reads: the state is expected iff it is within the
+caller's tolerance.  On that branch ``psi``'s
 own ``phi`` preserves it; that ``phi`` is singular exactly for gamma 0 or
 site weight ``Tr(Q T Q) = 0``.  The negative branch is settled for every
 ``phi`` at once by the matrix unit ``X = eps(#, i)`` at a site i attaining
@@ -31,7 +32,7 @@ the coherence: ``X e_# = 0`` and ``Q X Q = 0``, so ``F_phi(X) = 0`` while
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     CHECK_TOL,
@@ -156,8 +157,9 @@ def site_marginals(
     ``embed(s, element)`` has vacuum corner ``a`` and site block
     ``(d - beta) * eps(s, s) + beta * I``, so the vacuum coordinate is
     computed once and only ``T_ss`` is read per site.  The
-    identical-distribution checker reads the corner coordinate by these
-    operations, without the site checks.
+    identical-distribution checker builds its witness's sides here; its
+    deviation is read off :func:`site_columns`, which equals ``psi(Q)``
+    times the corner coordinates' difference in exact arithmetic.
     """
     beta = element.beta
     vacuum_part = element.a - beta
@@ -178,18 +180,37 @@ def site_marginals(
     return marginals
 
 
-def coherence(state: BooleanState) -> float:
-    """``max_i |gamma * T_i#|`` over the density's site support: how far
-    the vacuum vector is from an eigenvector of ``T``, in the state's units.
+def site_columns(state: BooleanState) -> Tuple[Tuple[int, ...], List[float], List[float]]:
+    """The density's site support and, over it, the two columns of ``gamma
+    * T`` that decide every verdict: ``abs(gamma * T.entry(i, i))`` and
+    ``abs(gamma * T.entry(i, VACUUM))``.
 
-    0 for gamma 0, where the state reads no compact.  Each term is
-    ``abs(gamma * t.entry(i, VACUUM))``: the read of
-    :func:`boolefock.verify.check_exchangeable`'s coherence probe at site i,
-    and of ``classify_definetti``'s coherence, and bit for bit the
-    deviation of that probe's moment at site i from a fresh site's.
+    Each entry is read once per state; the columns are memoised on the
+    state.  Every column reads 0 off the support.  They are the deviations
+    of :func:`boolefock.verify.check_exchangeable`'s diagonal and coherence
+    probes and of ``check_identically_distributed``, and the terms of
+    :func:`coherence`, so the three verdicts are compared with the
+    tolerance through the same floats.
     """
-    gamma, t = state.gamma, state.density
-    return max((abs(gamma * t.entry(i, VACUUM)) for i in t.site_support()), default=0.0)
+    if state._site_columns is None:
+        gamma, t = state.gamma, state.density
+        support = t.site_support()
+        diagonal = [abs(gamma * t.entry(i, i)) for i in support]
+        vacuum = [abs(gamma * t.entry(i, VACUUM)) for i in support]
+        object.__setattr__(state, "_site_columns", (support, diagonal, vacuum))
+    return state._site_columns
+
+
+def coherence(state: BooleanState) -> float:
+    """``max_i |gamma * T_i#|``, the maximum of :func:`site_columns`'
+    vacuum column: how far the vacuum vector is from an eigenvector of
+    ``T``, in the state's units.
+
+    0 for gamma 0, where the state reads no compact.  The term at site i
+    is bit for bit the deviation of the coherence probe's moment at site i
+    from a fresh site's.
+    """
+    return max(site_columns(state)[2], default=0.0)
 
 
 def preserving_phi(state: BooleanState, tol: float = CHECK_TOL) -> PhiState:

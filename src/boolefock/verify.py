@@ -8,16 +8,15 @@ oracle for the sparse kernel and compare verdicts.
 
 ``classify_definetti`` combines them into the De Finetti verdict for a
 state: exchangeable if and only if conditionally independent and
-identically distributed over the tail algebra.  Each verdict reads one
-exact boundary quantity, a map of two columns of T over the density's site
-support, read once off T's memoised entries: the diagonal T_ii and the
-vacuum column T_i#.  Each site of the pool is compared with its fresh
-site, the one site beyond the base pool and the support, where every
-column reads 0, so a site off the support deviates by exactly 0.  The two
-pure exchangeability probes read ``gamma * T_ii`` and ``|gamma * T_i#|``,
-the coherence reads ``|gamma * T_i#|``, and the diagonal probe's
-conditioned marginal reads ``T_ii`` by the operations of
-:func:`boolefock.tail.site_marginals`.  The random words and the pair
+identically distributed over the tail algebra.  Every verdict is decided
+by two columns of ``gamma * T`` over the density's site support, read once
+per state by :func:`boolefock.tail.site_columns`: the diagonal
+``|gamma * T_ii|`` and the vacuum column ``|gamma * T_i#|``.  Each site of
+the pool is compared with its fresh site, the one site beyond the base
+pool and the support, where every column reads 0, so a site off the
+support deviates by exactly 0.  Exchangeability reads both columns,
+expectedness the vacuum column and identical distribution the diagonal, so
+the verdicts agree whatever the rounding.  The random words and the pair
 check are audits that report, with their witnesses, but do not decide.
 ``replay_witness`` recomputes a stored witness through the same helpers
 its checker used.
@@ -58,8 +57,10 @@ from .states import BooleanState, evaluate, evaluate_product, moments
 from .tail import (
     DecisionError,
     PhiState,
+    coherence,
     cond_expect,
     preserving_phi,
+    site_columns,
     site_marginals,
 )
 
@@ -94,9 +95,9 @@ class CheckReport:
 
     ``passed`` holds exactly when ``max_deviation`` stayed within the
     tolerance; a failing report carries the first witness found.  A checker
-    that reads a deciding column also returns its maximum, the exact
-    boundary quantity a verdict compares with the tolerance, as ``boundary``;
-    ``to_json`` leaves it out.
+    that reads a column of :func:`boolefock.tail.site_columns` also returns
+    its maximum, the float a verdict compares with the tolerance, as
+    ``boundary``; ``to_json`` leaves it out.
     """
 
     name: str
@@ -209,8 +210,9 @@ def check_exchangeable(
     probe)]``, which deviates from it by exactly ``|gamma * T_ii|`` for the
     diagonal probe and ``|gamma * T_i#|`` for the coherence probe, bit for
     bit the ``moments`` of the two; a site off the support deviates by 0.
-    So the probes read these columns off T over the support, the diagonal
-    first, and evaluate no moment.  Each probe counts one sample per site
+    So the probes read these columns from
+    :func:`boolefock.tail.site_columns`, the diagonal first, and evaluate
+    no moment.  Each probe counts one sample per site
     of the pool other than the fresh one.  The first failing site, diagonal
     first, gives the witness: the swap of that site with the fresh site,
     with the sides from one ``moments`` call of the probe word.  The worst
@@ -237,12 +239,7 @@ def check_exchangeable(
     pool = site_pool(state)
     fresh = pool[-1]
     rec = _Recorder(tol)
-    gamma, t = state.gamma, state.density
-    support = t.site_support()
-    columns = (
-        [abs(gamma * t.entry(i, i)) for i in support],
-        [abs(gamma * t.entry(i, VACUUM)) for i in support],
-    )
+    support, *columns = site_columns(state)
 
     def witness(word, perm, lhs, rhs):
         return {
@@ -261,7 +258,7 @@ def check_exchangeable(
     for probe, deviations in zip(PROBE_ELEMENTS, columns):
         rec.record(max(deviations, default=0.0), lambda: probe_witness(probe, deviations), samples=len(pool) - 1)
     boundary = rec.max_deviation  # the worst probe: no word is recorded yet
-    if gamma == 0.0 or not support:
+    if state.gamma == 0.0 or not support:
         rec.record(0.0, lambda: {}, samples=n_words)
         return rec.report("exchangeability", boundary)
     bits = rng.getrandbits
@@ -278,44 +275,30 @@ def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> Chec
     """Check that the diagonal probe's conditioned one-site marginal does not
     depend on the site.
 
-    The state is ``phi.state``.  The deviation is weighted by the state's
-    mass on the site corner, ``psi(I - P)``, so that it is measured in the
+    The state is ``phi.state``, and the deviation is weighted by its mass
+    on the site corner, ``psi(I - P)``, so that it is measured in the
     state's units rather than in ``phi``'s.  The marginal's tail coordinate
-    x is one value at every site, and its corner coordinate y_i is read off
-    ``T_ii`` over the support by the operations of
-    :func:`boolefock.tail.site_marginals`, bit for bit, and compared with
-    the fresh site's; a site off the support reads the fresh site's value.
-    Each site of the pool other than the fresh one counts one sample, and
-    the witness pairs the first failing site with the fresh site, with the
-    marginals of one ``site_marginals`` call.  The deviation, ``psi(Q) *
-    max_i |y_i - y_fresh|``, is the report's ``boundary``, which decides
+    is one value at every site, and at site i its corner coordinate differs
+    from the fresh site's by ``T_ii / (Tr(Q T Q) + (1 - gamma) / gamma)``;
+    times ``psi(Q)`` that is ``gamma * T_ii``.  So the deviation at site i
+    is the diagonal column of :func:`boolefock.tail.site_columns`, the
+    float the exchangeability check reads, and a site off the support
+    deviates by 0.  Each site of the pool other than the fresh one counts
+    one sample, and the witness pairs the first failing site with the fresh
+    site, with the marginals of one ``site_marginals`` call.  The maximum,
+    ``max_i |gamma * T_ii|``, is the report's ``boundary``, which decides
     identical distribution.  Any other element ``(a, b, c, d, beta)`` has
-    the same tail coordinate x at every site and deviates by ``|d - beta|``
+    the same tail coordinate at every site and deviates by ``|d - beta|``
     times this, so scanning it would add no information.
-
-    A singular ``phi`` (gamma 0, or no site weight) gives every site the
-    marginal ``(0, 0)``, so the column deviates by exactly 0: the checker
-    then reads nothing, and records its samples as that one 0.0.
     """
     pool = site_pool(phi.state)
     fresh = pool[-1]
     rec = _Recorder(tol)
-    if phi._divisor is None:
-        rec.record(0.0, lambda: {}, samples=len(pool) - 1)
-        return rec.report("identical_distribution", 0.0)
     element = PROBE_ELEMENTS[0]
-    t, divisor, beta = phi.state.density, phi._divisor, element.beta
-    corner = element.d - beta
-    support = t.site_support()
-
-    def corner_coordinate(j):
-        return (0j + corner * t.entry(j, j)) / divisor + beta
-
-    y_fresh = corner_coordinate(fresh)
-    deviations = [phi.psi_q * abs(corner_coordinate(i) - y_fresh) for i in support]
+    support, diagonal, _ = site_columns(phi.state)
 
     def witness():
-        site = next(i for i, deviation in zip(support, deviations) if not deviation <= tol)
+        site = next(i for i, deviation in zip(support, diagonal) if not deviation <= tol)
         lhs, rhs = site_marginals(phi, element, [site, fresh])
         return {
             "kind": "identical_distribution",
@@ -326,7 +309,7 @@ def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> Chec
             "rhs": rhs.to_json(),
         }
 
-    deviation = max(deviations, default=0.0)
+    deviation = max(diagonal, default=0.0)
     rec.record(deviation, witness, samples=len(pool) - 1)
     return rec.report("identical_distribution", deviation)
 
@@ -473,28 +456,24 @@ def classify_definetti(
 
     The verdicts must agree (``consistent``): a state is exchangeable
     exactly when it is conditionally independent and identically
-    distributed over the tail algebra.  Each verdict compares an exact
-    boundary quantity with ``tol``, read by its own route (see
-    ``CheckReport.boundary``): exchangeability from the two pure probes,
-    ``gamma * max(max_i T_ii, max_i |T_i#|)``; expectedness from the
-    coherence ``max_i |gamma * T_i#|`` of T's vacuum column, which its
-    report records as its deviation, witnessed on the non-expected branch
-    by :func:`coherence_sides` at the first site attaining it; identical
-    distribution from the diagonal probe's conditioned marginal, ``gamma *
-    max_i T_ii`` in the state's units.  Each is one read of T's memoised
-    entries over the density's site support; the coherence and its first
-    argmax come from one pass.  The random words and the pair check are
-    audits: they report, with their witnesses, on every state they are
-    posed on, but decide nothing, so no verdict depends on ``seed``.
+    distributed over the tail algebra.  Each verdict compares with ``tol``
+    the maximum of columns that :func:`boolefock.tail.site_columns` reads
+    once per state (see ``CheckReport.boundary``): exchangeability both,
+    ``max(max_i |gamma * T_ii|, max_i |gamma * T_i#|)``; expectedness the
+    coherence ``max_i |gamma * T_i#|``, which its report records as its
+    deviation, witnessed on the non-expected branch by
+    :func:`coherence_sides` at the first site attaining it; identical
+    distribution ``max_i |gamma * T_ii|``.  Since the verdicts read the
+    same floats, ``consistent`` holds on every state.  The random words and
+    the pair check are audits: they report, with their witnesses, on every
+    state they are posed on, but decide nothing, so no verdict depends on
+    ``seed``.
     """
     exch = check_exchangeable(
         state, n_words=n_words, max_len=max_len, seed=seed, tol=tol, engine=engine
     )
-    # tail.coherence and its first argmax over the support, in one pass
-    t = state.density
-    support = t.site_support()
-    terms = [abs(state.gamma * t.entry(i, VACUUM)) for i in support]
-    coherent = max(terms, default=0.0)
+    support, _, terms = site_columns(state)
+    coherent = coherence(state)
     expected = coherent <= tol
     if expected:
         phi = PhiState(state)
@@ -537,11 +516,18 @@ def _replay_exchangeability(state: BooleanState, witness: dict, tol: float) -> t
 
 
 def _replay_identical_distribution(state: BooleanState, witness: dict, tol: float) -> tuple:
+    # the deviation by the checker's expression, |d - beta| times the
+    # difference of the two sites' |gamma T_ii| off site_columns: for the
+    # diagonal probe and the fresh site, which reads 0, the recorded float
+    # bit for bit
     element = TestAlgebraElement.from_json(witness["element"])
-    phi = PhiState(state)
-    lhs, rhs = site_marginals(phi, element, [witness["site_i"], witness["site_k"]])
+    i, k = witness["site_i"], witness["site_k"]
+    lhs, rhs = site_marginals(PhiState(state), element, [i, k])
     preserving_phi(state, tol)
-    return lhs.x + lhs.y, rhs.x + rhs.y, phi.psi_q * lhs.max_diff(rhs)
+    support, diagonal, _ = site_columns(state)
+    column = dict(zip(support, diagonal))
+    deviation = abs(element.d - element.beta) * abs(column.get(i, 0.0) - column.get(k, 0.0))
+    return lhs.x + lhs.y, rhs.x + rhs.y, deviation
 
 
 def _replay_nfold_factorization(state: BooleanState, witness: dict, tol: float) -> tuple:

@@ -17,6 +17,8 @@ from boolefock.states import BooleanState, TraceClassOperator, vacuum_state
 from boolefock.tail import preserving_phi
 from boolefock.verify import check_nfold_factorization, site_pool
 
+from test_verify import ONE_ULP_STATE
+
 
 def write_state(tmp_path, state, name="state.json"):
     path = tmp_path / name
@@ -373,6 +375,24 @@ def test_classify_and_replay_near_the_vacuum_boundary(tmp_path, capsys, text):
     assert json.loads(report.read_text())["classification"]["consistent"] is True
     code, _, err = run(capsys, ["replay", "--witness", str(report)])
     assert (code, err) == (0, "")
+
+
+def test_classify_and_replay_a_state_one_ulp_from_the_tolerance(tmp_path, capsys):
+    # gamma * T_55 rounds one ulp above 1e-9: every verdict reads that one
+    # float, so the state is consistently neither symmetric nor iid, and both
+    # failing deciding reports' witnesses reproduce
+    gamma, w, s = ONE_ULP_STATE
+    state = BooleanState(gamma, TraceClassOperator(((1 - w, vacuum_vector()), (w, site_vector(s)))))
+    report = tmp_path / "report.json"
+    argv = ["classify", "--state", write_state(tmp_path, state), "--format", "json", "--out", str(report)]
+    assert run(capsys, argv) == (0, "", "")
+    payload = json.loads(report.read_text())
+    verdict = payload["classification"]
+    assert [verdict[k] for k in ("symmetric", "expected", "iid", "consistent")] == [False, True, False, True]
+    code, out, err = run(capsys, ["replay", "--witness", str(report), "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert sorted(r["kind"] for r in rows if r["reproduced"]) == ["exchangeability", "identical_distribution"]
 
 
 NON_FINITE_STATES = (

@@ -2,12 +2,12 @@
 
 The checkers read the diagonal and coherence probes, and the diagonal
 probe's conditioned marginal, off T's diagonal T_ii and vacuum column T_i#
-over the support; the first test holds those reads to the probes' moments
-and to the marginals, sparse bit for bit and dense within rounding.  Any
-other length-one column, such as the conjugate coherence probe ``(0, 0,
-1, 0, 0)``, the generic probe ``(1, 2, 3, 4, 5)`` or a drawn element's
-conditioned marginal, is a fixed map of those two columns, up to rounding,
-so scanning it tells nothing they do not:
+over the support; the first test holds those reads to the probes' moments,
+sparse bit for bit and dense within rounding, and to the marginals within
+rounding.  Any other length-one column, such as the conjugate coherence
+probe ``(0, 0, 1, 0, 0)``, the generic probe ``(1, 2, 3, 4, 5)`` or a drawn
+element's conditioned marginal, is a fixed map of those two columns, up to
+rounding, so scanning it tells nothing they do not:
 
 * the conjugate probe reads ``gamma * T_#i = conj(gamma * T_i#)``;
 * an element ``(a, b, c, d, beta)`` has the same tail coordinate x at every
@@ -48,7 +48,7 @@ from boolefock.verify import (
 
 from oracle import DENSE_ENGINE, dense_site_marginals
 from test_report_digests import STATES as REPORT_DIGEST_STATES
-from test_verify import STRATA
+from test_verify import MARGINAL_ROUNDING, STRATA
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -116,14 +116,9 @@ def first_failing(pool, deviations):
 def assert_deciding_columns_match(state):
     # the checkers read |gamma T_ii| and |gamma T_i#| over the support and 0
     # elsewhere; so do the sparse moments of the probes against the fresh
-    # site, bit for bit, and psi(Q) |y_i - y_fresh| of the sparse marginals
-    # gives the identical-distribution reads.  A dense moment reads gamma
-    # times one dense entry, within two entry roundings (r + 3) U S and two
-    # roundings of gamma * entry and of the modulus: (2 r + 10) U gamma S.  A
-    # dense marginal divides gamma T_ii by psi(Q): its site mass is summed
-    # over a basis of n indices, within (n + r + 3) U of it, as is the site
-    # weight here; with the entries, the divisions and the modulus, (4 r + 2
-    # n + 24) U times the deviation
+    # site, bit for bit.  A dense moment reads gamma times one dense entry,
+    # within two entry roundings (r + 3) U S and two roundings of gamma *
+    # entry and of the modulus: (2 r + 10) U gamma S
     t, gamma, r = state.density, state.gamma, state.density.rank
     pool = site_pool(state)
     support = set(t.site_support())
@@ -143,16 +138,29 @@ def assert_deciding_columns_match(state):
     site = first_failing(pool, reads[0]) or first_failing(pool, reads[1])
     assert (exch.witness and exch.witness["word"][0][0]) == site
 
+    # identical distribution reads the diagonal, bit for bit
     phi = PhiState(state)
     ident = check_identically_distributed(phi)
+    assert ident.boundary == max(reads[0], default=0.0)
+    assert (ident.witness and ident.witness["site_i"]) == first_failing(pool, reads[0])
     if phi._divisor is None:
         assert ident.boundary == 0.0
         return
+    # psi(Q) |y_i - y_fresh| of the sparse marginals equals gamma |T_ii| in
+    # exact arithmetic: psi(Q) = gamma w + (1 - gamma) and the divisor w + (1
+    # - gamma) / gamma, for the site weight w, are within 3 U of theirs (two
+    # non-negative terms each), the division of T_ii, the modulus and the
+    # product by psi(Q) add 3 U, and the checker's product and modulus 2 U:
+    # 10 U to first order, 11 U times the checker's read with the rest
     marginals = site_marginals(phi, DIAGONAL, pool)
     read = [phi.psi_q * m.max_diff(marginals[-1]) for m in marginals[:-1]]
     assert all(d == 0.0 for i, d in zip(pool, read) if i not in support)
-    assert ident.boundary == max(read)
-    assert (ident.witness and ident.witness["site_i"]) == first_failing(pool, read)
+    for got, want in zip(read, reads[0]):
+        assert abs(got - want) <= MARGINAL_ROUNDING * want, (got, want)
+    # a dense marginal divides gamma T_ii by psi(Q): its site mass is summed
+    # over a basis of n indices, within (n + r + 3) U of it, as is the site
+    # weight here; with the entries, the divisions and the modulus, (4 r + 2
+    # n + 24) U times the sparse marginals' deviation
     dense = dense_site_marginals(phi, DIAGONAL, pool)
     n = len(support) + 1
     for m, want in zip(dense, read):

@@ -62,12 +62,12 @@ STATES = {
 SWEEP_DIGEST = "a51132922114c5100f5c955523d60647147ccc055dd3111215d64a0f107dd0b5"
 
 CLASSIFY_DIGESTS = {
-    "expected_vacuum_eigenvalue": "47b88b5e2f323bdb8405a79bebabd57b682dc964327b3a88f9054e0d84320d70",
+    "expected_vacuum_eigenvalue": "5a88e4167f93f978ec04c4497879f9e8071eaf1466027f90c42cf0c4bdc8cb80",
     "expected_vacuum_in_kernel": "58e13fce4b1a9131d0c3f310fda99c14fee02b0a630d83b702b414b0af1f79fe",
     "near_vacuum_singular": "0a13e4d531ecb3596fc213c0c979b92ac74f2567d417fac4f9207cf37877b3df",
     "nonexpected": "c9383a987f64f30b8614f62c40f1880642ac2eb443511b50cde287fdc796b674",
     "vacuum": "c73f9480cbf26bb23bbe21fa8aaf0dff73633c7f6df248b2f9891f6ec024ea80",
-    "wide_20_sites": "fca7bd5f746272d30fe9380c854ad4e67ae9ed2c81a9a64608594df462fa587b",
+    "wide_20_sites": "c27588924f79de30833e96757211d02c72e452e7a74bb5bfb21d920b8aad270f",
 }
 
 #: The csv and human classify reports of one state; the human one renders
@@ -94,7 +94,7 @@ REPLAY_DIGESTS = {
 #: rank 2 over 20 to 33 sites.  These pin T's entries at rank >= 8, the
 #: loader's orthonormality check over many eigenpairs, and the echo of a
 #: state of several hundred amplitudes.
-BENCHMARK_INPUTS_DIGEST = "41618d0c3ca665605745efada6f5d9dd0025e75631859dc4b69a0d4160681374"
+BENCHMARK_INPUTS_DIGEST = "eaf21917e1f15b991499b560d9879a48818772fa62d55138476d0daebba41060"
 
 BENCHMARK_INPUTS = [(workload, index) for workload in ("classify-deep", "classify-wide") for index in range(3)]
 

@@ -497,6 +497,14 @@ def test_gram_schmidt_drops_dependent_vectors():
             assert abs(u.inner(w) - (1.0 if i == j else 0.0)) <= 1e-12
 
 
+def test_a_vector_of_subnormal_norm_normalizes():
+    # 1 / 1e-320 overflows to inf, which the vector's finiteness check
+    # rejected; each amplitude divided by the norm is 1.0
+    v = FockVector(0j, {1: 1e-320})
+    assert v.norm() == 1e-320
+    assert TraceClassOperator.rank_one(v) == TraceClassOperator.rank_one(site_vector(1))
+
+
 def test_huge_and_tiny_vectors_normalize():
     # the sum of squares of 1e200 overflows and that of 1e-200 underflows;
     # the norm scales by the largest amplitude part first, so both vectors
