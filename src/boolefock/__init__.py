@@ -52,7 +52,6 @@ from .tail import (
     coherence,
     cond_expect,
     preserving_phi,
-    site_marginals,
 )
 from .verify import (
     CheckReport,

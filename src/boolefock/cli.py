@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence
 
 from . import jsonutil, sampling
-from .jsonutil import format_float
+from .jsonutil import format_float, shown
 from .states import BooleanState
 from .verify import (
     CHECK_TOL,
@@ -39,6 +39,7 @@ from .verify import (
     check_matrix_unit_dictionary,
     classify_definetti,
     replay_witness,
+    site_pool,
 )
 
 SWEEP_CSV_HEADER = "gamma,rank,symmetric,expected,iid,consistent,max_deviation"
@@ -57,15 +58,15 @@ class RunConfig:
 
     def __post_init__(self):
         if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+            raise ValueError(f"tolerance must be positive and finite, got {shown(self.tolerance)}")
         if self.n_samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.n_samples!r}")
+            raise ValueError(f"samples must be at least 1, got {shown(self.n_samples)}")
         if self.max_word_len < 1:
-            raise ValueError(f"max word length must be at least 1, got {self.max_word_len!r}")
+            raise ValueError(f"max word length must be at least 1, got {shown(self.max_word_len)}")
         if not 1 <= self.max_rank <= len(sampling.SITE_POOL):
-            raise ValueError(f"max rank must be between 1 and {len(sampling.SITE_POOL)}, got {self.max_rank!r}")
+            raise ValueError(f"max rank must be between 1 and {len(sampling.SITE_POOL)}, got {shown(self.max_rank)}")
         if self.output_format not in ("json", "csv", "human"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+            raise ValueError(f"unknown output format {shown(self.output_format)}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -80,7 +81,7 @@ def _resolve_seed(value: Optional[int]) -> int:
     try:
         return int(env)
     except ValueError:
-        raise ValueError(f"BOOLEFOCK_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"BOOLEFOCK_SEED must be an integer, got {shown(env)}") from None
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -247,7 +248,16 @@ def cmd_relations(args, config: RunConfig) -> int:
 
 
 def _load_state(path: str) -> BooleanState:
-    return _read_json(path, "state", BooleanState.from_json)
+    """The state in the file at ``path``, if its report can name its fresh
+    site: ``str`` writes an integer of at most ``sys.get_int_max_str_digits()``
+    digits, where 0 (or an interpreter without the limit) means any number.
+    A site of at most ``3 * limit`` bits is below ``10 ** limit``, so the
+    power is computed only near the bound."""
+    state = _read_json(path, "state", BooleanState.from_json)
+    fresh, limit = site_pool(state)[-1], getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and fresh.bit_length() > 3 * limit and fresh >= 10 ** limit:
+        raise CliError(f"cannot classify state file: its fresh site has more than {limit} digits")
+    return state
 
 
 def cmd_classify(args, config: RunConfig) -> int:

@@ -32,16 +32,14 @@ the coherence: ``X e_# = 0`` and ``Q X Q = 0``, so ``F_phi(X) = 0`` while
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (
     CHECK_TOL,
     VACUUM,
     BooleanElement,
-    check_site,
     vacuum_expectation,
 )
-from .fock import TestAlgebraElement
 from .states import BooleanState
 
 
@@ -148,38 +146,6 @@ def cond_expect(phi: PhiState, x: BooleanElement) -> TailElement:
     return TailElement._canonical(vacuum_expectation(x), phi.corner_value(x))
 
 
-def site_marginals(
-    phi: PhiState, element: TestAlgebraElement, sites: Sequence[int]
-) -> List[TailElement]:
-    """``[cond_expect(phi, embed(s, element)) for s in sites]``, bit for bit,
-    without building the embedded elements.
-
-    ``embed(s, element)`` has vacuum corner ``a`` and site block
-    ``(d - beta) * eps(s, s) + beta * I``, so the vacuum coordinate is
-    computed once and only ``T_ss`` is read per site.  The
-    identical-distribution checker builds its witness's sides here; its
-    deviation is read off :func:`site_columns`, which equals ``psi(Q)``
-    times the corner coordinates' difference in exact arithmetic.
-    """
-    beta = element.beta
-    vacuum_part = element.a - beta
-    x = (vacuum_part if vacuum_part != 0 else 0j) + beta
-    corner = element.d - beta
-    divisor, density = phi._divisor, phi.state.density
-    marginals = []
-    for s in sites:
-        j = check_site(s)
-        if divisor is None:
-            y = complex(beta)
-        else:
-            total = 0j
-            if corner != 0:
-                total += corner * density.entry(j, j)
-            y = total / divisor + beta
-        marginals.append(TailElement._canonical(x, y))
-    return marginals
-
-
 def site_columns(state: BooleanState) -> Tuple[Tuple[int, ...], List[float], List[float]]:
     """The density's site support and, over it, the two columns of ``gamma
     * T`` that decide every verdict: ``abs(gamma * T.entry(i, i))`` and
@@ -190,7 +156,10 @@ def site_columns(state: BooleanState) -> Tuple[Tuple[int, ...], List[float], Lis
     of :func:`boolefock.verify.check_exchangeable`'s diagonal and coherence
     probes and of ``check_identically_distributed``, and the terms of
     :func:`coherence`, so the three verdicts are compared with the
-    tolerance through the same floats.
+    tolerance through the same floats.  The diagonal at site i is, in exact
+    arithmetic, ``psi(Q)`` times the difference of the corner coordinates
+    of ``cond_expect(phi, embed(s, a))`` at s = i and at a site off the
+    support, for the diagonal probe ``a``.
     """
     if state._site_columns is None:
         gamma, t = state.gamma, state.density

@@ -61,7 +61,6 @@ from .tail import (
     cond_expect,
     preserving_phi,
     site_columns,
-    site_marginals,
 )
 
 
@@ -272,8 +271,9 @@ def check_exchangeable(
 
 
 def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> CheckReport:
-    """Check that the diagonal probe's conditioned one-site marginal does not
-    depend on the site.
+    """Check that the diagonal probe's conditioned one-site marginal
+    ``F_phi(j_i(a)) = cond_expect(phi, embed(i, a))`` does not depend on
+    the site i.
 
     The state is ``phi.state``, and the deviation is weighted by its mass
     on the site corner, ``psi(I - P)``, so that it is measured in the
@@ -284,8 +284,8 @@ def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> Chec
     is the diagonal column of :func:`boolefock.tail.site_columns`, the
     float the exchangeability check reads, and a site off the support
     deviates by 0.  Each site of the pool other than the fresh one counts
-    one sample, and the witness pairs the first failing site with the fresh
-    site, with the marginals of one ``site_marginals`` call.  The maximum,
+    one sample, and the witness pairs the first failing site i with the
+    fresh site k, its sides ``F_phi(j_i(a))`` and ``F_phi(j_k(a))``.  The maximum,
     ``max_i |gamma * T_ii|``, is the report's ``boundary``, which decides
     identical distribution.  Any other element ``(a, b, c, d, beta)`` has
     the same tail coordinate at every site and deviates by ``|d - beta|``
@@ -299,7 +299,7 @@ def check_identically_distributed(phi: PhiState, tol: float = CHECK_TOL) -> Chec
 
     def witness():
         site = next(i for i, deviation in zip(support, diagonal) if not deviation <= tol)
-        lhs, rhs = site_marginals(phi, element, [site, fresh])
+        lhs, rhs = (cond_expect(phi, embed(s, element)) for s in (site, fresh))
         return {
             "kind": "identical_distribution",
             "site_i": site,
@@ -522,7 +522,8 @@ def _replay_identical_distribution(state: BooleanState, witness: dict, tol: floa
     # bit for bit
     element = TestAlgebraElement.from_json(witness["element"])
     i, k = witness["site_i"], witness["site_k"]
-    lhs, rhs = site_marginals(PhiState(state), element, [i, k])
+    phi = PhiState(state)
+    lhs, rhs = (cond_expect(phi, embed(s, element)) for s in (i, k))
     preserving_phi(state, tol)
     support, diagonal, _ = site_columns(state)
     column = dict(zip(support, diagonal))

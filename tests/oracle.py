@@ -7,8 +7,7 @@ of finitely supported operators never leave that basis, so the truncation
 is exact; the only arithmetic shared with the sparse kernel is complex
 multiplication itself.  Tests substitute these for the kernel to cross
 check every operation, and ``DENSE_ENGINE`` runs the checkers' sampled
-identities on them; ``dense_site_marginals`` is the reference for the
-marginal the identical-distribution checker reads off T.
+identities on them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from boolefock.algebra import CHOP, VACUUM, BooleanElement, FockVector, Index
-from boolefock.fock import TestAlgebraElement, embed, word_sites
+from boolefock.fock import TestAlgebraElement, word_sites
 from boolefock.states import BooleanState, TraceClassOperator
 from boolefock.tail import PhiState, TailElement
 from boolefock.verify import Engine
@@ -174,11 +173,6 @@ def dense_moments(state: BooleanState, word: Sequence, assignments) -> List[comp
         relabel = dict(zip(sites, moved))
         values.append(dense_moment(state, [(relabel[j], a) for j, a in word]))
     return values
-
-
-def dense_site_marginals(phi: PhiState, element: TestAlgebraElement, sites) -> list:
-    """The dense conditional expectation of the element embedded at each site."""
-    return [dense_cond_expect(phi, embed(s, element)) for s in sites]
 
 
 #: The checkers' kernel operations, computed densely.

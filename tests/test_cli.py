@@ -640,6 +640,46 @@ def test_bad_env_seed(capsys, monkeypatch):
     assert "BOOLEFOCK_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "env_seed, flags, message",
+    [
+        ("x" * 3000, [], "BOOLEFOCK_SEED must be an integer"),
+        ("1" * 5000, [], "BOOLEFOCK_SEED must be an integer"),
+        (None, ["--max-rank", "9" * 3000], "max rank must be between 1 and 8"),
+        (None, ["--samples", "-" + "9" * 3000], "samples must be at least 1"),
+        (None, ["--max-word-len", "-" + "9" * 3000], "max word length must be at least 1"),
+    ],
+    ids=["env-seed", "env-seed-digits", "max-rank", "samples", "max-word-len"],
+)
+def test_a_config_error_shows_a_huge_value_in_one_short_line(capsys, monkeypatch, env_seed, flags, message):
+    if env_seed is not None:
+        monkeypatch.setenv("BOOLEFOCK_SEED", env_seed)
+    result = run(capsys, ["relations", *flags])
+    assert_rejected(result, "config error: " + message)
+    assert len(result[2]) <= MESSAGE_BOUND, result[2][:200]
+
+
+def test_classify_rejects_a_state_whose_fresh_site_has_too_many_digits(tmp_path, capsys):
+    # a site key of as many digits as int() converts is read, but the
+    # fresh site beyond an all-9 key has one digit more, which no report can
+    # write; one digit fewer classifies
+    limit = sys.get_int_max_str_digits()
+    for digits, code in ((limit, 2), (limit - 1, 0)):
+        vector = {"9" * digits: [1.0, 0.0]}
+        state = {"gamma": 1.0, "T": {"eigenpairs": [
+            {"weight": 0.5, "vector": {"#": [1.0, 0.0]}}, {"weight": 0.5, "vector": vector},
+        ]}}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        result = run(capsys, ["classify", "--state", str(path), "--samples", "10", "--format", "json"])
+        if code == 2:
+            assert_rejected(result, f"cannot classify state file: its fresh site has more than {limit} digits")
+            assert len(result[2]) <= MESSAGE_BOUND
+        else:
+            assert (result[0], result[2]) == (0, ""), result[2][:200]
+            assert json.loads(result[1])["classification"]["consistent"] is True
+
+
 def test_replay_reproduces_witnesses(tmp_path, capsys):
     state = BooleanState(
         1.0,

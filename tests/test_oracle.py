@@ -3,8 +3,9 @@
 import random
 
 from boolefock import sampling
-from boolefock.algebra import VACUUM, max_amp_diff, max_entry_diff
-from boolefock.states import BooleanState, TraceClassOperator, evaluate, infinity_state, moment
+from boolefock.algebra import VACUUM, FockVector, max_amp_diff, max_entry_diff
+from boolefock.fock import TestAlgebraElement, embed
+from boolefock.states import BooleanState, TraceClassOperator, evaluate, infinity_state, moment, vacuum_state
 from boolefock.tail import PhiState, cond_expect
 
 import oracle
@@ -67,12 +68,41 @@ def test_moment_matches_dense():
     assert moment(infinity_state(), word) == oracle.dense_moment(infinity_state(), word)
 
 
+def edge_elements(rng):
+    """Sampled and Gaussian sample-algebra elements, for which (a - beta) +
+    beta is not always a; ones with a = beta, d = beta and both, whose
+    embeddings drop those entries; and the diagonal probe."""
+    elements = [sampling.test_element(rng) for _ in range(3)]
+    for _ in range(3):
+        elements.append(TestAlgebraElement(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5))))
+    for a in elements[:2]:
+        elements.append(TestAlgebraElement(a.beta, a.b, a.c, a.d, a.beta))
+        elements.append(TestAlgebraElement(a.a, a.b, a.c, a.beta, a.beta))
+        elements.append(TestAlgebraElement(a.beta, a.b, a.c, a.beta, a.beta))
+    elements.append(TestAlgebraElement(0, 0, 0, 1, 0))
+    return elements
+
+
 def test_cond_expect_matches_dense():
     rng = random.Random(45)
     for _ in range(200):
         phi = rand_phi(rng)
         x = sampling.boolean_element(rng, sites=range(1, 9), max_entries=6)
         assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12
+    # the edge elements embedded at every site, sites beyond every support
+    # included, under singular, near-vacuum and sampled states
+    vacuum_only = TraceClassOperator(((0.99999999991, FockVector(0.999999999955, {})),))
+    states = [infinity_state(), vacuum_state(), BooleanState(0.5, vacuum_only)]
+    for k in range(9):
+        density = (sampling.generic_density, sampling.expected_density)[k % 2]
+        states.append(BooleanState((0.0, 0.3, 1.0)[k % 3], density(rng, rng.randint(1, 6), range(1, 12))))
+    elements = edge_elements(rng)
+    for state in states:
+        phi = PhiState(state)
+        for a in elements:
+            for s in range(1, 15):
+                x = embed(s, a)
+                assert cond_expect(phi, x).max_diff(oracle.dense_cond_expect(phi, x)) <= 1e-12, (s, a)
 
 
 def test_cond_expect_matches_dense_with_vacuum_weight():

@@ -35,9 +35,9 @@ import pytest
 
 from boolefock import sampling
 from boolefock.algebra import VACUUM
-from boolefock.fock import TestAlgebraElement
+from boolefock.fock import TestAlgebraElement, embed
 from boolefock.states import BooleanState, moments
-from boolefock.tail import PhiState, site_marginals
+from boolefock.tail import PhiState, cond_expect
 from boolefock.verify import (
     CHECK_TOL,
     PROBE_ELEMENTS,
@@ -46,7 +46,7 @@ from boolefock.verify import (
     site_pool,
 )
 
-from oracle import DENSE_ENGINE, dense_site_marginals
+from oracle import DENSE_ENGINE
 from test_report_digests import STATES as REPORT_DIGEST_STATES
 from test_verify import MARGINAL_ROUNDING, STRATA
 
@@ -152,7 +152,7 @@ def assert_deciding_columns_match(state):
     # non-negative terms each), the division of T_ii, the modulus and the
     # product by psi(Q) add 3 U, and the checker's product and modulus 2 U:
     # 10 U to first order, 11 U times the checker's read with the rest
-    marginals = site_marginals(phi, DIAGONAL, pool)
+    marginals = [cond_expect(phi, embed(s, DIAGONAL)) for s in pool]
     read = [phi.psi_q * m.max_diff(marginals[-1]) for m in marginals[:-1]]
     assert all(d == 0.0 for i, d in zip(pool, read) if i not in support)
     for got, want in zip(read, reads[0]):
@@ -161,7 +161,7 @@ def assert_deciding_columns_match(state):
     # over a basis of n indices, within (n + r + 3) U of it, as is the site
     # weight here; with the entries, the divisions and the modulus, (4 r + 2
     # n + 24) U times the sparse marginals' deviation
-    dense = dense_site_marginals(phi, DIAGONAL, pool)
+    dense = [DENSE_ENGINE.cond_expect(phi, embed(s, DIAGONAL)) for s in pool]
     n = len(support) + 1
     for m, want in zip(dense, read):
         got = phi.psi_q * m.max_diff(dense[-1])
@@ -191,7 +191,7 @@ def assert_marginals_deviate_by_the_diagonal_multiple(state, classify_seed):
     elements = list(LENGTH_ONE_PROBES) + [sampling.test_element(rng) for _ in range(8)]
 
     def deviation(element):
-        marginals = site_marginals(phi, element, pool)
+        marginals = [cond_expect(phi, embed(s, element)) for s in pool]
         assert len({m.x for m in marginals}) == 1
         return phi.psi_q * max(m.max_diff(marginals[-1]) for m in marginals)
 

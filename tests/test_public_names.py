@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     'check_matrix_unit_dictionary', 'check_nfold_factorization', 'check_pair_independence',
     'classify_definetti', 'coherence', 'cond_expect', 'creator', 'embed',
     'evaluate', 'identity', 'infinity_state', 'matrix_unit', 'max_entry_diff',
-    'moment', 'moments', 'permute', 'permute_word', 'preserving_phi', 'site_marginals',
+    'moment', 'moments', 'permute', 'permute_word', 'preserving_phi',
     'site_vector', 'symmetric_state', 'vacuum_expectation', 'vacuum_state', 'vacuum_vector',
     'word_sites', 'zero',
 ]

@@ -15,7 +15,7 @@ from boolefock.algebra import (
     vacuum_expectation,
     vacuum_vector,
 )
-from boolefock.fock import TestAlgebraElement, embed
+from boolefock.fock import embed
 from boolefock.states import (
     BooleanState,
     TraceClassOperator,
@@ -31,7 +31,6 @@ from boolefock.tail import (
     coherence,
     cond_expect,
     preserving_phi,
-    site_marginals,
 )
 from boolefock import sampling
 from boolefock.jsonutil import decode_complex
@@ -161,42 +160,6 @@ def test_cond_expect_results_are_canonical():
             f = cond_expect(phi, x)
             assert type(f.x) is complex and type(f.y) is complex
             assert f == TailElement(f.x, f.y)
-
-
-def bits(f):
-    # both coordinates exactly, the sign of zero included
-    return tuple(part.hex() for z in (f.x, f.y) for part in (z.real, z.imag))
-
-
-def test_site_marginals_match_cond_expect_of_embeddings_bit_for_bit():
-    rng = random.Random(36)
-    states = [infinity_state(), vacuum_state(), BooleanState(0.5, VACUUM_ONLY)]
-    for k in range(9):
-        rank = rng.randint(1, 6)
-        t = (sampling.generic_density, sampling.expected_density)[k % 2](rng, rank, range(1, 12))
-        states.append(BooleanState((0.0, 0.3, 1.0)[k % 3], t))
-    # sampled elements, and Gaussian ones, for which (a - beta) + beta is
-    # not always a
-    elements = [sampling.test_element(rng) for _ in range(3)]
-    for _ in range(3):
-        elements.append(TestAlgebraElement(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5))))
-    for a in elements[:2]:
-        # a = beta, d = beta and both: the embedding drops those entries
-        elements.append(TestAlgebraElement(a.beta, a.b, a.c, a.d, a.beta))
-        elements.append(TestAlgebraElement(a.a, a.b, a.c, a.beta, a.beta))
-        elements.append(TestAlgebraElement(a.beta, a.b, a.c, a.beta, a.beta))
-    elements.append(TestAlgebraElement(0, 0, 0, 1, 0))
-    sites = list(range(1, 15))  # sites beyond every support included
-    for state in states:
-        phi = PhiState(state)
-        for a in elements:
-            got = site_marginals(phi, a, sites)
-            assert [bits(f) for f in got] == [bits(cond_expect(phi, embed(s, a))) for s in sites]
-            assert all(type(f.x) is complex and type(f.y) is complex for f in got)
-    assert site_marginals(BOTH_PHIS[1], elements[0], []) == []
-    for bad in (0, True, VACUUM, -1):
-        with pytest.raises(ValueError):
-            site_marginals(BOTH_PHIS[1], elements[0], [1, bad])
 
 
 def test_cond_expect_positive_on_squares():

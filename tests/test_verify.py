@@ -30,7 +30,7 @@ from boolefock.states import (
     symmetric_state,
     vacuum_state,
 )
-from boolefock.tail import DecisionError, PhiState, coherence, cond_expect, preserving_phi, site_marginals
+from boolefock.tail import DecisionError, PhiState, coherence, cond_expect, preserving_phi
 from boolefock.verify import (
     CHECK_TOL,
     PROBE_ELEMENTS,
@@ -51,7 +51,7 @@ from boolefock.verify import (
 )
 from boolefock import sampling, verify
 
-from oracle import DENSE_ENGINE, dense_evaluate, dense_site_marginals
+from oracle import DENSE_ENGINE, dense_evaluate
 from test_report_digests import STATES as REPORT_DIGEST_STATES
 
 
@@ -541,20 +541,21 @@ def counting_engine(base):
 
 def counting_reads(monkeypatch):
     """Count the calls of ``TraceClassOperator.entry`` by index pair, and
-    the checkers' ``site_marginals`` calls by site list."""
+    the checkers' own ``cond_expect`` calls, not the engine's, by the sites
+    of the element."""
     reads = Counter()
-    entry, marginals = TraceClassOperator.entry, verify.site_marginals
+    entry = TraceClassOperator.entry
 
     def counted_entry(self, m, n):
         reads[m, n] += 1
         return entry(self, m, n)
 
-    def counted_marginals(phi, element, sites):
-        reads["site_marginals", tuple(sites)] += 1
-        return marginals(phi, element, sites)
+    def counted_cond_expect(phi, x):
+        reads["cond_expect", x.sites()] += 1
+        return cond_expect(phi, x)
 
     monkeypatch.setattr(TraceClassOperator, "entry", counted_entry)
-    monkeypatch.setattr(verify, "site_marginals", counted_marginals)
+    monkeypatch.setattr(verify, "cond_expect", counted_cond_expect)
     return reads
 
 
@@ -563,7 +564,9 @@ def test_checkers_evaluate_each_site_once(monkeypatch):
     # columns every verdict compares; with the audits off it reads besides
     # only what the witnesses need: the failing probe's one moments call at
     # its site and the fresh site, which reads T_## and T_#i, and the
-    # failing marginal's one site_marginals call at the same two sites
+    # failing marginal's two sides, cond_expect of the probe embedded at the
+    # same two sites, which read T_ii and nothing off T's rows: no (fresh,
+    # fresh)
     state = wide_state()
     support, fresh = state.density.site_support(), site_pool(state)[-1]
     reads = counting_reads(monkeypatch)
@@ -571,8 +574,9 @@ def test_checkers_evaluate_each_site_once(monkeypatch):
     site = reports["identical_distribution"].witness["site_i"]
     assert reports["exchangeability"].witness["word"][0][0] == site
     columns = Counter({(i, i): 1 for i in support}) + Counter({(i, VACUUM): 1 for i in support})
-    witnesses = [(VACUUM, VACUUM), (VACUUM, site), (site, site), (fresh, fresh), ("site_marginals", (site, fresh))]
+    witnesses = [(VACUUM, VACUUM), (VACUUM, site), (site, site), ("cond_expect", (site,)), ("cond_expect", (fresh,))]
     assert reads == columns + Counter(witnesses)
+    assert reads[site, site] == 2 and (fresh, fresh) not in reads
     # the columns are kept on the state: each random word is one moments
     # call, at the word's sites and at their image, and no column is read
     # again
@@ -637,10 +641,9 @@ def test_a_site_free_state_draws_no_word():
 def assert_every_marginal_deviates_by_zero(phi, engine):
     """Compare the diagonal probe's marginal at every site of the pool with
     its first, bit for bit, as the identical-distribution check would read
-    it: the sparse marginals, or the dense engine's."""
-    marginals = (site_marginals if engine is SPARSE_ENGINE else dense_site_marginals)(
-        phi, PROBE_ELEMENTS[0], site_pool(phi.state)
-    )
+    it: the engine's conditional expectation of the probe embedded at each
+    site."""
+    marginals = [engine.cond_expect(phi, embed(s, PROBE_ELEMENTS[0])) for s in site_pool(phi.state)]
     assert cmath.isfinite(marginals[0].x) and cmath.isfinite(marginals[0].y)
     column = [(repr(m.x), repr(m.y)) for m in marginals]
     assert column == column[:1] * len(column)
@@ -684,7 +687,7 @@ def test_every_sample_of_a_singular_sweep_state_deviates_by_exactly_zero(engine)
 
 def test_a_singular_phi_scans_no_marginal(monkeypatch):
     # the identical-distribution report of a singular phi is the scan's,
-    # samples and all, without reading T or calling site_marginals
+    # samples and all, without reading T or calling cond_expect
     reads = counting_reads(monkeypatch)
     for state in (vacuum_state(), symmetric_state(0.4), infinity_state(), gamma_zero_with_site_rows()):
         phi = preserving_phi(state)
@@ -919,7 +922,7 @@ def test_the_deciding_columns_validate_no_site_list(monkeypatch):
     # coherence and the marginal read T's columns, so moments checks the
     # site lists of the 60 random words, 2 per word, and of the failing
     # diagonal probe's witness, its site and the fresh site; the failing
-    # marginal's witness is the one site_marginals call
+    # marginal's witness is two cond_expect calls, at the same two sites
     rng = random.Random(63)
     n_sites = 10_000
     xi = FockVector(0j, {i: sampling.complex_box(rng) for i in range(1, n_sites + 1)})
@@ -938,8 +941,11 @@ def test_the_deciding_columns_validate_no_site_list(monkeypatch):
     result = classify_definetti(state, seed=64)
     assert (result.symmetric, result.expected, result.iid) == (False, True, False)
     assert len(site_lists) == 2 * 60 + 2 and site_lists[:2] == [1, 1]
-    assert [key for key in reads if key[0] == "site_marginals"] == [("site_marginals", (1, n_sites + 1))]
-    assert "site_marginals" not in Engine._fields
+    assert [(key, reads[key]) for key in reads if key[0] == "cond_expect"] == [
+        (("cond_expect", (1,)), 1),
+        (("cond_expect", (n_sites + 1,)), 1),
+    ]
+    assert Engine._fields == ("mul", "evaluate_product", "moments", "cond_expect")
 
 
 def test_the_probe_witness_is_the_first_failing_site_diagonal_first():
